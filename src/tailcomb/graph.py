@@ -5,6 +5,10 @@ single component and is never a reducible node.  Subcurves are encoded as
 integer bitmasks over the component indices, so every set operation is exact,
 hashable and cheap.  All values are immutable after construction; derived
 data (adjacency, tails, nested families) is cached lazily on the instance.
+Tails come from rooted growth of connected vertex sets; a graph with a
+closed form for its s-tails, s <= 3, supplies it through `_derived_k_tails`
+(the node subdivision does), while `tails()` and `k_tails(k > 3)` always
+enumerate.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ class CurveGraph:
         self._nbr = tuple(nbr)
         self._term: dict[int, int] = {}
         self._tails = None
-        self._tails_by_k = None
+        self._tails_by_k: dict[int, tuple[int, ...]] = {}
         self._nested = {}
         self._c2 = None
         self._twister = None
@@ -291,12 +295,23 @@ class CurveGraph:
         return self._tails
 
     def k_tails(self, kk: int) -> tuple[int, ...]:
-        if self._tails_by_k is None:
-            buckets: dict[int, list[int]] = {}
-            for z in self.tails():
-                buckets.setdefault(self.k(z), []).append(z)
-            self._tails_by_k = {kk_: tuple(v) for kk_, v in buckets.items()}
-        return self._tails_by_k.get(kk, ())
+        """The tails with kk terminal nodes, canonically ordered."""
+        got = self._tails_by_k.get(kk)
+        if got is None:
+            if kk <= 3:
+                got = self._derived_k_tails(kk)
+            if got is None:
+                got = tuple(z for z in self.tails() if self.k(z) == kk)
+            self._tails_by_k[kk] = got
+        return got
+
+    def _derived_k_tails(self, kk: int) -> tuple[int, ...] | None:
+        """The kk-tails (kk <= 3) in closed form, for graphs that have one.
+
+        None, the answer here, means filtering the full enumeration; the
+        node subdivision overrides this with a derivation from its base.
+        """
+        return None
 
     def reducible_nodes(self) -> tuple[int, ...]:
         """Indices of the reducible nodes, i.e. all non-loop edges."""

@@ -2,9 +2,13 @@
 
 Each node of the base graph is replaced by a chain of two exceptional
 vertices, producing another CurveGraph, so the whole tail machinery applies
-unchanged.  Canonical liftings, the hat families anchored at exceptional
-vertices over a distinguished point, and the multiset comparison that
-defines synchronization all live here.
+unchanged.  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is
+a series extension, so they follow in closed form from the base graph's
+s-tails and bridges (`_lifted_k_tails`).  `tails()` and `k_tails(k > 3)` on
+the subdivision still use the rooted growth of `CurveGraph`.  Canonical
+liftings, the hat families anchored at exceptional vertices over a
+distinguished point, and the multiset comparison that defines
+synchronization all live here.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ class LiftedGraph:
     Every base node S with endpoints (u, v) becomes the chain
     C_u -- E(S,u) -- E(S,v) -- C_v (loop sides are numbered 1 and 2); the
     lifted graph is itself a CurveGraph marked at the strict transform of
-    the base marked component.
+    the base marked component.  Its s-tails for s <= 3 are derived from the
+    base graph's rather than enumerated.
     """
 
     __slots__ = ("base", "graph", "strict", "mu_comp", "over_node", "_exc")
@@ -58,7 +63,7 @@ class LiftedGraph:
             edges.append(Node(f"{nd.id}:{labels[0]}", strict[nd.a], vid[0]))
             edges.append(Node(f"{nd.id}:mid", vid[0], vid[1]))
             edges.append(Node(f"{nd.id}:{labels[1]}", vid[1], strict[nd.b]))
-        self.graph = CurveGraph(names, edges, strict[base.marked])
+        self.graph = _Subdivision(names, edges, strict[base.marked], self)
         self.strict = tuple(strict)
         self.mu_comp = tuple(mu_comp)
         self.over_node = tuple(over_node)
@@ -102,6 +107,82 @@ class LiftedGraph:
         return "\n".join(lines)
 
 
+class _Subdivision(CurveGraph):
+    """The subdivided graph of a LiftedGraph, whose s-tails (s <= 3) are
+    derived from the base graph."""
+
+    __slots__ = ("_lift",)
+
+    def __init__(self, names, nodes, marked: int, lift: LiftedGraph):
+        super().__init__(names, nodes, marked)
+        self._lift = lift
+
+    def _derived_k_tails(self, kk: int) -> tuple[int, ...]:
+        return _lifted_k_tails(self._lift, kk)
+
+
+def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
+    """The core of a base subcurve's liftings and its terminal steps.
+
+    The core holds the strict transforms of W and both exceptional vertices
+    of every node interior to W, loops on W included.  Each terminal node
+    gives one step (near, far): the bits of its exceptional vertices on the
+    W side and on the other side.
+    """
+    core = 0
+    for m in members(W):
+        core |= 1 << LG.strict[m]
+    exc = LG._exc
+    steps = []
+    for t, nd in enumerate(LG.base.nodes):
+        ina = (W >> nd.a) & 1
+        inb = (W >> nd.b) & 1
+        if nd.is_loop:
+            if ina:
+                core |= (1 << exc[(t, 1)]) | (1 << exc[(t, 2)])
+        elif ina and inb:
+            core |= (1 << exc[(t, nd.a)]) | (1 << exc[(t, nd.b)])
+        elif ina:
+            steps.append((1 << exc[(t, nd.a)], 1 << exc[(t, nd.b)]))
+        elif inb:
+            steps.append((1 << exc[(t, nd.b)], 1 << exc[(t, nd.a)]))
+    return core, steps
+
+
+def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
+    """The s-tails of the subdivision, s <= 3, canonically ordered.
+
+    A lifted tail that meets a strict transform and misses another contracts
+    to a base s-tail W; it is the core of W plus, at each terminal node, no
+    exceptional vertex, the near one, or both, so W has 3^s liftings.  The
+    remaining tails are purely exceptional or complements of such: {E1},
+    {E2} and {E1, E2} over every node that is not a bridge (loops
+    included), each with two terminal edges.
+    """
+    base = LG.base
+    out = []
+    for w in base.k_tails(s):
+        core, steps = _lift_parts(LG, w)
+        lifts = [core]
+        for near, far in steps:
+            lifts = [y | add for y in lifts for add in (0, near, near | far)]
+        out.extend(lifts)
+    if s == 2:
+        bridges = 0
+        for w in base.k_tails(1):
+            bridges |= base.term_mask(w)
+        full = LG.graph.full_mask
+        for t, nd in enumerate(base.nodes):
+            if (bridges >> t) & 1:
+                continue
+            keys = (1, 2) if nd.is_loop else (nd.a, nd.b)
+            e1, e2 = (1 << LG._exc[(t, key)] for key in keys)
+            for y in (e1, e2, e1 | e2):
+                out.append(y)
+                out.append(full ^ y)
+    return tuple(sorted(out, key=canon_key))
+
+
 def build_c2(G: CurveGraph) -> LiftedGraph:
     if G._c2 is None:
         G._c2 = LiftedGraph(G)
@@ -119,29 +200,11 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
     base = LG.base
     if not base.is_proper(W):
         raise PreconditionError("canonical liftings need a proper nonempty subcurve")
-    core = 0
-    for m in members(W):
-        core |= 1 << LG.strict[m]
-    l0 = core
-    add1 = 0
-    add2 = 0
-    for t, nd in enumerate(base.nodes):
-        ina = (W >> nd.a) & 1
-        inb = (W >> nd.b) & 1
-        if nd.is_loop:
-            if ina:
-                l0 |= (1 << LG.exceptional(t, 1)) | (1 << LG.exceptional(t, 2))
-            continue
-        if ina and inb:
-            l0 |= (1 << LG.exceptional(t, nd.a)) | (1 << LG.exceptional(t, nd.b))
-        elif ina:
-            add1 |= 1 << LG.exceptional(t, nd.a)
-            add2 |= 1 << LG.exceptional(t, nd.b)
-        elif inb:
-            add1 |= 1 << LG.exceptional(t, nd.b)
-            add2 |= 1 << LG.exceptional(t, nd.a)
-    l1 = l0 | add1
-    l2 = l1 | add2
+    l0, steps = _lift_parts(LG, W)
+    l1 = l2 = l0
+    for near, far in steps:
+        l1 |= near
+        l2 |= near | far
     lg = LG.graph
     if base.connected(W):
         for a, b in ((l0, l1), (l1, l2)):
@@ -321,7 +384,7 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiag
             detail.append(("crossing-mismatch", nd.id))
         # Non-crossing members exist exactly over a separating node.
         exp_rest: set[int] = set()
-        side = _component_without(G, nd.a, r)
+        side = _side_without(G, nd.a, r)
         if not (side >> nd.b) & 1:
             v = side if not (side >> G.marked) & 1 else G.full_mask ^ side
             l0, l1, l2 = canonical_liftings(LG, v)
@@ -335,21 +398,14 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiag
     return OneTailDiagnostic(ok, tuple(detail), hat_total, four, six)
 
 
-def _component_without(G: CurveGraph, start: int, skip_node: int) -> int:
-    """Vertex set reachable from start without using the given node."""
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for t, nd in enumerate(G.nodes):
-            if t == skip_node or nd.is_loop:
-                continue
-            if nd.a == v or nd.b == v:
-                u = nd.b if nd.a == v else nd.a
-                if not (seen >> u) & 1:
-                    seen |= 1 << u
-                    frontier.append(u)
-    return seen
+def _side_without(G: CurveGraph, start: int, node: int) -> int:
+    """Vertex set reachable from start without using the given node: the
+    whole graph unless the node is a bridge, else the side of its 1-tail
+    that holds start."""
+    for w in G.k_tails(1):
+        if G.term_mask(w) == 1 << node:
+            return w if (w >> start) & 1 else G.full_mask ^ w
+    return G.full_mask
 
 
 def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:

@@ -2,9 +2,11 @@
 
 One engine serves both the dual graph and its subdivision: a family lives on
 a CurveGraph, is anchored at an arbitrary nonempty vertex set, and is grown
-by iterated minimum extraction over the exhaustively enumerated s-tails.
-The closure lemmas that guarantee a unique minimum at each step are enforced
-as runtime assertions rather than trusted.
+by iterated minimum extraction over the s-tails from `CurveGraph.k_tails`:
+the full enumeration on a base graph, a closed form derived from the base
+graph's s-tails on the subdivision (see `tailcomb.lift`).  The closure
+lemmas that guarantee a unique minimum at each step are enforced as runtime
+assertions rather than trusted.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from tailcomb.errors import GraphError
 from tailcomb.graph import (
-    CurveGraph,
-    Node,
     canon_key,
     crosses,
     node_on,
@@ -16,7 +14,7 @@ from tailcomb.graph import (
     wedge,
 )
 
-from conftest import sc, tset
+from conftest import graphs, sc, tset
 
 
 # -- construction and validation ----------------------------------------------
@@ -169,26 +167,6 @@ def test_loop_conventions(G1):
 
 
 # -- fuzzed invariants -----------------------------------------------------------
-
-
-@st.composite
-def graphs(draw):
-    p = draw(st.integers(1, 5))
-    edges = []
-    for v in range(1, p):
-        edges.append((draw(st.integers(0, v - 1)), v))
-    extra = draw(
-        st.lists(
-            st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=4
-        )
-    )
-    edges.extend(extra)
-    marked = draw(st.integers(0, p - 1))
-    return CurveGraph(
-        [f"C{i + 1}" for i in range(p)],
-        [Node(f"e{t}", min(a, b), max(a, b)) for t, (a, b) in enumerate(edges)],
-        marked,
-    )
 
 
 @settings(max_examples=120, deadline=None)

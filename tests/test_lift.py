@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from tailcomb.blowup import distinguished_points, is_quasistable_point, make_choice
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import precedes
+from tailcomb.graph import CurveGraph, precedes
 from tailcomb.lift import (
+    LiftedGraph,
+    _side_without,
     build_c2,
     canonical_liftings,
     eq34_level2,
@@ -11,8 +14,9 @@ from tailcomb.lift import (
     is_synchronized,
     one_tail_diagnostic,
 )
+from tailcomb.randgen import instance_graph
 
-from conftest import sc
+from conftest import graphs, sc
 
 
 def lnames(LG, mask):
@@ -197,3 +201,73 @@ def test_eq34_on_synchronized_points(G2, G3):
                     for pt in distinguished_points(G, ch):
                         if is_synchronized(G, pt).synchronized:
                             assert eq34_level2(G, pt) == ()
+
+
+# -- derived s-tails of the subdivision against full enumeration ----------------------
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """80 seeded draws at the verify defaults (<=6 components, <=4 extra)."""
+    return [instance_graph(11, i, 6, 4, True) for i in range(80)]
+
+
+def enumerated_subdivision(G):
+    """The subdivision of G and a plain copy whose k-tails bucket its
+    rooted-growth enumeration."""
+    lg = LiftedGraph(G).graph
+    return lg, CurveGraph(lg.names, lg.nodes, lg.marked)
+
+
+def assert_derived_tails(G):
+    lg, plain = enumerated_subdivision(G)
+    for s in (1, 2, 3):
+        assert lg.k_tails(s) == plain.k_tails(s), (G, s)
+    assert lg._tails is None  # derived, never enumerated
+
+
+def test_derived_tails_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        assert_derived_tails(G)
+
+
+def test_derived_tails_corpus(corpus):
+    for G in corpus:
+        assert_derived_tails(G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_derived_tails_property(G):
+    assert_derived_tails(G)
+
+
+def test_k_tails_above_three_still_enumerate(G2, G3, corpus):
+    for G in [G2, G3] + corpus[:20]:
+        lg, plain = enumerated_subdivision(G)
+        assert lg.k_tails(4) == plain.k_tails(4)
+        assert lg.tails() == plain.tails()
+
+
+def component_without_scan(G, start, skip_node):
+    """Reference: vertices reachable from start by search, never using the node."""
+    seen = 1 << start
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for t, nd in enumerate(G.nodes):
+            if t == skip_node or nd.is_loop:
+                continue
+            if nd.a == v or nd.b == v:
+                u = nd.b if nd.a == v else nd.a
+                if not (seen >> u) & 1:
+                    seen |= 1 << u
+                    frontier.append(u)
+    return seen
+
+
+def test_side_without_matches_scan(G1, G2, G3, G4, corpus):
+    for G in [G1, G2, G3, G4] + corpus:
+        for t, nd in enumerate(G.nodes):
+            for start in nd.ends:
+                assert _side_without(G, start, t) == component_without_scan(G, start, t)
