@@ -22,7 +22,6 @@ from .graph import (
     Node,
     PairRelation,
     canon_key,
-    crosses,
     load,
     mask_of,
     members,
@@ -30,7 +29,6 @@ from .graph import (
     precedes,
     relate,
     validate,
-    wedge,
 )
 from .tails import (
     NestedFamily,

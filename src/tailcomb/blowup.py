@@ -18,7 +18,7 @@ from itertools import combinations
 from .errors import GraphError, InvariantViolation, PreconditionError
 from .graph import CurveGraph
 from .tails import nested
-from .degrees import delta, twister
+from .degrees import delta
 
 RECONSTRUCTED = "reconstructed"
 AS_DISPLAYED = "as-displayed"
@@ -332,7 +332,6 @@ def admissibility_check(
     every instance regardless of the intersection hypothesis, for
     exploration only.
     """
-    twister(G)  # warm the table once
     diagonal = r1 == r2
     if diagonal:
         # The diagonal blowup pairs each side with the other one.

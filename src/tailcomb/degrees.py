@@ -19,25 +19,36 @@ from .errors import (
     PreconditionError,
     RepresentativeNotFound,
 )
-from .graph import CurveGraph, members
+from .graph import CurveGraph, members, per_graph
 from .tails import tail_family
 
 Multidegree = tuple  # integer per component, indexed like G.names
 
 
 def multidegree(G: CurveGraph, data) -> tuple[int, ...]:
-    """Coerce a mapping {component name: int} or a sequence to a multidegree."""
+    """A multidegree from a mapping {component name: int} or a sequence.
+
+    Entries must be integers (booleans excluded); nothing is coerced.
+    """
     if isinstance(data, dict):
         d = [0] * G.p
         for name, v in data.items():
-            d[G.index(name)] = int(v)
+            d[G.index(name)] = _degree(v)
         return tuple(d)
-    d = tuple(int(v) for v in data)
+    if not isinstance(data, (list, tuple)):
+        raise PreconditionError("multidegree must be a JSON object or array")
+    d = tuple(_degree(v) for v in data)
     if len(d) != G.p:
         raise PreconditionError(
             f"multidegree has {len(d)} entries for {G.p} components"
         )
     return d
+
+
+def _degree(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise PreconditionError(f"multidegree entry {v!r} is not an integer")
+    return v
 
 
 def multidegree_map(G: CurveGraph, d) -> dict[str, int]:
@@ -118,18 +129,6 @@ def _qs_profile(G: CurveGraph):
     return tuple((idx, kk) for kk, idx in rows)
 
 
-def _qs_fast(d, profile) -> bool:
-    # beta2 = 2*deg + k against [0, 2k) becomes 2*deg in [-k, k)
-    for idx, kk in profile:
-        s = 0
-        for m in idx:
-            s += d[m]
-        b2 = s + s
-        if b2 < -kk or b2 >= kk:
-            return False
-    return True
-
-
 def quasistable_representative(
     G: CurveGraph, d0, bound: int | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -171,33 +170,13 @@ def quasistable_representative(
     return hits[0]
 
 
-def _scan_box_naive(G, d0, b, lap, profile, positions):
-    p = G.p
-    hits = []
-    c = [0] * p
-
-    def rec(i, d):
-        if i == len(positions):
-            if _qs_fast(d, profile):
-                hits.append((tuple(c), tuple(d)))
-            return
-        m = positions[i]
-        col = lap[m]
-        for v in range(-b, b + 1):
-            c[m] = v
-            rec(i + 1, [d[x] + v * col[x] for x in range(p)])
-        c[m] = 0
-
-    rec(0, list(d0))
-    return hits
-
-
 def _scan_box(G, d0, b, lap, profile, positions):
     """Exhaustive box scan with sound interval pruning.
 
     Per tail, the doubled degree is tracked incrementally and a subtree is
     skipped only when the remaining coordinates provably cannot bring it
-    back into [-k, k); the hit set is identical to the naive scan.
+    back into [-k, k); the hit set is identical to the naive scan (kept in
+    the tests as the oracle).
     """
     p = G.p
     n = len(positions)
@@ -271,19 +250,37 @@ class TwisterTable:
         }
 
 
+@per_graph
 def twister(G: CurveGraph) -> TwisterTable:
-    if G._twister is None:
-        table = {}
-        for g1, g2 in combinations_with_replacement(range(G.p), 2):
-            fam = tail_family(G, g1, g2)
-            al = [0] * G.p
-            for w in fam:
-                for m in members(w):
-                    al[m] += 1
-            table[(g1, g2)] = tuple(al)
-            table[(g2, g1)] = tuple(al)
-        G._twister = TwisterTable(G, table)
-    return G._twister
+    """The twister table, with the terminal-count identity behind `delta`.
+
+    For every pair and node, +1 per family tail with the node terminal that
+    contains its first end, -1 per one containing its second end, must sum
+    to the coefficient difference of the two ends (0 = 0 for a loop).
+    """
+    table = {}
+    for g1, g2 in combinations_with_replacement(range(G.p), 2):
+        fam = tail_family(G, g1, g2)
+        al = [0] * G.p
+        signed = [0] * len(G.nodes)
+        for w in fam:
+            for m in members(w):
+                al[m] += 1
+            for t in members(G.term_mask(w)):
+                signed[t] += 1 if (w >> G.nodes[t].a) & 1 else -1
+        for t, nd in enumerate(G.nodes):
+            if signed[t] != al[nd.a] - al[nd.b]:
+                raise InvariantViolation(
+                    "terminal-count identity for delta failed",
+                    pair=(G.names[g1], G.names[g2]),
+                    node=nd.id,
+                    m=G.names[nd.a],
+                    n=G.names[nd.b],
+                    signed=signed[t],
+                    alpha_difference=al[nd.a] - al[nd.b],
+                )
+        table[(g1, g2)] = table[(g2, g1)] = tuple(al)
+    return TwisterTable(G, table)
 
 
 def abel_multidegree(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
@@ -299,33 +296,11 @@ def abel_multidegree(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
 def delta(G: CurveGraph, g1: int, g2: int, m: int, n: int) -> int:
     """Difference of twister coefficients, alpha_m - alpha_n.
 
-    Cross-checked against the signed terminal count: for every node joining
-    m and n, summing +1 over family tails containing m with the node
-    terminal and -1 over those containing n must give the same value.
+    For m and n joined by a node it equals the signed terminal count that
+    `twister` checks when it builds the table.
     """
     al = twister(G).alpha[(g1, g2)]
-    value = al[m] - al[n]
-    if m != n:
-        fam = tail_family(G, g1, g2)
-        for t, nd in enumerate(G.nodes):
-            if nd.is_loop or {nd.a, nd.b} != {m, n}:
-                continue
-            bit = 1 << t
-            signed = 0
-            for w in fam:
-                if G.term_mask(w) & bit:
-                    signed += 1 if (w >> m) & 1 else -1
-            if signed != value:
-                raise InvariantViolation(
-                    "terminal-count identity for delta failed",
-                    pair=(G.names[g1], G.names[g2]),
-                    node=nd.id,
-                    m=G.names[m],
-                    n=G.names[n],
-                    signed=signed,
-                    alpha_difference=value,
-                )
-    return value
+    return al[m] - al[n]
 
 
 def lemma35_difference(G: CurveGraph, i: int, j: int, k: int) -> int:

@@ -3,18 +3,21 @@
 Components are vertices and nodes are edges; a loop is a self-node of a
 single component and is never a reducible node.  Subcurves are encoded as
 integer bitmasks over the component indices, so every set operation is exact,
-hashable and cheap.  All values are immutable after construction; derived
-data (adjacency, tails, nested families) is cached lazily on the instance.
-Tails come from rooted growth of connected vertex sets; a graph with a
-closed form for its s-tails, s <= 3, supplies it through `_derived_k_tails`
-(the node subdivision does), while `tails()` and `k_tails(k > 3)` always
-enumerate.
+hashable and cheap.  All values are immutable after construction.  Derived
+data (tails, nested families, the twister table, the node subdivision) is
+computed once per graph by functions decorated with `per_graph`, which keep
+it in the graph's single memo; terminal masks, the hottest lookup, have their
+own int-keyed table.  Tails come from rooted growth of connected vertex sets;
+a graph with a closed form for its s-tails, s <= 3, supplies it through
+`_derived_k_tails` (the node subdivision does), while `tails()` and
+`k_tails(k > 3)` always enumerate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterable
 
 from .errors import GraphError
@@ -43,6 +46,24 @@ def members(mask: int) -> tuple[int, ...]:
 def canon_key(mask: int):
     """Sort key: by size, then lexicographically on the vertex tuple."""
     return (mask.bit_count(), members(mask))
+
+
+def per_graph(fn):
+    """Memoize fn(G, *args) in G's memo under the key (fn, *args).
+
+    A call that raises stores nothing, so errors are never cached.
+    """
+
+    @wraps(fn)
+    def cached(G, *args):
+        key = (fn, *args)
+        try:
+            return G._memo[key]
+        except KeyError:
+            value = G._memo[key] = fn(G, *args)
+            return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -96,11 +117,7 @@ class CurveGraph:
         "_node_index",
         "_nbr",
         "_term",
-        "_tails",
-        "_tails_by_k",
-        "_nested",
-        "_c2",
-        "_twister",
+        "_memo",
         "_hash",
     )
 
@@ -137,11 +154,7 @@ class CurveGraph:
                 nbr[nd.b] |= 1 << nd.a
         self._nbr = tuple(nbr)
         self._term: dict[int, int] = {}
-        self._tails = None
-        self._tails_by_k: dict[int, tuple[int, ...]] = {}
-        self._nested = {}
-        self._c2 = None
-        self._twister = None
+        self._memo: dict[tuple, object] = {}
         self._hash = None
         if not self.connected(self.full_mask):
             raise GraphError("the multigraph is disconnected")
@@ -252,6 +265,7 @@ class CurveGraph:
 
     # -- tail enumeration ---------------------------------------------------
 
+    @per_graph
     def tails(self) -> tuple[int, ...]:
         """Every tail, canonically ordered.
 
@@ -259,50 +273,44 @@ class CurveGraph:
         extension; a set and its complement are both tails or neither, so
         rooting the growth at one vertex visits each tail pair exactly once.
         """
-        if self._tails is None:
-            if self.p == 1:
-                self._tails = ()
-            else:
-                full = self.full_mask
-                nbr = self._nbr
-                found = []
-                seen = {1}
-                stack = [1]
-                while stack:
-                    s = stack.pop()
-                    comp = full ^ s
-                    if comp and self.connected(comp):
-                        found.append(s)
-                    frontier = 0
-                    t = s
-                    while t:
-                        low = t & -t
-                        frontier |= nbr[low.bit_length() - 1]
-                        t ^= low
-                    frontier &= ~s
-                    while frontier:
-                        low = frontier & -frontier
-                        nxt = s | low
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-                        frontier ^= low
-                out = []
-                for s in found:
-                    out.append(s)
-                    out.append(full ^ s)
-                self._tails = tuple(sorted(out, key=canon_key))
-        return self._tails
+        if self.p == 1:
+            return ()
+        full = self.full_mask
+        nbr = self._nbr
+        found = []
+        seen = {1}
+        stack = [1]
+        while stack:
+            s = stack.pop()
+            comp = full ^ s
+            if comp and self.connected(comp):
+                found.append(s)
+            frontier = 0
+            t = s
+            while t:
+                low = t & -t
+                frontier |= nbr[low.bit_length() - 1]
+                t ^= low
+            frontier &= ~s
+            while frontier:
+                low = frontier & -frontier
+                nxt = s | low
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+                frontier ^= low
+        out = []
+        for s in found:
+            out.append(s)
+            out.append(full ^ s)
+        return tuple(sorted(out, key=canon_key))
 
+    @per_graph
     def k_tails(self, kk: int) -> tuple[int, ...]:
         """The tails with kk terminal nodes, canonically ordered."""
-        got = self._tails_by_k.get(kk)
+        got = self._derived_k_tails(kk) if kk <= 3 else None
         if got is None:
-            if kk <= 3:
-                got = self._derived_k_tails(kk)
-            if got is None:
-                got = tuple(z for z in self.tails() if self.k(z) == kk)
-            self._tails_by_k[kk] = got
+            got = tuple(z for z in self.tails() if self.k(z) == kk)
         return got
 
     def _derived_k_tails(self, kk: int) -> tuple[int, ...] | None:
@@ -417,23 +425,6 @@ def relate(G: CurveGraph, Z: int, Zp: int) -> PairRelation:
 def precedes(G: CurveGraph, Z: int, Zp: int) -> bool:
     """Fast strict-containment-with-disjoint-terminals test (Z before Zp)."""
     return Z != Zp and Z & Zp == Z and not (G.term_mask(Z) & G.term_mask(Zp))
-
-
-def wedge(Z: int, Zp: int) -> int:
-    """Union of the components contained in both subcurves."""
-    return Z & Zp
-
-
-def crosses(G: CurveGraph, Z: int, node: int | str) -> bool:
-    """Whether the subcurve contains both component endpoints of a node.
-
-    Loops return False by convention: a loop lies on a single component, and
-    the crossing notion presumes two branches on distinct components.
-    """
-    nd = G.nodes[node if isinstance(node, int) else G.node_index(node)]
-    if nd.is_loop:
-        return False
-    return bool((Z >> nd.a) & 1 and (Z >> nd.b) & 1)
 
 
 def node_on(G: CurveGraph, Z: int, node: int | str) -> bool:

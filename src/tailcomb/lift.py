@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .blowup import DistinguishedPoint
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, Node, canon_key, members, precedes
+from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
 from .tails import NestedFamily, d_count, nested
 
 
@@ -183,10 +183,9 @@ def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
     return tuple(sorted(out, key=canon_key))
 
 
+@per_graph
 def build_c2(G: CurveGraph) -> LiftedGraph:
-    if G._c2 is None:
-        G._c2 = LiftedGraph(G)
-    return G._c2
+    return LiftedGraph(G)
 
 
 def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:

@@ -20,7 +20,7 @@ from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, node_on, relate, validate
 from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
-from .tails import joining_nodes_mask, nested, symm_diff, tail_family
+from .tails import _candidates, joining_nodes_mask, nested, symm_diff, tail_family
 
 
 def _sub(G, mask):
@@ -51,24 +51,13 @@ def suite_closure(G: CurveGraph, rng, profile):
         if anchors & marked_bit:
             continue
         fam2 = nested(G, 2, anchors).members
-        blocked = 0
-        for w in fam2:
-            blocked |= G.term_mask(w)
-        cands3 = [
-            z
-            for z in G.k_tails(3)
-            if z & anchors == anchors
-            and not z & marked_bit
-            and not G.term_mask(z) & blocked
-        ]
+        cands3 = _candidates(G, 3, anchors)
+        closed = set(cands3)
         for a in range(len(cands3)):
             for b in range(a, len(cands3)):
                 z, zp = cands3[a], cands3[b]
-                w = z & zp
                 checks += 1
-                if not (
-                    G.is_tail(w) and G.k(w) == 3 and not G.term_mask(w) & blocked
-                ):
+                if z & zp not in closed:
                     bad.append(
                         {"check": "lemma-2.3", "anchors": _sub(G, anchors),
                          "z": _sub(G, z), "zp": _sub(G, zp)}
@@ -350,7 +339,10 @@ def suite_thm64(G: CurveGraph, rng, profile):
     return checks, bad
 
 
-def suite_qs_uniqueness(G: CurveGraph, rng, profile, samples: int = 6):
+QS_SAMPLES = 6  # degree-0 multidegrees drawn per instance by qs-uniqueness
+
+
+def suite_qs_uniqueness(G: CurveGraph, rng, profile):
     """At most one quasistable multidegree per twist class inside the box.
 
     Degree-0 multidegrees with entries in [-3, 3] are sampled per instance
@@ -360,7 +352,7 @@ def suite_qs_uniqueness(G: CurveGraph, rng, profile, samples: int = 6):
         return 0, []
     checks = 0
     bad = []
-    for _ in range(samples):
+    for _ in range(QS_SAMPLES):
         d0 = [rng.randint(-3, 3) for _ in range(G.p - 1)]
         last = -sum(d0)
         if not -3 <= last <= 3:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, canon_key, members, precedes
+from .graph import CurveGraph, canon_key, members, per_graph, precedes
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class NestedFamily:
         return len(self.members)
 
 
+@per_graph
 def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
     """The nested family of s-tails containing the anchors, marked outside.
 
@@ -48,25 +49,9 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
         raise PreconditionError("anchors must be nonempty")
     if anchors & ~G.full_mask:
         raise PreconditionError("anchors outside the component range")
-    key = (s, anchors)
-    fam = G._nested.get(key)
-    if fam is not None:
-        return fam
     if (anchors >> G.marked) & 1:
-        fam = NestedFamily(s, anchors, ())
-        G._nested[key] = fam
-        return fam
-    marked_bit = 1 << G.marked
-    cands = [
-        z
-        for z in G.k_tails(s)
-        if z & anchors == anchors and not z & marked_bit
-    ]
-    if s == 3:
-        blocked = 0
-        for w in nested(G, 2, anchors).members:
-            blocked |= G.term_mask(w)
-        cands = [z for z in cands if not G.term_mask(z) & blocked]
+        return NestedFamily(s, anchors, ())
+    cands = _candidates(G, s, anchors)
     chain: list[int] = []
     prev = 0
     while True:
@@ -95,9 +80,28 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
             chain=[G.names_of(z) for z in chain],
             candidates=[G.names_of(z) for z in cands],
         )
-    fam = NestedFamily(s, anchors, tuple(chain))
-    G._nested[key] = fam
-    return fam
+    return NestedFamily(s, anchors, tuple(chain))
+
+
+def _candidates(G: CurveGraph, s: int, anchors: int) -> list[int]:
+    """The s-tails a level-s family at the anchors is drawn from.
+
+    They contain the anchors and avoid the marked component; at level 3
+    their terminal nodes also avoid those of the level-2 family at the same
+    anchors.
+    """
+    marked_bit = 1 << G.marked
+    cands = [
+        z
+        for z in G.k_tails(s)
+        if z & anchors == anchors and not z & marked_bit
+    ]
+    if s == 3:
+        blocked = 0
+        for w in nested(G, 2, anchors).members:
+            blocked |= G.term_mask(w)
+        cands = [z for z in cands if not G.term_mask(z) & blocked]
+    return cands
 
 
 def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:

@@ -14,7 +14,13 @@ from tailcomb.degrees import (
     quasistable_representative,
     twister,
 )
-from tailcomb.errors import PreconditionError, RepresentativeNotFound
+from tailcomb.errors import (
+    InvariantViolation,
+    PreconditionError,
+    RepresentativeNotFound,
+)
+from tailcomb.graph import CurveGraph
+from tailcomb.tails import tail_family
 
 from conftest import sc, tset
 from test_graph import graphs
@@ -137,6 +143,29 @@ def test_delta_relation_10(G3):
                     assert delta(G3, g1, g2, m, n) == -delta(G3, g1, g2, n, m)
 
 
+def test_twister_checks_terminal_counts(G3, monkeypatch):
+    # Warm the families on a fresh copy, then hide one terminal node of
+    # the 2-tail {C2, C3}: the table build must catch the miscount.
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)
+    for g1 in range(G.p):
+        for g2 in range(G.p):
+            tail_family(G, g1, g2)
+    w0, e12 = sc(G, "C2", "C3"), 1 << G.node_index("e12")
+    term_mask = CurveGraph.term_mask
+
+    def miscounted(self, mask):
+        t = term_mask(self, mask)
+        return t & ~e12 if mask == w0 else t
+
+    monkeypatch.setattr(CurveGraph, "term_mask", miscounted)
+    with pytest.raises(InvariantViolation, match="terminal-count") as exc:
+        twister(G)
+    assert exc.value.witnesses["node"] == "e12"
+    assert set(exc.value.witnesses) == {
+        "pair", "node", "m", "n", "signed", "alpha_difference"
+    }
+
+
 def test_lemma35_examples(G2, G3, G4):
     assert tset(G4, lemma35_difference(G4, 1, 0, 1)) == {"C2"}
     assert lemma35_difference(G3, 1, 2, 1) == 0
@@ -157,12 +186,49 @@ def test_multidegree_coercion(G2):
     assert multidegree_map(G2, (2, -2)) == {"C1": 2, "C2": -2}
     with pytest.raises(PreconditionError):
         multidegree(G2, (1, 2, 3))
+    for bad in ((1.0, -1), (True, -1), 5, "1-1"):
+        with pytest.raises(PreconditionError):
+            multidegree(G2, bad)
+
+
+def _qs_fast(d, profile) -> bool:
+    # beta2 = 2*deg + k against [0, 2k) becomes 2*deg in [-k, k)
+    for idx, kk in profile:
+        s = 0
+        for m in idx:
+            s += d[m]
+        b2 = s + s
+        if b2 < -kk or b2 >= kk:
+            return False
+    return True
+
+
+def _scan_box_naive(G, d0, b, lap, profile, positions):
+    """Reference for the pruned scan: every twist in the box, no pruning."""
+    p = G.p
+    hits = []
+    c = [0] * p
+
+    def rec(i, d):
+        if i == len(positions):
+            if _qs_fast(d, profile):
+                hits.append((tuple(c), tuple(d)))
+            return
+        m = positions[i]
+        col = lap[m]
+        for v in range(-b, b + 1):
+            c[m] = v
+            rec(i + 1, [d[x] + v * col[x] for x in range(p)])
+        c[m] = 0
+
+    rec(0, list(d0))
+    return hits
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(), st.integers(-2, 2), st.integers(-2, 2))
 def test_pruned_scan_matches_naive(G, a, b):
-    from tailcomb.degrees import _qs_profile, _scan_box, _scan_box_naive
+    from tailcomb.degrees import _qs_profile, _scan_box
 
     d0 = [0] * G.p
     if G.p >= 2:

@@ -3,16 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from tailcomb.degrees import twister
 from tailcomb.errors import GraphError
-from tailcomb.graph import (
-    canon_key,
-    crosses,
-    node_on,
-    precedes,
-    relate,
-    validate,
-    wedge,
-)
+from tailcomb.graph import CurveGraph, canon_key, node_on, precedes, relate, validate
+from tailcomb.lift import build_c2
+from tailcomb.tails import nested
 
 from conftest import graphs, sc, tset
 
@@ -153,16 +148,25 @@ def test_precedes_via_empty(G3):
     assert not precedes(G3, sc(G3, "C2"), sc(G3, "C2"))
 
 
-def test_wedge_crosses_reducible(G2, G3):
-    assert wedge(sc(G3, "C1", "C2"), sc(G3, "C2", "C3")) == sc(G3, "C2")
-    assert crosses(G3, sc(G3, "C2", "C3"), "f")
-    assert not crosses(G3, sc(G3, "C2"), "f")
+def test_wedge_crosses_reducible(G2):
     assert set(G2.nodes[i].id for i in G2.reducible_nodes()) == {"a", "b"}
+
+
+def test_per_graph_repeats_return_the_same_object(G3):
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)
+    anchors = sc(G, "C2", "C3")
+    for call in (
+        G.tails,
+        lambda: G.k_tails(2),
+        lambda: nested(G, 3, anchors),
+        lambda: twister(G),
+        lambda: build_c2(G),
+    ):
+        assert call() is call()
 
 
 def test_loop_conventions(G1):
     assert G1.reducible_nodes() == ()
-    assert not crosses(G1, G1.full_mask, "loop")
     assert node_on(G1, G1.full_mask, "loop")
 
 

@@ -168,6 +168,10 @@ def test_cli_verify_small(capsys):
 def test_cli_verify_discrepancy(capsys):
     assert main(["verify", "--discrepancy"]) == 0
     assert "True" in capsys.readouterr().out
+    assert main(["verify", "--discrepancy", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["discrepancy_demonstrated"] is True
+    assert data["suites"]["thm-64-resolution"]["checks"] == 1
 
 
 def test_cli_verify_replay(tmp_path, capsys, G2):

@@ -136,3 +136,11 @@ def test_cli_verify_dump_and_replay_round_trip(tmp_path, capsys):
 def test_cli_bad_match_syntax(capsys):
     assert main(["distinguished", "G2", "--pair", "a", "--match", "x"]) == 2
     assert main(["distinguished", "G2", "--pair", "a,b", "--match", "bad"]) == 2
+
+
+@pytest.mark.parametrize("value", [1.7, "x", True, None])
+def test_cli_qs_check_rejects_non_integer_degrees(value, capsys):
+    arg = json.dumps({"C1": value, "C2": -1})
+    assert main(["qs-check", "G3", arg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -1,7 +1,7 @@
 import pytest
 
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import precedes
+from tailcomb.graph import CurveGraph, precedes
 from tailcomb.tails import d_count, joining_nodes_mask, nested, symm_diff, tail_family
 
 from conftest import sc, tset
@@ -33,6 +33,14 @@ def test_nested_preconditions(G3):
         nested(G3, 4, sc(G3, "C2"))
     with pytest.raises(PreconditionError):
         nested(G3, 2, 0)
+
+
+def test_nested_errors_are_not_memoized(G3):
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            nested(G, 2, 1 << 5)
+    assert nested(G, 2, sc(G, "C2", "C3")).members == (sc(G, "C2", "C3"),)
 
 
 # -- pair families ----------------------------------------------------------------
