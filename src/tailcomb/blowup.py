@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphError, InvariantViolation, PreconditionError
-from .graph import CurveGraph
+from .graph import CurveGraph, per_graph
 from .tails import nested
 from .degrees import delta
 
@@ -166,11 +166,16 @@ class PointVerdict:
         return out
 
 
+@per_graph
 def is_quasistable_point(
     G: CurveGraph, point: DistinguishedPoint, profile: str = RECONSTRUCTED
 ) -> PointVerdict:
     """Whether at most one of the two nodes is terminal across each condition
-    pair's level-2 and level-3 families."""
+    pair's level-2 and level-3 families.
+
+    Memoized per graph, point and profile (pass the profile positionally), so
+    the suites and `decide_resolution` evaluate each point once.
+    """
     _check_profile(profile)
     r1, r2 = point.choice.r1, point.choice.r2
     bits = (1 << r1) | (1 << r2)
@@ -299,7 +304,6 @@ class IneqInstance:
     ineq: int  # 18..25
     args: tuple
     value: int
-    gated: bool
     ok: bool
 
 
@@ -311,26 +315,21 @@ class AdmissibilityReport:
 
     @property
     def ok(self) -> bool:
-        return all(inst.ok or not inst.gated for inst in self.instances)
+        return all(inst.ok for inst in self.instances)
 
     def failures(self) -> tuple[IneqInstance, ...]:
-        return tuple(i for i in self.instances if i.gated and not i.ok)
+        return tuple(i for i in self.instances if not i.ok)
 
 
 def admissibility_check(
-    G: CurveGraph,
-    r1: int,
-    r2: int,
-    choice: BlowupChoice | None = None,
-    gated: bool = True,
+    G: CurveGraph, r1: int, r2: int, choice: BlowupChoice | None = None
 ) -> AdmissibilityReport:
     """Evaluate the admissibility inequalities at a node pair.
 
     For distinct nodes a matching must be supplied (it determines which
     divisor pairs are treated as intersecting); for r1 == r2 the diagonal
-    pairing of the node's two sides is forced.  ``gated=False`` evaluates
-    every instance regardless of the intersection hypothesis, for
-    exploration only.
+    pairing of the node's two sides is forced.  Instances of (18), (23) and
+    (24) whose divisor pairs do not intersect are not emitted.
     """
     diagonal = r1 == r2
     if diagonal:
@@ -359,9 +358,8 @@ def admissibility_check(
 
     instances: list[IneqInstance] = []
 
-    def emit(ineq, args, value, gate_ok):
-        counts = gate_ok or not gated
-        instances.append(IneqInstance(ineq, args, value, counts, abs(value) <= 1))
+    def emit(ineq, args, value):
+        instances.append(IneqInstance(ineq, args, value, abs(value) <= 1))
 
     # (18): every other node S joining distinct components m, n.
     sides1 = (g1, g1p)
@@ -374,34 +372,31 @@ def admissibility_check(
             for ap in sides1:
                 for b in sides2:
                     for bp in sides2:
-                        g = gate((a, b), (ap, bp))
-                        if not g and gated:
+                        if not gate((a, b), (ap, bp)):
                             continue
                         v = delta(G, a, b, m, n) - delta(G, ap, bp, m, n)
-                        emit(18, (nd.id, a, ap, b, bp), v, g)
+                        emit(18, (nd.id, a, ap, b, bp), v)
     if not diagonal:
         orders1 = ((g1, g1p), (g1p, g1))
         orders2 = ((g2, g2p), (g2p, g2))
         for a, ap in orders1:
             for b, bp in orders2:
                 emit(19, (a, ap, b, bp),
-                     delta(G, a, b, a, ap) - delta(G, a, bp, a, ap), True)
+                     delta(G, a, b, a, ap) - delta(G, a, bp, a, ap))
                 emit(20, (a, ap, b, bp),
-                     delta(G, a, b, b, bp) - delta(G, ap, b, b, bp), True)
+                     delta(G, a, b, b, bp) - delta(G, ap, b, b, bp))
                 emit(21, (a, ap, b, bp),
-                     delta(G, a, b, a, ap) - delta(G, ap, b, a, ap) - 1, True)
+                     delta(G, a, b, a, ap) - delta(G, ap, b, a, ap) - 1)
                 emit(22, (a, ap, b, bp),
-                     delta(G, a, b, b, bp) - delta(G, a, bp, b, bp) - 1, True)
-                g = gate((a, b), (ap, bp))
-                if g or not gated:
+                     delta(G, a, b, b, bp) - delta(G, a, bp, b, bp) - 1)
+                if gate((a, b), (ap, bp)):
                     emit(23, (a, ap, b, bp),
-                         delta(G, a, b, a, ap) - delta(G, ap, bp, a, ap) - 1, g)
+                         delta(G, a, b, a, ap) - delta(G, ap, bp, a, ap) - 1)
                     emit(24, (a, ap, b, bp),
-                         delta(G, a, b, b, bp) - delta(G, ap, bp, b, bp) - 1, g)
+                         delta(G, a, b, b, bp) - delta(G, ap, bp, b, bp) - 1)
     else:
         for a, ap in ((g1, g1p), (g1p, g1)):
-            emit(25, (a, ap),
-                 delta(G, a, a, a, ap) - delta(G, a, ap, a, ap) - 1, True)
+            emit(25, (a, ap), delta(G, a, a, a, ap) - delta(G, a, ap, a, ap) - 1)
     return AdmissibilityReport(min(r1, r2), max(r1, r2), tuple(instances))
 
 

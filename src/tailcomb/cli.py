@@ -18,7 +18,7 @@ from . import degrees as dg
 from .errors import GraphError, InvariantViolation, PreconditionError
 from .fixtures import FIXTURE_NAMES, fixture
 from .graph import CurveGraph, load, validate
-from .lift import build_c2, is_synchronized
+from .lift import build_c2, is_synchronized, one_tail_diagnostic
 from .suites import (ALL_SUITES, SuiteConfig, VerificationReport, replay,
                      run_suite, suite_thm64)
 from .tails import nested
@@ -222,6 +222,7 @@ def cmd_sync(args):
     pts = bw.distinguished_points(G, choice)
     pt = pts[args.point - 1]
     report = is_synchronized(G, pt)
+    diagnostic_ok = one_tail_diagnostic(G, pt).ok
     lines = [f"point {pt.index}: synchronized={report.synchronized}"]
     for l in report.levels:
         lines.append(
@@ -229,8 +230,9 @@ def cmd_sync(args):
             f"hat images {[','.join(G.names_of(w)) or '(exceptional)' for w in l.hat_images]}"
             f" vs base {[','.join(G.names_of(w)) for w in l.base_multiset]}"
         )
-    lines.append(f"  level 1 diagnostic: {'ok' if report.diagnostic.ok else 'FAIL'}")
-    _emit(args, report.describe(G), lines)
+    lines.append(f"  level 1 diagnostic: {'ok' if diagnostic_ok else 'FAIL'}")
+    _emit(args, {**report.describe(G), "one_tail_diagnostic_ok": diagnostic_ok},
+          lines)
     return 0
 
 

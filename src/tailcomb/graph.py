@@ -354,48 +354,58 @@ class CurveGraph:
         return "\n".join(lines)
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise GraphError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def validate(data: dict) -> CurveGraph:
     """Build a CurveGraph from its JSON description, checking every invariant.
 
     Component entries may be bare names or objects with a ``name`` key;
     extra per-component fields (``genus`` in particular) are accepted and
-    ignored, since nothing downstream depends on them.
+    ignored, since nothing downstream depends on them.  Types are strict:
+    ``components`` and ``nodes`` are arrays, names, node ids, ``marked`` and
+    endpoints are strings, and ``ends`` is an array of two.  Anything else
+    raises GraphError; nothing is coerced.
     """
     if not isinstance(data, dict):
         raise GraphError("graph description must be a JSON object")
     try:
         comp_spec = data["components"]
         marked_name = data["marked"]
-        node_spec = data.get("nodes", [])
     except KeyError as exc:
         raise GraphError(f"missing field {exc.args[0]!r}") from None
+    node_spec = data.get("nodes", [])
+    for key, spec in (("components", comp_spec), ("nodes", node_spec)):
+        if not isinstance(spec, list):
+            raise GraphError(f"{key!r} must be a JSON array, got {spec!r}")
     names = []
     for entry in comp_spec:
         if isinstance(entry, dict):
             if "name" not in entry:
                 raise GraphError(f"component object without a name: {entry!r}")
-            names.append(str(entry["name"]))
-        else:
-            names.append(str(entry))
+            entry = entry["name"]
+        names.append(_string(entry, "component name"))
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise GraphError("duplicate component name")
-    if marked_name not in index:
+    if _string(marked_name, "marked component") not in index:
         raise GraphError(f"marked component {marked_name!r} not among components")
     nodes = []
     for entry in node_spec:
-        try:
-            nid = entry["id"]
-            ends = entry["ends"]
-        except (KeyError, TypeError):
-            raise GraphError(f"malformed node entry {entry!r}") from None
-        if len(ends) != 2:
-            raise GraphError(f"node {nid!r} needs exactly two endpoints")
+        if not isinstance(entry, dict) or "id" not in entry or "ends" not in entry:
+            raise GraphError(f"malformed node entry {entry!r}")
+        nid = _string(entry["id"], "node id")
+        ends = entry["ends"]
+        if not isinstance(ends, list) or len(ends) != 2:
+            raise GraphError(f"node {nid!r} needs an array of exactly two endpoints")
         for e in ends:
-            if e not in index:
+            if _string(e, f"node {nid!r} endpoint") not in index:
                 raise GraphError(f"node {nid!r} endpoint {e!r} unknown")
         a, b = sorted(index[e] for e in ends)
-        nodes.append(Node(str(nid), a, b))
+        nodes.append(Node(nid, a, b))
     return CurveGraph(names, nodes, index[marked_name])
 
 

@@ -8,7 +8,9 @@ s-tails and bridges (`_lifted_k_tails`).  `tails()` and `k_tails(k > 3)` on
 the subdivision still use the rooted growth of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
-synchronization all live here.
+synchronization all live here.  Synchronization compares levels 2 and 3
+and is memoized per graph and point; the level-1 structure is a separate
+diagnostic (`one_tail_diagnostic`) that nothing in synchronization reads.
 """
 
 from __future__ import annotations
@@ -229,23 +231,18 @@ class HatFamilies:
     """Nested families on the subdivision attached to a distinguished point."""
 
     point: DistinguishedPoint
-    t1: tuple[NestedFamily, NestedFamily]
     t2: NestedFamily
     t3: NestedFamily
 
 
 def hat_families(G: CurveGraph, point: DistinguishedPoint) -> HatFamilies:
-    """Families on the subdivision anchored at E(R1, g1) and E(R2, g2)."""
+    """Level-2 and level-3 families on the subdivision anchored at
+    E(R1, g1) and E(R2, g2)."""
     LG = build_c2(G)
     lg = LG.graph
     a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
     a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
-    return HatFamilies(
-        point,
-        (nested(lg, 1, a1), nested(lg, 1, a2)),
-        nested(lg, 2, a1 | a2),
-        nested(lg, 3, a1 | a2),
-    )
+    return HatFamilies(point, nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2))
 
 
 def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tuple[int, ...]:
@@ -268,17 +265,18 @@ class LevelSync:
 
 @dataclass(frozen=True)
 class SyncReport:
+    """Levels 2 and 3 of a point's synchronization; level 1 always holds."""
+
     point: DistinguishedPoint
     levels: tuple[LevelSync, ...]
-    diagnostic: "OneTailDiagnostic"
 
     @property
     def synchronized(self) -> bool:
         return all(l.ok for l in self.levels)
 
     def level_ok(self, s: int) -> bool:
-        """Per-level verdict; level 1 always holds (the diagnostic is
-        structural, not a synchronization condition)."""
+        """Per-level verdict; level 1 always holds (`one_tail_diagnostic`
+        checks its structure, which is not a synchronization condition)."""
         if s == 1:
             return True
         for l in self.levels:
@@ -299,16 +297,18 @@ class SyncReport:
                 }
                 for l in self.levels
             ],
-            "one_tail_diagnostic_ok": self.diagnostic.ok,
         }
 
 
+@per_graph
 def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     """Compare hat families against the base multisets at levels 2 and 3.
 
     A level synchronizes when the contraction images of the hat family equal
     the base multiset with multiplicity and no member is purely exceptional.
-    Level 1 always synchronizes; its structural diagnostic is attached.
+    Level 1 always synchronizes, so it is not compared; its structure is
+    checked by `one_tail_diagnostic`.  Memoized per graph and point, so a
+    point rebuilt by another `distinguished_points` call is not re-evaluated.
     """
     LG = build_c2(G)
     hats = hat_families(G, point)
@@ -326,7 +326,7 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
         base = base_level_multiset(G, point, s)
         ok = not pure_members and tuple(images) == base
         levels.append(LevelSync(s, ok, tuple(images), base, tuple(pure_members)))
-    return SyncReport(point, tuple(levels), one_tail_diagnostic(G, point))
+    return SyncReport(point, tuple(levels))
 
 
 # -- level-1 diagnostic -------------------------------------------------------
@@ -340,16 +340,12 @@ class OneTailDiagnostic:
     1-tail avoiding the marked component; the members whose image crosses
     the anchored node are exactly the three canonical liftings of each base
     1-tail containing both of its sides; and the leftover members match the
-    separating-node pattern.  The two candidate counts for the level-1 base
-    multiset are recorded without gating, since the intended reading is
-    ambiguous.
+    separating-node pattern.  The level-1 base multiset has two possible
+    readings (four or six family terms), so it is deliberately not gated.
     """
 
     ok: bool
     detail: tuple
-    hat_count: int
-    reading_four_term: int
-    reading_six_term: int
 
 
 def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiagnostic:
@@ -357,11 +353,9 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiag
     lg = LG.graph
     ok = True
     detail = []
-    hat_total = 0
     for (r, g) in ((point.choice.r1, point.g1), (point.choice.r2, point.g2)):
         nd = G.nodes[r]
         fam = nested(lg, 1, 1 << LG.exceptional(r, g)).members
-        hat_total += len(fam)
         crossing = []
         rest = []
         for y in fam:
@@ -391,10 +385,7 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiag
         if set(rest) != exp_rest:
             ok = False
             detail.append(("separating-mismatch", nd.id))
-    t1 = lambda c: len(nested(G, 1, 1 << c).members)
-    four = t1(point.g1) + t1(point.g1p) + t1(point.g2) + t1(point.g2p)
-    six = 2 * t1(point.g1) + t1(point.g1p) + 2 * t1(point.g2) + t1(point.g2p)
-    return OneTailDiagnostic(ok, tuple(detail), hat_total, four, six)
+    return OneTailDiagnostic(ok, tuple(detail))
 
 
 def _side_without(G: CurveGraph, start: int, node: int) -> int:

@@ -292,8 +292,11 @@ def suite_prop62(G: CurveGraph, rng, profile):
             qs = bw.is_quasistable_point(G, pt, profile)
             sync = is_synchronized(G, pt)
             if qs.ok and not sync.synchronized:
+                # the reproducer carries the level-1 verdict, as `sync` prints it
+                diag_ok = one_tail_diagnostic(G, pt).ok
                 bad.append({"check": "prop-6.2", "point": pt.describe(G),
-                            "sync": sync.describe(G)})
+                            "sync": {**sync.describe(G),
+                                     "one_tail_diagnostic_ok": diag_ok}})
             if sync.synchronized:
                 viol = eq34_level2(G, pt)
                 checks += 1
@@ -438,33 +441,32 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
 
 
+def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):
+    """Run one suite on one graph: its check count and its violations, each
+    wrapped in a self-contained reproducer.  An invariant violation raised
+    inside the suite counts as one failed check."""
+    rng = child_rng(seed, f"{index}:{name}")
+    try:
+        checks, bad = SUITES[name](G, rng, profile)
+    except InvariantViolation as exc:
+        checks, bad = 1, [{"check": name, "error": str(exc),
+                           "witnesses": _jsonable(exc.witnesses)}]
+    return checks, [
+        {"suite": name, "instance": index, "seed": seed, "profile": profile,
+         "graph": G.to_spec(), "context": b}
+        for b in bad
+    ]
+
+
 def _run_instance(args):
     cfg_dict, index = args
     cfg = SuiteConfig(**cfg_dict)
     G = instance_graph(
         cfg.seed, index, cfg.max_components, cfg.max_extra_edges, cfg.allow_loops
     )
-    out = {}
-    for name in cfg.suites:
-        rng = child_rng(cfg.seed, f"{index}:{name}")
-        try:
-            checks, bad = SUITES[name](G, rng, cfg.profile)
-        except InvariantViolation as exc:
-            checks, bad = 1, [{"check": name, "error": str(exc),
-                               "witnesses": _jsonable(exc.witnesses)}]
-        wrapped = [
-            {
-                "suite": name,
-                "instance": index,
-                "seed": cfg.seed,
-                "profile": cfg.profile,
-                "graph": G.to_spec(),
-                "context": b,
-            }
-            for b in bad
-        ]
-        out[name] = (checks, wrapped)
-    return index, out
+    return index, {
+        name: _check(G, name, cfg.seed, index, cfg.profile) for name in cfg.suites
+    }
 
 
 def _jsonable(obj):
@@ -508,18 +510,9 @@ def replay(dump: dict) -> VerificationReport:
         seed=dump.get("seed", 1), instances=1, profile=profile, suites=(name,)
     )
     report = VerificationReport(cfg)
-    rng = child_rng(cfg.seed, f"{dump.get('instance', 0)}:{name}")
     start = time.monotonic()
-    try:
-        checks, bad = SUITES[name](G, rng, profile)
-    except InvariantViolation as exc:
-        checks, bad = 1, [{"check": name, "error": str(exc),
-                           "witnesses": _jsonable(exc.witnesses)}]
-    report.checks[name] = checks
-    report.violations[name] = [
-        {"suite": name, "instance": dump.get("instance", 0), "seed": cfg.seed,
-         "profile": profile, "graph": G.to_spec(), "context": b}
-        for b in bad
-    ]
+    report.checks[name], report.violations[name] = _check(
+        G, name, cfg.seed, dump.get("instance", 0), profile
+    )
     report.wall_time = time.monotonic() - start
     return report

@@ -199,6 +199,7 @@ def test_cli_sync_and_distinguished(capsys):
                  "--point", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["synchronized"] is False
+    assert data["one_tail_diagnostic_ok"] is True
 
 
 def test_cli_minimal(capsys):

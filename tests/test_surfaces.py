@@ -110,6 +110,7 @@ def test_cli_sync_text(capsys):
                  "--point", "1"]) == 0
     out = capsys.readouterr().out
     assert "synchronized=True" in out and "level 2: ok" in out
+    assert "  level 1 diagnostic: ok" in out.splitlines()
 
 
 def test_cli_distinguished_text(capsys):
@@ -142,5 +143,28 @@ def test_cli_bad_match_syntax(capsys):
 def test_cli_qs_check_rejects_non_integer_degrees(value, capsys):
     arg = json.dumps({"C1": value, "C2": -1})
     assert main(["qs-check", "G3", arg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+_VALID_GRAPH = {"components": ["C1", "C2"], "marked": "C1",
+            "nodes": [{"id": "a", "ends": ["C1", "C2"]}]}
+
+
+@pytest.mark.parametrize("patch", [
+    {"components": "AB", "marked": "A",
+     "nodes": [{"id": "a", "ends": ["A", "B"]}]},
+    {"components": ["A", "B"], "marked": "A",
+     "nodes": [{"id": "a", "ends": "AB"}]},
+    {"nodes": 5},
+    {"marked": ["C1"]},
+    {"nodes": [{"id": "a", "ends": ["C1", {"name": "C2"}]}]},
+    {"components": [1, "C2"], "marked": "C2",
+     "nodes": [{"id": "a", "ends": ["1", "C2"]}]},
+])
+def test_cli_validate_rejects_wrong_types(patch, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({**_VALID_GRAPH, **patch}))
+    assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
