@@ -61,7 +61,6 @@ from .blowup import (
     BlowupPlan,
     DistinguishedPoint,
     admissibility_check,
-    choice_from_tails,
     decide_resolution,
     distinguished_points,
     is_quasistable_point,

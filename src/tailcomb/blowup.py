@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphError, InvariantViolation, PreconditionError
-from .graph import CurveGraph, per_graph
+from .graph import CurveGraph, canon_key, members, per_graph
 from .tails import nested
 from .degrees import delta
 
@@ -194,39 +194,11 @@ def is_quasistable_point(
     return PointVerdict(True, profile)
 
 
-def choice_from_tails(G: CurveGraph, r1: int, r2: int) -> BlowupChoice | None:
-    """The matching induced by the tails covering both nodes, if any.
-
-    Every 2- or 3-tail with both nodes terminal pairs the sides it contains;
-    all covering tails must agree, which realizes the order-independence of
-    the tail-product blowup sequence as a runtime assertion.
-    """
-    if r1 > r2:
-        r1, r2 = r2, r1
-    _node_sides(G, r1), _node_sides(G, r2)
-    bits = (1 << r1) | (1 << r2)
-    induced: BlowupChoice | None = None
-    witness = None
-    for w in G.tails():
-        if G.k(w) not in (2, 3):
-            continue
-        if G.term_mask(w) & bits != bits:
-            continue
-        n1, n2 = G.nodes[r1], G.nodes[r2]
-        x = n1.a if (w >> n1.a) & 1 else n1.b
-        y = n2.a if (w >> n2.a) & 1 else n2.b
-        xo = n1.a if n1.b == x else n1.b
-        yo = n2.a if n2.b == y else n2.b
-        cand = BlowupChoice(r1, r2, frozenset(((x, y), (xo, yo))))
-        if induced is None:
-            induced, witness = cand, w
-        elif cand.matching != induced.matching:
-            raise InvariantViolation(
-                "covering tails induce conflicting matchings",
-                pair=(G.nodes[r1].id, G.nodes[r2].id),
-                tails=[list(G.names_of(witness)), list(G.names_of(w))],
-            )
-    return induced
+def _string_pair(value, what: str) -> list[str]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, str) for v in value)):
+        raise GraphError(f"{what} must be an array of two strings, got {value!r}")
+    return value
 
 
 class BlowupPlan:
@@ -266,34 +238,72 @@ class BlowupPlan:
 
     @classmethod
     def from_spec(cls, G: CurveGraph, data) -> "BlowupPlan":
+        """Read a plan from JSON: an array of objects whose "pair" is an
+        array of two node ids and whose "match" is an array of two side
+        pairs, each an array of two component names.  Anything else raises
+        GraphError; nothing is coerced."""
         if not isinstance(data, list):
             raise GraphError("a plan is a JSON array of pair choices")
         plan = cls()
         for entry in data:
-            try:
-                ids = entry["pair"]
-                match = entry["match"]
-            except (KeyError, TypeError):
-                raise GraphError(f"malformed plan entry {entry!r}") from None
-            if len(ids) != 2:
-                raise GraphError(f"plan pair {ids!r} needs two node ids")
-            r1, r2 = (G.node_index(i) for i in ids)
-            pairs = [(G.index(x), G.index(y)) for x, y in match]
+            if not isinstance(entry, dict) or not {"pair", "match"} <= entry.keys():
+                raise GraphError(f"malformed plan entry {entry!r}")
+            match = entry["match"]
+            if not isinstance(match, list) or len(match) != 2:
+                raise GraphError(
+                    f"plan match must be an array of two side pairs, got {match!r}"
+                )
+            r1, r2 = map(G.node_index, _string_pair(entry["pair"], "plan pair"))
+            pairs = [tuple(map(G.index, _string_pair(sides, "plan side pair")))
+                     for sides in match]
             plan.set(make_choice(G, r1, r2, pairs))
         return plan
+
+
+def _tail_matching(G: CurveGraph, r1: int, r2: int, w: int) -> frozenset:
+    """The matching a tail with terminal nodes r1 and r2 induces: the two
+    sides on the tail go together, and so do the two off it."""
+    n1, n2 = G.nodes[r1], G.nodes[r2]
+    x, xo = (n1.a, n1.b) if (w >> n1.a) & 1 else (n1.b, n1.a)
+    y, yo = (n2.a, n2.b) if (w >> n2.a) & 1 else (n2.b, n2.a)
+    return frozenset(((x, y), (xo, yo)))
 
 
 def plan_from_tails(G: CurveGraph) -> BlowupPlan:
     """The plan that chooses, at every coverable pair, the tail-induced
     matching (the combinatorial shadow of blowing up all 2- and 3-tail
-    squares)."""
-    plan = BlowupPlan()
-    red = G.reducible_nodes()
-    for r1, r2 in combinations(red, 2):
-        ch = choice_from_tails(G, r1, r2)
-        if ch is not None:
-            plan.set(ch)
-    return plan
+    squares).
+
+    One pass over the 2- and 3-tails pairs the sides at each pair of their
+    terminal nodes.  All tails covering a pair must agree, which realizes
+    the order-independence of the tail-product blowup sequence as a runtime
+    assertion; on a conflict the lowest pair is reported with its first two
+    disagreeing tails in canonical order.
+    """
+    tails = G.k_tails(2) + G.k_tails(3)
+    induced: dict[tuple[int, int], frozenset] = {}
+    conflicts = set()
+    for w in tails:
+        for r1, r2 in combinations(members(G.term_mask(w)), 2):
+            matching = _tail_matching(G, r1, r2, w)
+            if induced.setdefault((r1, r2), matching) != matching:
+                conflicts.add((r1, r2))
+    if conflicts:
+        r1, r2 = min(conflicts)
+        bits = (1 << r1) | (1 << r2)
+        covering = sorted(
+            (w for w in tails if G.term_mask(w) & bits == bits), key=canon_key
+        )
+        first = _tail_matching(G, r1, r2, covering[0])
+        other = next(w for w in covering if _tail_matching(G, r1, r2, w) != first)
+        raise InvariantViolation(
+            "covering tails induce conflicting matchings",
+            pair=(G.nodes[r1].id, G.nodes[r2].id),
+            tails=[list(G.names_of(covering[0])), list(G.names_of(other))],
+        )
+    return BlowupPlan(
+        {pair: BlowupChoice(*pair, m) for pair, m in sorted(induced.items())}
+    )
 
 
 # -- admissibility ----------------------------------------------------------

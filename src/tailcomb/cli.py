@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import blowup as bw
 from . import degrees as dg
@@ -313,7 +314,10 @@ def cmd_fixture(args):
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later `main` call in the process (parsing never mutates it)."""
     p = argparse.ArgumentParser(
         prog="tailcomb",
         description="Exact dual-graph combinatorics for nodal curves.",

@@ -443,14 +443,19 @@ class VerificationReport:
 
 def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):
     """Run one suite on one graph: its check count and its violations, each
-    wrapped in a self-contained reproducer.  An invariant violation raised
-    inside the suite counts as one failed check."""
+    wrapped in a self-contained reproducer.  An exception raised inside the
+    suite counts as one failed check: an invariant violation with its
+    witnesses, any other one (a crash) with its type, so that one broken
+    suite never aborts a run."""
     rng = child_rng(seed, f"{index}:{name}")
     try:
         checks, bad = SUITES[name](G, rng, profile)
     except InvariantViolation as exc:
         checks, bad = 1, [{"check": name, "error": str(exc),
                            "witnesses": _jsonable(exc.witnesses)}]
+    except Exception as exc:
+        checks, bad = 1, [{"check": name,
+                           "error": f"{type(exc).__name__}: {exc}"}]
     return checks, [
         {"suite": name, "instance": index, "seed": seed, "profile": profile,
          "graph": G.to_spec(), "context": b}

@@ -1,13 +1,16 @@
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import graphs
 from tailcomb.blowup import (
     AS_DISPLAYED,
     RECONSTRUCTED,
+    BlowupChoice,
     BlowupPlan,
     admissibility_check,
-    choice_from_tails,
     decide_resolution,
     distinguished_points,
     is_quasistable_point,
@@ -16,8 +19,10 @@ from tailcomb.blowup import (
     pair_matchings,
     plan_from_tails,
 )
-from tailcomb.errors import PreconditionError
+from tailcomb.errors import InvariantViolation, PreconditionError
+from tailcomb.graph import CurveGraph
 from tailcomb.lift import is_synchronized
+from tailcomb.randgen import instance_graph
 
 
 def pairs_of(G, matching):
@@ -122,6 +127,49 @@ def test_qs_point_g3_crossed(G3):
 # -- plan from tails ---------------------------------------------------------------
 
 
+def choice_from_tails(G, r1, r2):
+    """Oracle for `plan_from_tails`, one pair at a time: the matching that
+    the 2- and 3-tails with both nodes terminal induce, read off a scan of
+    every tail in canonical order; covering tails must agree."""
+    if r1 > r2:
+        r1, r2 = r2, r1
+    bits = (1 << r1) | (1 << r2)
+    induced = witness = None
+    for w in G.tails():
+        if G.k(w) not in (2, 3) or G.term_mask(w) & bits != bits:
+            continue
+        n1, n2 = G.nodes[r1], G.nodes[r2]
+        x = n1.a if (w >> n1.a) & 1 else n1.b
+        y = n2.a if (w >> n2.a) & 1 else n2.b
+        xo = n1.a if n1.b == x else n1.b
+        yo = n2.a if n2.b == y else n2.b
+        cand = BlowupChoice(r1, r2, frozenset(((x, y), (xo, yo))))
+        if induced is None:
+            induced, witness = cand, w
+        elif cand.matching != induced.matching:
+            raise InvariantViolation(
+                "covering tails induce conflicting matchings",
+                pair=(G.nodes[r1].id, G.nodes[r2].id),
+                tails=[list(G.names_of(witness)), list(G.names_of(w))],
+            )
+    return induced
+
+
+def plan_oracle(G):
+    plan = BlowupPlan()
+    for r1, r2 in combinations(G.reducible_nodes(), 2):
+        ch = choice_from_tails(G, r1, r2)
+        if ch is not None:
+            plan.set(ch)
+    return plan
+
+
+def assert_plan_matches_oracle(G):
+    plan, oracle = plan_from_tails(G), plan_oracle(G)
+    assert plan == oracle
+    assert list(plan.choices) == list(oracle.choices)
+
+
 def test_choice_from_tails_examples(G2, G3):
     ch = choice_from_tails(G2, 0, 1)
     assert pairs_of(G2, ch.matching) == [("C1", "C1"), ("C2", "C2")]
@@ -139,6 +187,51 @@ def test_choice_from_tails_none_when_uncovered():
     # path C1 - C2 - C3, marked C2: no 2/3-tail covers both bridges
     path = CurveGraph(["C1", "C2", "C3"], [Node("a", 0, 1), Node("b", 1, 2)], 1)
     assert choice_from_tails(path, 0, 1) is None
+
+
+def test_plan_from_tails_matches_oracle_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        assert_plan_matches_oracle(G)
+
+
+def test_plan_from_tails_matches_oracle_corpus():
+    covered = 0
+    for i in range(420):
+        G = instance_graph(41, i, 7, 5, i % 2 == 0)
+        assert_plan_matches_oracle(G)
+        covered += len(plan_from_tails(G))
+    assert covered > 1000  # the corpus exercises many coverable pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_plan_from_tails_matches_oracle_property(G):
+    assert_plan_matches_oracle(G)
+
+
+def test_plan_from_tails_conflict_names_lowest_pair(G3, monkeypatch):
+    # Claim that f is terminal on the 2-tail {C2,C3}: on the pair (e13, f)
+    # that tail pairs C3 with C2, while {C3} and {C1,C2} pair C3 with C3.
+    # The error names the lowest conflicting pair and its first two
+    # disagreeing tails in canonical order, as the per-pair oracle does.
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)
+    G.k_tails(2), G.k_tails(3)
+    w0, f = G.subcurve(["C2", "C3"]), 1 << G.node_index("f")
+    term_mask = CurveGraph.term_mask
+
+    def miscounted(self, mask):
+        t = term_mask(self, mask)
+        return t | f if self is G and mask == w0 else t
+
+    monkeypatch.setattr(CurveGraph, "term_mask", miscounted)
+    with pytest.raises(InvariantViolation, match="conflicting") as exc:
+        plan_from_tails(G)
+    assert exc.value.witnesses == {
+        "pair": ("e13", "f"), "tails": [["C3"], ["C2", "C3"]]
+    }
+    with pytest.raises(InvariantViolation) as expected:
+        plan_oracle(G)
+    assert exc.value.witnesses == expected.value.witnesses
 
 
 def test_plan_round_trip(G3):

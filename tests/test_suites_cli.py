@@ -103,6 +103,32 @@ def test_expected_failure_dump_and_replay(G2):
     assert again["failing_pairs"] == bad[0]["failing_pairs"]
 
 
+def test_crashing_suite_becomes_replayable_violation(monkeypatch):
+    def crash(G, rng, profile):
+        return 1 // 0
+
+    cfg = dict(seed=2, instances=3,
+               suites=("closure-22/23", "prop-31", "thm-64-resolution"))
+    healthy = run_suite(SuiteConfig(**cfg))
+    monkeypatch.setitem(SUITES, "prop-31", crash)
+    rep = run_suite(SuiteConfig(**cfg))
+    for s in ("closure-22/23", "thm-64-resolution"):
+        assert rep.checks[s] == healthy.checks[s] > 0
+        assert rep.violations[s] == healthy.violations[s] == []
+    bad = rep.violations["prop-31"]
+    assert rep.checks["prop-31"] == 3
+    assert [(v["suite"], v["instance"], v["seed"]) for v in bad] == [
+        ("prop-31", i, 2) for i in range(3)
+    ]
+    assert bad[1]["context"] == {
+        "check": "prop-31",
+        "error": "ZeroDivisionError: integer division or modulo by zero",
+    }
+    assert bad[1]["graph"] == instance_graph(2, 1, 6, 4, True).to_spec()
+    again = replay(bad[1])
+    assert again.violations["prop-31"] == [bad[1]]
+
+
 def test_all_suites_green_small_batch():
     rep = run_suite(SuiteConfig(seed=9, instances=6))
     assert rep.ok, rep.to_json()

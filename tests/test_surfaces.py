@@ -1,10 +1,13 @@
 """Smaller API surfaces: reprs, exports, preconditions, text-mode CLI."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tailcomb.cli import main
+from tailcomb import cli
+from tailcomb.cli import build_parser, main
 from tailcomb.errors import PreconditionError
 from tailcomb.graph import mask_of, members
 from tailcomb.lift import build_c2
@@ -168,3 +171,63 @@ def test_cli_validate_rejects_wrong_types(patch, tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+_PLAN_PAIR = ["a", "b"]
+_PLAN_MATCH = [["C1", "C1"], ["C2", "C2"]]
+
+
+@pytest.mark.parametrize("entry", [
+    {"pair": "ab", "match": _PLAN_MATCH},
+    {"pair": _PLAN_PAIR, "match": 5},
+    {"pair": _PLAN_PAIR, "match": ["C1C1", "C2C2"]},
+    {"pair": 7, "match": _PLAN_MATCH},
+])
+def test_cli_resolve_plan_rejects_wrong_types(entry, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps([{"pair": _PLAN_PAIR, "match": _PLAN_MATCH}]))
+    assert main(["resolve", "G2", "--plan", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps([entry]))
+    assert main(["resolve", "G2", "--plan", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_parser_built_once_behaves_like_fresh(monkeypatch):
+    calls = [
+        ["qs-reduce", "G2", '{"C1": 2, "C2": -2}'],
+        ["minimal", "G3", "--json"],
+        ["resolve", "G3", "--from-tails"],
+        ["plan", "G3"],
+        ["tails", "G3", "--k", "3", "--json"],
+        ["validate", "G2"],
+        ["resolve"],
+        ["resolve", "G3", "--profile", "nope"],
+        ["--help"],
+        ["qs-reduce", "G3", '{"C1": 1, "C2": 0, "C3": -1}', "--json"],
+        ["minimal", "G2"],
+        ["resolve", "G3"],
+        ["plan", "G2", "--empty", "--json"],
+        ["tails", "G3"],
+        ["validate", "G4", "--json"],
+    ]
+    assert build_parser() is build_parser()
+    cached = [_call(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [_call(argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2, 2, 0,
+                                                0, 0, 1, 0, 0, 0]
+    assert "usage: tailcomb" in cached[8][1]
