@@ -33,7 +33,6 @@ from .graph import (
 from .tails import (
     NestedFamily,
     SymmDiffReport,
-    d_count,
     nested,
     symm_diff,
     tail_family,

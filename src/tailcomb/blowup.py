@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import GraphError, InvariantViolation, PreconditionError
 from .graph import CurveGraph, canon_key, members, per_graph
 from .tails import nested
-from .degrees import delta
+from .degrees import twister
 
 RECONSTRUCTED = "reconstructed"
 AS_DISPLAYED = "as-displayed"
@@ -86,13 +87,13 @@ def pair_matchings(G: CurveGraph, r1: int, r2: int) -> tuple[BlowupChoice, Blowu
     )
 
 
-@dataclass(frozen=True)
-class DistinguishedPoint:
+class DistinguishedPoint(NamedTuple):
     """One of the two distinguished points of a blowup choice.
 
     The triple consists of the two matched pairs plus one cross pair; the
     canonical labels read off the repeated first and second coordinates:
-    triple = {(g1, g2), (g1, g2p), (g1p, g2)}.
+    triple = {(g1, g2), (g1, g2p), (g1p, g2)}.  A tuple, so that building
+    one and hashing it as a memo key stay cheap on the per-point paths.
     """
 
     choice: BlowupChoice
@@ -309,8 +310,7 @@ def plan_from_tails(G: CurveGraph) -> BlowupPlan:
 # -- admissibility ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IneqInstance:
+class IneqInstance(NamedTuple):
     ineq: int  # 18..25
     args: tuple
     value: int
@@ -339,7 +339,9 @@ def admissibility_check(
     For distinct nodes a matching must be supplied (it determines which
     divisor pairs are treated as intersecting); for r1 == r2 the diagonal
     pairing of the node's two sides is forced.  Instances of (18), (23) and
-    (24) whose divisor pairs do not intersect are not emitted.
+    (24) whose divisor pairs do not intersect are not emitted.  Every value
+    is a difference of two `degrees.delta` terms, read directly off the
+    twister table's rows.
     """
     diagonal = r1 == r2
     if diagonal:
@@ -353,60 +355,50 @@ def admissibility_check(
         if (min(r1, r2), max(r1, r2)) != (choice.r1, choice.r2):
             raise PreconditionError("choice does not describe this node pair")
         r1, r2 = choice.r1, choice.r2
-        (x, y), (xb, yb) = choice.matched_pairs()
+        (g1, g2), (g1p, g2p) = choice.matched_pairs()
         matched = choice.matching
-        g1, g1p, g2, g2p = x, xb, y, yb
-    triples = (
-        frozenset(matched | {(g1, g2p)}),
-        frozenset(matched | {(g1p, g2)}),
-    )
+    triples = (matched | {(g1, g2p)}, matched | {(g1p, g2)})
+    alpha = twister(G).alpha
 
     def gate(pa, pb):
         if pa[0] == pb[0] or pa[1] == pb[1]:
             return True
         return any(pa in t and pb in t for t in triples)
 
+    def delta(g, h, m, n):
+        row = alpha[(g, h)]
+        return row[m] - row[n]
+
     instances: list[IneqInstance] = []
 
     def emit(ineq, args, value):
         instances.append(IneqInstance(ineq, args, value, abs(value) <= 1))
 
-    # (18): every other node S joining distinct components m, n.
-    sides1 = (g1, g1p)
-    sides2 = (g2, g2p)
+    # (18): every other node S joining distinct components m, n, at each
+    # gated side quadruple, delta(a, b) - delta(a', b') across S.
+    quads = [((a, ap, b, bp), alpha[(a, b)], alpha[(ap, bp)])
+             for a, ap in product((g1, g1p), repeat=2)
+             for b, bp in product((g2, g2p), repeat=2) if gate((a, b), (ap, bp))]
     for t, nd in enumerate(G.nodes):
         if nd.is_loop or t in (r1, r2):
             continue
         m, n = nd.a, nd.b
-        for a in sides1:
-            for ap in sides1:
-                for b in sides2:
-                    for bp in sides2:
-                        if not gate((a, b), (ap, bp)):
-                            continue
-                        v = delta(G, a, b, m, n) - delta(G, ap, bp, m, n)
-                        emit(18, (nd.id, a, ap, b, bp), v)
+        for quad, row, rowp in quads:
+            emit(18, (nd.id, *quad), row[m] - row[n] - (rowp[m] - rowp[n]))
     if not diagonal:
-        orders1 = ((g1, g1p), (g1p, g1))
-        orders2 = ((g2, g2p), (g2p, g2))
-        for a, ap in orders1:
-            for b, bp in orders2:
-                emit(19, (a, ap, b, bp),
-                     delta(G, a, b, a, ap) - delta(G, a, bp, a, ap))
-                emit(20, (a, ap, b, bp),
-                     delta(G, a, b, b, bp) - delta(G, ap, b, b, bp))
-                emit(21, (a, ap, b, bp),
-                     delta(G, a, b, a, ap) - delta(G, ap, b, a, ap) - 1)
-                emit(22, (a, ap, b, bp),
-                     delta(G, a, b, b, bp) - delta(G, a, bp, b, bp) - 1)
+        for a, ap in ((g1, g1p), (g1p, g1)):
+            for b, bp in ((g2, g2p), (g2p, g2)):
+                q = (a, ap, b, bp)
+                emit(19, q, delta(a, b, a, ap) - delta(a, bp, a, ap))
+                emit(20, q, delta(a, b, b, bp) - delta(ap, b, b, bp))
+                emit(21, q, delta(a, b, a, ap) - delta(ap, b, a, ap) - 1)
+                emit(22, q, delta(a, b, b, bp) - delta(a, bp, b, bp) - 1)
                 if gate((a, b), (ap, bp)):
-                    emit(23, (a, ap, b, bp),
-                         delta(G, a, b, a, ap) - delta(G, ap, bp, a, ap) - 1)
-                    emit(24, (a, ap, b, bp),
-                         delta(G, a, b, b, bp) - delta(G, ap, bp, b, bp) - 1)
+                    emit(23, q, delta(a, b, a, ap) - delta(ap, bp, a, ap) - 1)
+                    emit(24, q, delta(a, b, b, bp) - delta(ap, bp, b, bp) - 1)
     else:
         for a, ap in ((g1, g1p), (g1p, g1)):
-            emit(25, (a, ap), delta(G, a, a, a, ap) - delta(G, a, ap, a, ap) - 1)
+            emit(25, (a, ap), delta(a, a, a, ap) - delta(a, ap, a, ap) - 1)
     return AdmissibilityReport(min(r1, r2), max(r1, r2), tuple(instances))
 
 

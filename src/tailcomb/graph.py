@@ -43,9 +43,17 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def canon_key(mask: int):
-    """Sort key: by size, then lexicographically on the vertex tuple."""
-    return (mask.bit_count(), members(mask))
+    """Sort key: by size, then lexicographically on the vertex tuple.
+
+    Equal-size masks first differ, as tuples and as binary digits read from
+    bit 0 up, at the lowest bit of their symmetric difference; with 0 and 1
+    swapped, the digit strings sort as the tuples do, without building them.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 def per_graph(fn):

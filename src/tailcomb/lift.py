@@ -11,6 +11,13 @@ distinguished point, and the multiset comparison that defines
 synchronization all live here.  Synchronization compares levels 2 and 3
 and is memoized per graph and point; the level-1 structure is a separate
 diagnostic (`one_tail_diagnostic`) that nothing in synchronization reads.
+
+Index layout of the subdivision of a graph with p components and n nodes:
+lifted vertex m < p is the strict transform of base component m, vertices
+p + 2t and p + 2t + 1 are the exceptional vertices over base node t, and
+lifted edges 3t, 3t + 1, 3t + 2 form the chain over node t.  So the
+contraction image of a lifted subcurve is its low p bits (`mu_image`), and
+a lifted terminal edge e lies over base node e // 3 (`eq34_level2`).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from .blowup import DistinguishedPoint
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
-from .tails import NestedFamily, d_count, nested
+from .tails import NestedFamily, nested
 
 
 class LiftedGraph:
@@ -30,22 +37,14 @@ class LiftedGraph:
     C_u -- E(S,u) -- E(S,v) -- C_v (loop sides are numbered 1 and 2); the
     lifted graph is itself a CurveGraph marked at the strict transform of
     the base marked component.  Its s-tails for s <= 3 are derived from the
-    base graph's rather than enumerated.
+    base graph's rather than enumerated (index layout: module docstring).
     """
 
-    __slots__ = ("base", "graph", "strict", "mu_comp", "over_node", "_exc")
+    __slots__ = ("base", "graph", "strict", "_exc")
 
     def __init__(self, base: CurveGraph):
         self.base = base
-        names: list[str] = []
-        mu_comp: list[int | None] = []
-        over_node: list[int | None] = []
-        strict = []
-        for m, nm in enumerate(base.names):
-            strict.append(len(names))
-            names.append(nm)
-            mu_comp.append(m)
-            over_node.append(None)
+        names = list(base.names)
         exc: dict[tuple[int, int | str], int] = {}
         edges: list[Node] = []
         for t, nd in enumerate(base.nodes):
@@ -60,15 +59,11 @@ class LiftedGraph:
                 exc[(t, key)] = len(names)
                 vid.append(len(names))
                 names.append(f"E({nd.id},{lab})")
-                mu_comp.append(None)
-                over_node.append(t)
-            edges.append(Node(f"{nd.id}:{labels[0]}", strict[nd.a], vid[0]))
+            edges.append(Node(f"{nd.id}:{labels[0]}", nd.a, vid[0]))
             edges.append(Node(f"{nd.id}:mid", vid[0], vid[1]))
-            edges.append(Node(f"{nd.id}:{labels[1]}", vid[1], strict[nd.b]))
-        self.graph = _Subdivision(names, edges, strict[base.marked], self)
-        self.strict = tuple(strict)
-        self.mu_comp = tuple(mu_comp)
-        self.over_node = tuple(over_node)
+            edges.append(Node(f"{nd.id}:{labels[1]}", vid[1], nd.b))
+        self.graph = _Subdivision(names, edges, base.marked, self)
+        self.strict = tuple(range(base.p))
         self._exc = exc
 
     def exceptional(self, node: int, key: int) -> int:
@@ -81,24 +76,18 @@ class LiftedGraph:
                 f"no exceptional vertex over node index {node} with key {key}"
             ) from None
 
-    def chain_edges(self, node: int) -> tuple[int, int, int]:
-        """Indices of the three lifted edges over a base node."""
-        return (3 * node, 3 * node + 1, 3 * node + 2)
-
     def mu_image(self, mask: int) -> tuple[int, bool]:
-        """Base subcurve under the contraction, with a purely-exceptional flag."""
-        img = 0
-        for v in members(mask):
-            m = self.mu_comp[v]
-            if m is not None:
-                img |= 1 << m
+        """Base subcurve under the contraction, with a purely-exceptional flag:
+        strict transforms are lifted vertices 0..p-1 and exceptional ones p
+        and up, so the image is the mask's low p bits."""
+        img = mask & self.base.full_mask
         return img, (mask != 0 and img == 0)
 
     def to_dot(self) -> str:
         g = self.graph
         lines = ["graph lifted {"]
         for i, nm in enumerate(g.names):
-            if self.mu_comp[i] is None:
+            if i >= self.base.p:
                 lines.append(f'  "{nm}" [shape=square, width=0.25, height=0.25];')
             else:
                 shape = "doublecircle" if i == g.marked else "circle"
@@ -131,9 +120,7 @@ def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
     gives one step (near, far): the bits of its exceptional vertices on the
     W side and on the other side.
     """
-    core = 0
-    for m in members(W):
-        core |= 1 << LG.strict[m]
+    core = W  # strict transforms keep their base indices
     exc = LG._exc
     steps = []
     for t, nd in enumerate(LG.base.nodes):
@@ -313,19 +300,13 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     LG = build_c2(G)
     hats = hat_families(G, point)
     levels = []
-    for s in (2, 3):
-        fam = hats.t2 if s == 2 else hats.t3
-        images = []
-        pure_members = []
-        for y in fam.members:
-            img, pure = LG.mu_image(y)
-            if pure:
-                pure_members.append(y)
-            images.append(img)
-        images.sort(key=canon_key)
+    for s, fam in ((2, hats.t2), (3, hats.t3)):
+        mus = [LG.mu_image(y) for y in fam.members]
+        images = tuple(sorted((img for img, _ in mus), key=canon_key))
+        pure_members = tuple(y for y, (_, pure) in zip(fam.members, mus) if pure)
         base = base_level_multiset(G, point, s)
-        ok = not pure_members and tuple(images) == base
-        levels.append(LevelSync(s, ok, tuple(images), base, tuple(pure_members)))
+        ok = not pure_members and images == base
+        levels.append(LevelSync(s, ok, images, base, pure_members))
     return SyncReport(point, tuple(levels))
 
 
@@ -349,43 +330,46 @@ class OneTailDiagnostic:
 
 
 def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiagnostic:
+    detail = (_one_tail_side(G, point.choice.r1, point.g1)
+              + _one_tail_side(G, point.choice.r2, point.g2))
+    return OneTailDiagnostic(not detail, detail)
+
+
+@per_graph
+def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
+    """What the level-1 diagnostic finds wrong with the family anchored at
+    E(r, g); memoized, since every point with that anchor shares it."""
     LG = build_c2(G)
     lg = LG.graph
-    ok = True
+    nd = G.nodes[r]
     detail = []
-    for (r, g) in ((point.choice.r1, point.g1), (point.choice.r2, point.g2)):
-        nd = G.nodes[r]
-        fam = nested(lg, 1, 1 << LG.exceptional(r, g)).members
-        crossing = []
-        rest = []
-        for y in fam:
-            img, pure = LG.mu_image(y)
-            if pure or not G.is_tail(img) or (img >> G.marked) & 1:
-                ok = False
-                detail.append(("bad-image", nd.id, lg.names_of(y)))
-                continue
-            both = (img >> nd.a) & 1 and (img >> nd.b) & 1
-            (crossing if both else rest).append(y)
-        expected = set()
-        for w in G.k_tails(1):
-            if (w >> G.marked) & 1:
-                continue
-            if (w >> nd.a) & 1 and (w >> nd.b) & 1:
-                expected.update(canonical_liftings(LG, w))
-        if set(crossing) != expected:
-            ok = False
-            detail.append(("crossing-mismatch", nd.id))
-        # Non-crossing members exist exactly over a separating node.
-        exp_rest: set[int] = set()
-        side = _side_without(G, nd.a, r)
-        if not (side >> nd.b) & 1:
-            v = side if not (side >> G.marked) & 1 else G.full_mask ^ side
-            l0, l1, l2 = canonical_liftings(LG, v)
-            exp_rest = {l1, l2} if (v >> g) & 1 else {l2}
-        if set(rest) != exp_rest:
-            ok = False
-            detail.append(("separating-mismatch", nd.id))
-    return OneTailDiagnostic(ok, tuple(detail))
+    crossing = []
+    rest = []
+    for y in nested(lg, 1, 1 << LG.exceptional(r, g)).members:
+        img, pure = LG.mu_image(y)
+        if pure or not G.is_tail(img) or (img >> G.marked) & 1:
+            detail.append(("bad-image", nd.id, lg.names_of(y)))
+            continue
+        both = (img >> nd.a) & 1 and (img >> nd.b) & 1
+        (crossing if both else rest).append(y)
+    expected = set()
+    for w in G.k_tails(1):
+        if (w >> G.marked) & 1:
+            continue
+        if (w >> nd.a) & 1 and (w >> nd.b) & 1:
+            expected.update(canonical_liftings(LG, w))
+    if set(crossing) != expected:
+        detail.append(("crossing-mismatch", nd.id))
+    # Non-crossing members exist exactly over a separating node.
+    exp_rest: set[int] = set()
+    side = _side_without(G, nd.a, r)
+    if not (side >> nd.b) & 1:
+        v = side if not (side >> G.marked) & 1 else G.full_mask ^ side
+        l0, l1, l2 = canonical_liftings(LG, v)
+        exp_rest = {l1, l2} if (v >> g) & 1 else {l2}
+    if set(rest) != exp_rest:
+        detail.append(("separating-mismatch", nd.id))
+    return tuple(detail)
 
 
 def _side_without(G: CurveGraph, start: int, node: int) -> int:
@@ -403,18 +387,20 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
 
     For every base node, the number of base level-2 family members having it
     terminal must equal the total over its three lifted edges of hat family
-    members having that edge terminal.  Returns the violations.
+    members having that edge terminal.  One pass over each family counts per
+    base node (lifted edges 3t..3t+2 lie over node t).  Returns the
+    violations in node order.
     """
-    LG = build_c2(G)
-    lg = LG.graph
-    hats = hat_families(G, point)
-    base = base_level_multiset(G, point, 2)
-    bad = []
-    for t, nd in enumerate(G.nodes):
-        lhs = d_count(G, base, 1 << t)
-        rhs = 0
-        for e in LG.chain_edges(t):
-            rhs += d_count(lg, hats.t2.members, 1 << e)
-        if lhs != rhs:
-            bad.append((nd.id, lhs, rhs))
-    return tuple(bad)
+    lg = build_c2(G).graph
+    hats = hat_families(G, point).t2.members
+    lhs = [0] * len(G.nodes)
+    rhs = [0] * len(G.nodes)
+    for w in base_level_multiset(G, point, 2):
+        for t in members(G.term_mask(w)):
+            lhs[t] += 1
+    for y in hats:
+        for e in members(lg.term_mask(y)):
+            rhs[e // 3] += 1
+    return tuple(
+        (nd.id, lhs[t], rhs[t]) for t, nd in enumerate(G.nodes) if lhs[t] != rhs[t]
+    )

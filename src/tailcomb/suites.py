@@ -51,7 +51,7 @@ def suite_closure(G: CurveGraph, rng, profile):
         if anchors & marked_bit:
             continue
         fam2 = nested(G, 2, anchors).members
-        cands3 = _candidates(G, 3, anchors)
+        cands3 = [z for z, _ in _candidates(G, 3, anchors)]
         closed = set(cands3)
         for a in range(len(cands3)):
             for b in range(a, len(cands3)):
@@ -505,19 +505,33 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
 
 def replay(dump: dict) -> VerificationReport:
-    """Re-run the suite of a violation dump on its embedded graph."""
-    name = dump["suite"]
-    if name not in SUITES:
+    """Re-run the suite of a violation dump on its embedded graph.
+
+    The dump is an object with a suite name and a graph description, and
+    optionally integer "seed" and "instance" (not booleans) and a profile
+    name; anything else raises PreconditionError or GraphError.
+    """
+    if not isinstance(dump, dict):
+        raise PreconditionError("a dump must be a JSON object")
+    name = dump.get("suite")
+    if not isinstance(name, str) or name not in SUITES:
         raise PreconditionError(f"dump references unknown suite {name!r}")
-    G = validate(dump["graph"])
+    G = validate(dump.get("graph"))
     profile = dump.get("profile", bw.RECONSTRUCTED)
-    cfg = SuiteConfig(
-        seed=dump.get("seed", 1), instances=1, profile=profile, suites=(name,)
-    )
+    seed = _dump_int(dump, "seed", 1)
+    index = _dump_int(dump, "instance", 0)
+    cfg = SuiteConfig(seed=seed, instances=1, profile=profile, suites=(name,))
     report = VerificationReport(cfg)
     start = time.monotonic()
     report.checks[name], report.violations[name] = _check(
-        G, name, cfg.seed, dump.get("instance", 0), profile
+        G, name, cfg.seed, index, profile
     )
     report.wall_time = time.monotonic() - start
     return report
+
+
+def _dump_int(dump: dict, key: str, default: int) -> int:
+    value = dump.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"dump {key} must be an integer, got {value!r}")
+    return value

@@ -12,10 +12,9 @@ assertions rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, canon_key, members, per_graph, precedes
+from .graph import CurveGraph, canon_key, members, per_graph
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,19 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
         return NestedFamily(s, anchors, ())
     cands = _candidates(G, s, anchors)
     chain: list[int] = []
-    prev = 0
+    prev = tprev = 0
     while True:
-        step = [z for z in cands if precedes(G, prev, z)]
+        # the candidates prev precedes (`graph.precedes`, inlined)
+        step = [
+            z for z, tz in cands
+            if z != prev and z & prev == prev and not tz & tprev
+        ]
         if not step:
             break
         meet = step[0]
         for z in step[1:]:
             meet &= z
-        if meet not in set(step):
+        if meet not in step:
             minimal = [
                 z for z in step if not any(y != z and y & z == y for y in step)
             ]
@@ -72,36 +75,40 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
                 witnesses=[G.names_of(z) for z in minimal[:2]],
             )
         chain.append(meet)
-        prev = meet
+        prev, tprev = meet, G.term_mask(meet)
     if s == 1 and len(chain) != len(cands):
         raise InvariantViolation(
             "1-tail candidates are not totally ordered",
             anchors=G.names_of(anchors),
             chain=[G.names_of(z) for z in chain],
-            candidates=[G.names_of(z) for z in cands],
+            candidates=[G.names_of(z) for z, _ in cands],
         )
     return NestedFamily(s, anchors, tuple(chain))
 
 
-def _candidates(G: CurveGraph, s: int, anchors: int) -> list[int]:
-    """The s-tails a level-s family at the anchors is drawn from.
+def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
+    """The s-tails a level-s family at the anchors is drawn from, each
+    paired with its terminal mask.
 
     They contain the anchors and avoid the marked component; at level 3
     their terminal nodes also avoid those of the level-2 family at the same
     anchors.
     """
-    marked_bit = 1 << G.marked
-    cands = [
-        z
-        for z in G.k_tails(s)
-        if z & anchors == anchors and not z & marked_bit
-    ]
+    cands = [(z, tz) for z, tz in _free_k_tails(G, s) if z & anchors == anchors]
     if s == 3:
         blocked = 0
         for w in nested(G, 2, anchors).members:
             blocked |= G.term_mask(w)
-        cands = [z for z in cands if not G.term_mask(z) & blocked]
+        cands = [(z, tz) for z, tz in cands if not tz & blocked]
     return cands
+
+
+@per_graph
+def _free_k_tails(G: CurveGraph, s: int) -> tuple[tuple[int, int], ...]:
+    """The s-tails avoiding the marked component, with their terminal
+    masks, read once per graph for every family grown on it."""
+    marked_bit = 1 << G.marked
+    return tuple((z, G.term_mask(z)) for z in G.k_tails(s) if not z & marked_bit)
 
 
 def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
@@ -120,14 +127,6 @@ def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
         + nested(G, 2, pair_anchor).members
         + nested(G, 3, pair_anchor).members
     )
-
-
-def d_count(G: CurveGraph, family: Iterable[int], node_mask: int) -> int:
-    """Number of family members with a terminal node in the given node set.
-
-    Counted once per tail, however many of its terminal nodes are hit.
-    """
-    return sum(1 for w in family if G.term_mask(w) & node_mask)
 
 
 def joining_nodes_mask(G: CurveGraph, i: int, j: int) -> int:

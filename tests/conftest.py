@@ -1,8 +1,12 @@
+from functools import cache
+
 import pytest
 from hypothesis import strategies as st
 
+from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.fixtures import fixture
 from tailcomb.graph import CurveGraph, Node
+from tailcomb.randgen import instance_graph
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +36,33 @@ def sc(G, *names):
 
 def tset(G, mask):
     return set(G.names_of(mask))
+
+
+def d_count(G, family, node_mask):
+    """Number of family members with a terminal node in the given node set,
+    counted once per tail however many of its terminal nodes are hit (the
+    per-node oracle of `lift.eq34_level2`)."""
+    return sum(1 for w in family if G.term_mask(w) & node_mask)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type, message and witnesses of the error it raised,
+    so a fast path and its oracle can be compared on either."""
+    try:
+        return fn(*args)
+    except (InvariantViolation, PreconditionError) as exc:
+        return type(exc), str(exc), getattr(exc, "witnesses", None)
+
+
+@cache
+def oracle_corpus():
+    """Seeded draws at the verify defaults (<= 6 components, <= 4 extra
+    edges) and at the larger synchronization size (<= 8, <= 5), loops
+    allowed; the fast paths are compared with their oracles on these."""
+    return tuple(
+        [instance_graph(23, i, 6, 4, True) for i in range(60)]
+        + [instance_graph(23, i, 8, 5, True) for i in range(20)]
+    )
 
 
 @st.composite

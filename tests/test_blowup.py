@@ -4,12 +4,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import graphs, oracle_corpus, outcome
 from tailcomb.blowup import (
     AS_DISPLAYED,
     RECONSTRUCTED,
+    AdmissibilityReport,
     BlowupChoice,
     BlowupPlan,
+    IneqInstance,
+    _node_sides,
     admissibility_check,
     decide_resolution,
     distinguished_points,
@@ -19,6 +22,7 @@ from tailcomb.blowup import (
     pair_matchings,
     plan_from_tails,
 )
+from tailcomb.degrees import delta
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph
 from tailcomb.lift import is_synchronized
@@ -264,6 +268,101 @@ def test_admissibility_diagonal(G4):
 def test_admissibility_needs_matching(G2):
     with pytest.raises(PreconditionError):
         admissibility_check(G2, 0, 1)
+
+
+def admissibility_oracle(G, r1, r2, choice=None):
+    """`admissibility_check` with every value a difference of two
+    `degrees.delta` calls and the intersection gate tested per instance."""
+    diagonal = r1 == r2
+    if diagonal:
+        g1, g1p = _node_sides(G, r1)
+        g2, g2p = g1p, g1
+        matched = frozenset(((g1, g2), (g1p, g2p)))
+    else:
+        if choice is None:
+            raise PreconditionError("distinct nodes need a matching")
+        if (min(r1, r2), max(r1, r2)) != (choice.r1, choice.r2):
+            raise PreconditionError("choice does not describe this node pair")
+        r1, r2 = choice.r1, choice.r2
+        (g1, g2), (g1p, g2p) = choice.matched_pairs()
+        matched = choice.matching
+    triples = (matched | {(g1, g2p)}, matched | {(g1p, g2)})
+
+    def gate(pa, pb):
+        return (pa[0] == pb[0] or pa[1] == pb[1]
+                or any(pa in t and pb in t for t in triples))
+
+    out = []
+
+    def emit(ineq, args, value):
+        out.append(IneqInstance(ineq, args, value, abs(value) <= 1))
+
+    for t, nd in enumerate(G.nodes):
+        if nd.is_loop or t in (r1, r2):
+            continue
+        for a in (g1, g1p):
+            for ap in (g1, g1p):
+                for b in (g2, g2p):
+                    for bp in (g2, g2p):
+                        if gate((a, b), (ap, bp)):
+                            emit(18, (nd.id, a, ap, b, bp),
+                                 delta(G, a, b, nd.a, nd.b)
+                                 - delta(G, ap, bp, nd.a, nd.b))
+    if not diagonal:
+        for a, ap in ((g1, g1p), (g1p, g1)):
+            for b, bp in ((g2, g2p), (g2p, g2)):
+                q = (a, ap, b, bp)
+                emit(19, q, delta(G, a, b, a, ap) - delta(G, a, bp, a, ap))
+                emit(20, q, delta(G, a, b, b, bp) - delta(G, ap, b, b, bp))
+                emit(21, q, delta(G, a, b, a, ap) - delta(G, ap, b, a, ap) - 1)
+                emit(22, q, delta(G, a, b, b, bp) - delta(G, a, bp, b, bp) - 1)
+                if gate((a, b), (ap, bp)):
+                    emit(23, q,
+                         delta(G, a, b, a, ap) - delta(G, ap, bp, a, ap) - 1)
+                    emit(24, q,
+                         delta(G, a, b, b, bp) - delta(G, ap, bp, b, bp) - 1)
+    else:
+        for a, ap in ((g1, g1p), (g1p, g1)):
+            emit(25, (a, ap), delta(G, a, a, a, ap) - delta(G, a, ap, a, ap) - 1)
+    return AdmissibilityReport(min(r1, r2), max(r1, r2), tuple(out))
+
+
+def assert_admissibility_matches_oracle(G):
+    """Equal reports (instances in order) or equal errors: at every node
+    (loops raise), at every pair of reducible nodes under both matchings,
+    without a matching, and with a matching of another pair; returns the
+    number of instances compared."""
+    calls = [(r, r) for r in range(len(G.nodes))]
+    red = G.reducible_nodes()
+    for r1, r2 in combinations(red, 2):
+        calls.append((r2, r1))
+        calls += [(r1, r2, ch) for ch in pair_matchings(G, r1, r2)]
+    if len(red) >= 3:
+        calls.append((red[0], red[2], pair_matchings(G, red[0], red[1])[0]))
+    n = 0
+    for args in calls:
+        got = outcome(admissibility_check, G, *args)
+        assert got == outcome(admissibility_oracle, G, *args)
+        if isinstance(got, AdmissibilityReport):
+            assert all(type(i) is IneqInstance for i in got.instances)
+            n += len(got.instances)
+    return n
+
+
+def test_admissibility_matches_oracle_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        assert_admissibility_matches_oracle(G)
+
+
+def test_admissibility_matches_oracle_corpus():
+    compared = sum(assert_admissibility_matches_oracle(G) for G in oracle_corpus())
+    assert compared > 100_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_admissibility_matches_oracle_property(G):
+    assert_admissibility_matches_oracle(G)
 
 
 # -- resolution ----------------------------------------------------------------------

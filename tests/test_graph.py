@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from tailcomb.degrees import twister
 from tailcomb.errors import GraphError
-from tailcomb.graph import CurveGraph, canon_key, node_on, precedes, relate, validate
+from tailcomb.graph import (
+    CurveGraph, canon_key, members, node_on, precedes, relate, validate,
+)
 from tailcomb.lift import build_c2
 from tailcomb.tails import nested
 
@@ -106,6 +109,18 @@ def brute_force_tails(G):
         if G.connected(mask) and G.connected(G.full_mask ^ mask):
             out.append(mask)
     return sorted(out, key=canon_key)
+
+
+def test_canon_key_orders_by_size_then_vertex_tuple():
+    # the oracle is the key as defined: size, then the sorted vertex tuple
+    def oracle(mask):
+        return (mask.bit_count(), members(mask))
+
+    rng = random.Random(5)
+    masks = list(range(1 << 11)) + [rng.getrandbits(rng.randint(1, 120))
+                                     for _ in range(20_000)]
+    rng.shuffle(masks)
+    assert sorted(masks, key=canon_key) == sorted(masks, key=oracle)
 
 
 def test_tails_match_brute_force(G1, G2, G3, G4):

@@ -1,12 +1,21 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
-from tailcomb.blowup import distinguished_points, is_quasistable_point, make_choice
+from tailcomb.blowup import (
+    distinguished_points,
+    is_quasistable_point,
+    make_choice,
+    pair_matchings,
+)
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import CurveGraph, precedes
+from tailcomb.graph import CurveGraph, members, precedes
 from tailcomb.lift import (
     LiftedGraph,
     _side_without,
+    base_level_multiset,
     build_c2,
     canonical_liftings,
     eq34_level2,
@@ -16,7 +25,7 @@ from tailcomb.lift import (
 )
 from tailcomb.randgen import instance_graph
 
-from conftest import graphs, sc
+from conftest import d_count, graphs, oracle_corpus, outcome, sc
 
 
 def lnames(LG, mask):
@@ -271,3 +280,104 @@ def test_side_without_matches_scan(G1, G2, G3, G4, corpus):
         for t, nd in enumerate(G.nodes):
             for start in nd.ends:
                 assert _side_without(G, start, t) == component_without_scan(G, start, t)
+
+
+# -- the index layout and the per-node oracles of the point layers ----------------------
+
+
+def exceptional_pair(LG, t):
+    nd = LG.base.nodes[t]
+    keys = (1, 2) if nd.is_loop else (nd.a, nd.b)
+    return [LG.exceptional(t, key) for key in keys]
+
+
+def assert_index_layout(G):
+    """Strict transforms keep the base indices, the exceptional vertices come
+    after them, and lifted edges 3t..3t+2 are the chain over node t."""
+    LG = build_c2(G)
+    lg = LG.graph
+    assert LG.strict == tuple(range(G.p))
+    assert lg.names[: G.p] == G.names and lg.marked == G.marked
+    assert lg.p == G.p + 2 * len(G.nodes)
+    for t, nd in enumerate(G.nodes):
+        e1, e2 = exceptional_pair(LG, t)
+        assert G.p <= e1 and G.p <= e2
+        ends = [{c.a, c.b} for c in lg.nodes[3 * t: 3 * t + 3]]
+        assert ends == [{nd.a, e1}, {e1, e2}, {e2, nd.b}]
+
+
+def mu_image_oracle(LG, mask):
+    """The contraction as a loop over the members of the lifted mask."""
+    comp = {v: m for m, v in enumerate(LG.strict)}
+    img = 0
+    for v in members(mask):
+        if v in comp:
+            img |= 1 << comp[v]
+    return img, (mask != 0 and img == 0)
+
+
+def eq34_oracle(G, point):
+    """`eq34_level2` node by node: `d_count` over the base level-2 multiset
+    against the sum of `d_count` over the hat family at each lifted edge
+    touching an exceptional vertex over the node."""
+    LG = build_c2(G)
+    lg = LG.graph
+    hats = hat_families(G, point)
+    base = base_level_multiset(G, point, 2)
+    bad = []
+    for t, nd in enumerate(G.nodes):
+        exc = set(exceptional_pair(LG, t))
+        chain = [e for e, c in enumerate(lg.nodes) if {c.a, c.b} & exc]
+        lhs = d_count(G, base, 1 << t)
+        rhs = sum(d_count(lg, hats.t2.members, 1 << e) for e in chain)
+        if lhs != rhs:
+            bad.append((nd.id, lhs, rhs))
+    return tuple(bad)
+
+
+def all_points(G):
+    for r1, r2 in combinations(G.reducible_nodes(), 2):
+        for ch in pair_matchings(G, r1, r2):
+            yield from distinguished_points(G, ch)
+
+
+def assert_point_layers_match_oracles(G, rng):
+    """Index layout, `mu_image` on the lifted tails, the hat family members
+    and random masks, and `eq34_level2` at every distinguished point;
+    returns the number of nonempty eq-34 results compared."""
+    assert_index_layout(G)
+    LG = build_c2(G)
+    lg = LG.graph
+    masks = [m for s in (1, 2, 3) for m in lg.k_tails(s)]
+    masks += [0, lg.full_mask] + [rng.getrandbits(lg.p) for _ in range(50)]
+    nonempty = 0
+    for pt in all_points(G):
+        hats = hat_families(G, pt)
+        masks += hats.t2.members + hats.t3.members
+        got = outcome(eq34_level2, G, pt)
+        assert got == outcome(eq34_oracle, G, pt)
+        nonempty += bool(got)
+    for m in masks:
+        assert LG.mu_image(m) == mu_image_oracle(LG, m)
+    return nonempty
+
+
+def test_point_layers_match_oracles_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        assert_point_layers_match_oracles(G, random.Random(0))
+    crossed = make_choice(G2, 0, 1, [(1, 0), (0, 1)])
+    assert all(eq34_level2(G2, pt) == eq34_oracle(G2, pt) != ()
+               for pt in distinguished_points(G2, crossed))
+
+
+def test_point_layers_match_oracles_corpus():
+    rng = random.Random(0)
+    nonempty = sum(assert_point_layers_match_oracles(G, rng)
+                   for G in oracle_corpus())
+    assert nonempty > 0  # unsynchronized points give nonempty violation lists
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_point_layers_match_oracles_property(G):
+    assert_point_layers_match_oracles(G, random.Random(0))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tailcomb.cli import main
+from tailcomb.fixtures import fixture
 from tailcomb.randgen import child_rng, instance_graph, random_graph
 from tailcomb.suites import (
     ALL_SUITES,
@@ -213,6 +214,35 @@ def test_cli_verify_replay(tmp_path, capsys, G2):
     f = tmp_path / "dump.json"
     f.write_text(json.dumps(dump))
     assert main(["verify", "--replay", str(f)]) == 1
+
+
+G2_SPEC = fixture("G2").to_spec()
+
+
+@pytest.mark.parametrize("dump", [
+    [],
+    ["thm-64-resolution"],
+    {},
+    {"suite": ["x"], "graph": G2_SPEC},
+    {"suite": "no-such-suite", "graph": G2_SPEC},
+    {"suite": "prop-62"},
+    {"suite": "prop-62", "graph": []},
+    {"suite": "prop-62", "graph": {"components": ["C1"]}},
+    {"suite": "prop-62", "graph": G2_SPEC, "seed": "x"},
+    {"suite": "prop-62", "graph": G2_SPEC, "seed": True},
+    {"suite": "prop-62", "graph": G2_SPEC, "seed": 1.5},
+    {"suite": "prop-62", "graph": G2_SPEC, "instance": [1]},
+    {"suite": "prop-62", "graph": G2_SPEC, "instance": None},
+    {"suite": "prop-62", "graph": G2_SPEC, "profile": 5},
+    {"suite": "prop-62", "graph": G2_SPEC, "profile": "literal"},
+])
+def test_cli_verify_replay_rejects_malformed_dump(tmp_path, capsys, dump):
+    f = tmp_path / "dump.json"
+    f.write_text(json.dumps(dump))
+    assert main(["verify", "--replay", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_sync_and_distinguished(capsys):

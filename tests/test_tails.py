@@ -1,10 +1,15 @@
+from itertools import combinations, combinations_with_replacement
+
 import pytest
+from hypothesis import given, settings
 
-from tailcomb.errors import PreconditionError
-from tailcomb.graph import CurveGraph, precedes
-from tailcomb.tails import d_count, joining_nodes_mask, nested, symm_diff, tail_family
+from tailcomb.blowup import distinguished_points, pair_matchings
+from tailcomb.errors import InvariantViolation, PreconditionError
+from tailcomb.graph import CurveGraph, Node, precedes
+from tailcomb.lift import build_c2
+from tailcomb.tails import joining_nodes_mask, nested, symm_diff, tail_family
 
-from conftest import sc, tset
+from conftest import d_count, graphs, oracle_corpus, outcome, sc, tset
 
 
 def fam_sets(G, fam):
@@ -147,3 +152,138 @@ def test_caching_is_transparent():
     # warm caches and ask again
     assert a.tails() == b.tails()
     assert tail_family(a, 1, 2) == tail_family(b, 1, 2)
+
+
+# -- the precedes()-based growth is the oracle of `nested` -----------------------------
+
+
+def nested_oracle(G, s, anchors):
+    """`nested` grown with a `precedes` call per candidate and step, from its
+    own level-2 family at level 3; raises what `nested` raises."""
+    if (anchors >> G.marked) & 1:
+        return ()
+    cands = [
+        z for z in G.k_tails(s)
+        if z & anchors == anchors and not (z >> G.marked) & 1
+    ]
+    if s == 3:
+        blocked = 0
+        for w in nested_oracle(G, 2, anchors):
+            blocked |= G.term_mask(w)
+        cands = [z for z in cands if not G.term_mask(z) & blocked]
+    chain = []
+    prev = 0
+    while True:
+        step = [z for z in cands if precedes(G, prev, z)]
+        if not step:
+            break
+        meet = step[0]
+        for z in step[1:]:
+            meet &= z
+        if meet not in step:
+            minimal = [
+                z for z in step if not any(y != z and y & z == y for y in step)
+            ]
+            raise InvariantViolation(
+                "no unique minimal candidate during nested-family growth",
+                level=s,
+                anchors=G.names_of(anchors),
+                witnesses=[G.names_of(z) for z in minimal[:2]],
+            )
+        chain.append(meet)
+        prev = meet
+    if s == 1 and len(chain) != len(cands):
+        raise InvariantViolation(
+            "1-tail candidates are not totally ordered",
+            anchors=G.names_of(anchors),
+            chain=[G.names_of(z) for z in chain],
+            candidates=[G.names_of(z) for z in cands],
+        )
+    return tuple(chain)
+
+
+def nested_members(G, s, anchors):
+    return nested(G, s, anchors).members
+
+
+def hat_anchors(G):
+    """The anchors the point layers grow families from on the subdivision:
+    each exceptional vertex (level 1) and each distinguished point's pair."""
+    LG = build_c2(G)
+    singles = set(LG._exc.values())
+    pairs = set()
+    for r1, r2 in combinations(G.reducible_nodes(), 2):
+        for ch in pair_matchings(G, r1, r2):
+            for pt in distinguished_points(G, ch):
+                pairs.add((1 << LG.exceptional(r1, pt.g1))
+                          | (1 << LG.exceptional(r2, pt.g2)))
+    return [1 << v for v in sorted(singles)] + sorted(pairs)
+
+
+def assert_nested_matches_oracle(G, base_anchors):
+    """Equal members, in order, or equal errors, at every level on the base
+    graph and at the hat anchors on its subdivision; returns the number of
+    members compared."""
+    lg = build_c2(G).graph
+    n = 0
+    for graph, anchor_sets in ((G, base_anchors), (lg, hat_anchors(G))):
+        for anchors in anchor_sets:
+            for s in (1, 2, 3):
+                got = outcome(nested_members, graph, s, anchors)
+                assert got == outcome(nested_oracle, graph, s, anchors)
+                n += len(got) if isinstance(got, tuple) else 0
+    return n
+
+
+def pair_anchors(G):
+    return [(1 << a) | (1 << b)
+            for a, b in combinations_with_replacement(range(G.p), 2)]
+
+
+def test_nested_matches_oracle_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        assert_nested_matches_oracle(G, range(1, G.full_mask + 1))
+
+
+def test_nested_matches_oracle_corpus():
+    compared = sum(assert_nested_matches_oracle(G, pair_anchors(G))
+                   for G in oracle_corpus())
+    assert compared > 10_000  # the corpus grows many nontrivial chains
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_nested_matches_oracle_property(G):
+    assert_nested_matches_oracle(G, range(1, G.full_mask + 1))
+
+
+def test_nested_violations_match_oracle(monkeypatch):
+    # On the 4-cycle C1-C2-C3-C4 marked at C1, hide the 2-tail {C3}: the
+    # candidates at C3 then meet in {C3}, which is no candidate.  At level 1,
+    # offer {C3} and {C2,C3}, which share a terminal node: the growth stops
+    # after {C3} and leaves a candidate out of the chain.
+    G = CurveGraph(
+        ["C1", "C2", "C3", "C4"],
+        [Node("a", 0, 1), Node("b", 1, 2), Node("c", 2, 3), Node("d", 0, 3)],
+        0,
+    )
+    c3, c23 = G.subcurve(["C3"]), G.subcurve(["C2", "C3"])
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        if self is G and kk == 2:
+            return tuple(z for z in got if z != c3)
+        if self is G and kk == 1:
+            return (c3, c23)
+        return got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    for s, message in ((2, "no unique minimal"), (1, "not totally ordered")):
+        with pytest.raises(InvariantViolation, match=message) as exc:
+            nested(G, s, c3)
+        with pytest.raises(InvariantViolation) as expected:
+            nested_oracle(G, s, c3)
+        assert str(exc.value) == str(expected.value)
+        assert exc.value.witnesses == expected.value.witnesses
+    assert exc.value.witnesses["chain"] == [("C3",)]
