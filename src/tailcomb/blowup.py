@@ -241,8 +241,9 @@ class BlowupPlan:
     def from_spec(cls, G: CurveGraph, data) -> "BlowupPlan":
         """Read a plan from JSON: an array of objects whose "pair" is an
         array of two node ids and whose "match" is an array of two side
-        pairs, each an array of two component names.  Anything else raises
-        GraphError; nothing is coerced."""
+        pairs, each an array of two component names; no pair may appear
+        twice, in either order.  Anything else raises GraphError; nothing
+        is coerced."""
         if not isinstance(data, list):
             raise GraphError("a plan is a JSON array of pair choices")
         plan = cls()
@@ -255,6 +256,8 @@ class BlowupPlan:
                     f"plan match must be an array of two side pairs, got {match!r}"
                 )
             r1, r2 = map(G.node_index, _string_pair(entry["pair"], "plan pair"))
+            if plan.get(r1, r2) is not None:
+                raise GraphError(f"plan names node pair {entry['pair']!r} twice")
             pairs = [tuple(map(G.index, _string_pair(sides, "plan side pair")))
                      for sides in match]
             plan.set(make_choice(G, r1, r2, pairs))

@@ -20,7 +20,7 @@ from .errors import (
     RepresentativeNotFound,
 )
 from .graph import CurveGraph, members, per_graph
-from .tails import tail_family
+from .tails import joining_nodes_mask, tail_family
 
 Multidegree = tuple  # integer per component, indexed like G.names
 
@@ -313,9 +313,7 @@ def lemma35_difference(G: CurveGraph, i: int, j: int, k: int) -> int:
     """
     if i == j:
         raise PreconditionError("needs distinct components i, j")
-    if not any(
-        not nd.is_loop and {nd.a, nd.b} == {i, j} for nd in G.nodes
-    ):
+    if not joining_nodes_mask(G, i, j):
         raise PreconditionError(
             f"components {G.names[i]} and {G.names[j]} share no node"
         )

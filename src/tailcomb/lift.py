@@ -9,15 +9,17 @@ the subdivision still use the rooted growth of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
 synchronization all live here.  Synchronization compares levels 2 and 3
-and is memoized per graph and point; the level-1 structure is a separate
-diagnostic (`one_tail_diagnostic`) that nothing in synchronization reads.
+and is memoized per graph and point; its report keeps each level's hat
+members and base multiset, which the eq. (34) node count reads.  The
+level-1 structure is a separate diagnostic (`one_tail_diagnostic`).
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
-p + 2t and p + 2t + 1 are the exceptional vertices over base node t, and
-lifted edges 3t, 3t + 1, 3t + 2 form the chain over node t.  So the
-contraction image of a lifted subcurve is its low p bits (`mu_image`), and
-a lifted terminal edge e lies over base node e // 3 (`eq34_level2`).
+p + 2t and p + 2t + 1 are the exceptional vertices over base node t (sides
+a, b or loop slots 1, 2), and lifted edges 3t..3t+2 form the chain over
+node t.  This arithmetic is the only record of the layout: the contraction
+image of a lifted subcurve is its low p bits (`mu_image`), and a lifted
+terminal edge e lies over base node e // 3 (`eq34_level2`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from .blowup import DistinguishedPoint
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
-from .tails import NestedFamily, nested
+from .tails import NestedFamily, _candidates, nested
 
 
 class LiftedGraph:
@@ -40,41 +42,34 @@ class LiftedGraph:
     base graph's rather than enumerated (index layout: module docstring).
     """
 
-    __slots__ = ("base", "graph", "strict", "_exc")
+    __slots__ = ("base", "graph")
 
     def __init__(self, base: CurveGraph):
         self.base = base
         names = list(base.names)
-        exc: dict[tuple[int, int | str], int] = {}
         edges: list[Node] = []
-        for t, nd in enumerate(base.nodes):
-            if nd.is_loop:
-                keys = (1, 2)
-                labels = ("1", "2")
-            else:
-                keys = (nd.a, nd.b)
-                labels = (base.names[nd.a], base.names[nd.b])
-            vid = []
-            for key, lab in zip(keys, labels):
-                exc[(t, key)] = len(names)
-                vid.append(len(names))
-                names.append(f"E({nd.id},{lab})")
-            edges.append(Node(f"{nd.id}:{labels[0]}", nd.a, vid[0]))
-            edges.append(Node(f"{nd.id}:mid", vid[0], vid[1]))
-            edges.append(Node(f"{nd.id}:{labels[1]}", vid[1], nd.b))
+        for nd in base.nodes:
+            labels = ("1", "2") if nd.is_loop else (names[nd.a], names[nd.b])
+            e1 = len(names)  # p + 2t over node t
+            names += [f"E({nd.id},{lab})" for lab in labels]
+            edges.append(Node(f"{nd.id}:{labels[0]}", nd.a, e1))
+            edges.append(Node(f"{nd.id}:mid", e1, e1 + 1))
+            edges.append(Node(f"{nd.id}:{labels[1]}", e1 + 1, nd.b))
         self.graph = _Subdivision(names, edges, base.marked, self)
-        self.strict = tuple(range(base.p))
-        self._exc = exc
 
     def exceptional(self, node: int, key: int) -> int:
-        """Lifted vertex E(node, key); key is the side component for a
-        non-loop node and the slot 1 or 2 for a loop."""
-        try:
-            return self._exc[(node, key)]
-        except KeyError:
-            raise PreconditionError(
-                f"no exceptional vertex over node index {node} with key {key}"
-            ) from None
+        """Lifted vertex E(node, key) = p + 2 * node, plus 1 for the second
+        key; key is the side component for a non-loop node and the slot 1
+        or 2 for a loop."""
+        nodes = self.base.nodes
+        if 0 <= node < len(nodes):
+            nd = nodes[node]
+            keys = (1, 2) if nd.is_loop else (nd.a, nd.b)
+            if key in keys:
+                return self.base.p + 2 * node + keys.index(key)
+        raise PreconditionError(
+            f"no exceptional vertex over node index {node} with key {key}"
+        )
 
     def mu_image(self, mask: int) -> tuple[int, bool]:
         """Base subcurve under the contraction, with a purely-exceptional flag:
@@ -121,20 +116,19 @@ def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
     W side and on the other side.
     """
     core = W  # strict transforms keep their base indices
-    exc = LG._exc
+    p = LG.base.p
     steps = []
     for t, nd in enumerate(LG.base.nodes):
+        ea = 1 << (p + 2 * t)  # E(t, a), slot 1 of a loop
+        eb = ea << 1
         ina = (W >> nd.a) & 1
         inb = (W >> nd.b) & 1
-        if nd.is_loop:
-            if ina:
-                core |= (1 << exc[(t, 1)]) | (1 << exc[(t, 2)])
-        elif ina and inb:
-            core |= (1 << exc[(t, nd.a)]) | (1 << exc[(t, nd.b)])
+        if ina and inb:
+            core |= ea | eb
         elif ina:
-            steps.append((1 << exc[(t, nd.a)], 1 << exc[(t, nd.b)]))
+            steps.append((ea, eb))
         elif inb:
-            steps.append((1 << exc[(t, nd.b)], 1 << exc[(t, nd.a)]))
+            steps.append((eb, ea))
     return core, steps
 
 
@@ -161,11 +155,11 @@ def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
         for w in base.k_tails(1):
             bridges |= base.term_mask(w)
         full = LG.graph.full_mask
-        for t, nd in enumerate(base.nodes):
+        for t in range(len(base.nodes)):
             if (bridges >> t) & 1:
                 continue
-            keys = (1, 2) if nd.is_loop else (nd.a, nd.b)
-            e1, e2 = (1 << LG._exc[(t, key)] for key in keys)
+            e1 = 1 << (base.p + 2 * t)
+            e2 = e1 << 1
             for y in (e1, e2, e1 | e2):
                 out.append(y)
                 out.append(full ^ y)
@@ -217,7 +211,6 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
 class HatFamilies:
     """Nested families on the subdivision attached to a distinguished point."""
 
-    point: DistinguishedPoint
     t2: NestedFamily
     t3: NestedFamily
 
@@ -229,7 +222,7 @@ def hat_families(G: CurveGraph, point: DistinguishedPoint) -> HatFamilies:
     lg = LG.graph
     a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
     a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
-    return HatFamilies(point, nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2))
+    return HatFamilies(nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2))
 
 
 def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tuple[int, ...]:
@@ -243,11 +236,14 @@ def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tup
 
 @dataclass(frozen=True)
 class LevelSync:
+    """One level of a point's synchronization: the lifted hat members,
+    their sorted images and the base multiset they must equal."""
+
     level: int
     ok: bool
     hat_images: tuple[int, ...]  # base masks, sorted; purely exceptional kept as 0
     base_multiset: tuple[int, ...]
-    pure_exceptional: tuple[int, ...]  # offending lifted members
+    hat_members: tuple[int, ...]  # lifted masks, in family order
 
 
 @dataclass(frozen=True)
@@ -303,10 +299,9 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     for s, fam in ((2, hats.t2), (3, hats.t3)):
         mus = [LG.mu_image(y) for y in fam.members]
         images = tuple(sorted((img for img, _ in mus), key=canon_key))
-        pure_members = tuple(y for y, (_, pure) in zip(fam.members, mus) if pure)
         base = base_level_multiset(G, point, s)
-        ok = not pure_members and images == base
-        levels.append(LevelSync(s, ok, images, base, pure_members))
+        ok = images == base and not any(pure for _, pure in mus)
+        levels.append(LevelSync(s, ok, images, base, fam.members))
     return SyncReport(point, tuple(levels))
 
 
@@ -353,11 +348,8 @@ def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
         both = (img >> nd.a) & 1 and (img >> nd.b) & 1
         (crossing if both else rest).append(y)
     expected = set()
-    for w in G.k_tails(1):
-        if (w >> G.marked) & 1:
-            continue
-        if (w >> nd.a) & 1 and (w >> nd.b) & 1:
-            expected.update(canonical_liftings(LG, w))
+    for w, _ in _candidates(G, 1, (1 << nd.a) | (1 << nd.b)):
+        expected.update(canonical_liftings(LG, w))
     if set(crossing) != expected:
         detail.append(("crossing-mismatch", nd.id))
     # Non-crossing members exist exactly over a separating node.
@@ -387,18 +379,19 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
 
     For every base node, the number of base level-2 family members having it
     terminal must equal the total over its three lifted edges of hat family
-    members having that edge terminal.  One pass over each family counts per
+    members having that edge terminal.  Both families are read from the
+    point's memoized `is_synchronized` report; one pass over each counts per
     base node (lifted edges 3t..3t+2 lie over node t).  Returns the
     violations in node order.
     """
     lg = build_c2(G).graph
-    hats = hat_families(G, point).t2.members
+    level2 = is_synchronized(G, point).levels[0]
     lhs = [0] * len(G.nodes)
     rhs = [0] * len(G.nodes)
-    for w in base_level_multiset(G, point, 2):
+    for w in level2.base_multiset:
         for t in members(G.term_mask(w)):
             lhs[t] += 1
-    for y in hats:
+    for y in level2.hat_members:
         for e in members(lg.term_mask(y)):
             rhs[e // 3] += 1
     return tuple(

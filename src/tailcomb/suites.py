@@ -17,10 +17,11 @@ from itertools import combinations, combinations_with_replacement
 from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, node_on, relate, validate
+from .graph import CurveGraph, node_on, per_graph, relate, validate
 from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
-from .tails import _candidates, joining_nodes_mask, nested, symm_diff, tail_family
+from .tails import (_candidates, _free_k_tails, _level_families, joining_nodes_mask,
+                    nested, symm_diff, tail_family)
 
 
 def _sub(G, mask):
@@ -36,7 +37,7 @@ def suite_closure(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
     marked_bit = 1 << G.marked
-    two = [z for z in G.k_tails(2) if not z & marked_bit]
+    two = [z for z, _ in _free_k_tails(G, 2)]
     for a in range(len(two)):
         for b in range(a, len(two)):
             z, zp = two[a], two[b]
@@ -63,20 +64,16 @@ def suite_closure(G: CurveGraph, rng, profile):
                          "z": _sub(G, z), "zp": _sub(G, zp)}
                     )
         fam3 = nested(G, 3, anchors).members
-        for z in G.k_tails(2):
-            if z & anchors != anchors or z & marked_bit:
-                continue
+        for z, tz in _candidates(G, 2, anchors):
             checks += 1
-            tz = G.term_mask(z)
             if not any(w & z == w and G.term_mask(w) & tz for w in fam2):
                 bad.append(
                     {"check": "lemma-2.5", "anchors": _sub(G, anchors), "z": _sub(G, z)}
                 )
-        for z in G.k_tails(3):
-            if z & anchors != anchors or z & marked_bit:
+        for z, tz in _free_k_tails(G, 3):
+            if z & anchors != anchors:
                 continue
             checks += 1
-            tz = G.term_mask(z)
             ok = any(G.term_mask(w) & tz for w in fam2) or any(
                 G.term_mask(w) & tz and w & z == w for w in fam3
             )
@@ -150,8 +147,9 @@ def suite_prop31(G: CurveGraph, rng, profile):
                 fa = set(nested(G, 1, 1 << i).members)
                 fb = set(nested(G, 1, 1 << j).members)
             else:
-                fa = set(nested(G, s, (1 << i) | (1 << k)).members)
-                fb = set(nested(G, s, (1 << j) | (1 << k)).members)
+                fa, fb = _level_families(G, s, i, j, k)
+                if s == 2:
+                    fa2, fb2 = fa, fb
             checks += 1
             for w in fa:
                 for wp in fb:
@@ -177,11 +175,10 @@ def suite_prop31(G: CurveGraph, rng, profile):
                     bad.append({"check": "eq-16-s2", "i": G.names[i],
                                 "j": G.names[j], "k": G.names[k],
                                 "s2": G.nodes[s2].id})
-            ui = 0
-            for w in nested(G, 2, (1 << i) | (1 << k)).members:
+            ui = uj = 0
+            for w in fa2:
                 ui |= G.term_mask(w)
-            uj = 0
-            for w in nested(G, 2, (1 << j) | (1 << k)).members:
+            for w in fb2:
                 uj |= G.term_mask(w)
             both = ui & uj
             checks += 1
@@ -262,10 +259,14 @@ def suite_admissibility(G: CurveGraph, rng, profile):
     return checks, bad
 
 
-def _all_points(G):
-    for r1, r2 in combinations(G.reducible_nodes(), 2):
-        for ch in bw.pair_matchings(G, r1, r2):
-            yield ch, bw.distinguished_points(G, ch)
+@per_graph
+def _all_points(G: CurveGraph) -> tuple:
+    """Each blowup choice with its two points, once per graph for all suites."""
+    return tuple(
+        (ch, bw.distinguished_points(G, ch))
+        for r1, r2 in combinations(G.reducible_nodes(), 2)
+        for ch in bw.pair_matchings(G, r1, r2)
+    )
 
 
 def suite_lemma61(G: CurveGraph, rng, profile):
@@ -408,8 +409,11 @@ class SuiteConfig:
             raise PreconditionError(f"unknown suites: {bad}")
         if self.profile not in bw.PROFILES:
             raise PreconditionError(f"unknown profile {self.profile!r}")
-        if self.instances < 0 or self.max_components < 1 or self.jobs < 1:
-            raise PreconditionError("instances, max_components, jobs out of range")
+        if (self.instances < 0 or self.max_components < 1
+                or self.max_extra_edges < 0 or self.jobs < 1):
+            raise PreconditionError(
+                "instances, max_components, max_extra_edges, jobs out of range"
+            )
         self.suites = tuple(self.suites)
 
 

@@ -167,8 +167,7 @@ def symm_diff(G: CurveGraph, s: int, i: int, j: int, k: int) -> SymmDiffReport:
         raise PreconditionError(
             f"components {G.names[i]} and {G.names[j]} share no node"
         )
-    fam_a, fam_b = _level_families(G, s, i, j, k)
-    sd = sorted(fam_a ^ fam_b, key=canon_key)
+    sd, union = _sd_members(G, s, i, j, k)
     # the chain shape is asserted, not assumed
     for t in range(1, len(sd)):
         if sd[t - 1] & sd[t] != sd[t - 1]:
@@ -185,7 +184,7 @@ def symm_diff(G: CurveGraph, s: int, i: int, j: int, k: int) -> SymmDiffReport:
             )
     if not sd:
         return SymmDiffReport(s, i, j, k, (), (), "empty")
-    condition = _classify(G, s, i, j, k, sd, fam_a, fam_b)
+    condition = _classify(G, s, i, j, k, sd, union)
     diff_nodes: tuple[int, ...] = ()
     if s == 2:
         diff_nodes = _difference_nodes(G, i, j, k, sd, ij_nodes)
@@ -202,13 +201,14 @@ def _level_families(G, s, i, j, k) -> tuple[set, set]:
     return fam_a, fam_b
 
 
-def _sd_members(G, s, i, j, k) -> list[int]:
-    """Raw symmetric-difference members at one level, inclusion-ordered."""
+def _sd_members(G, s, i, j, k) -> tuple[list[int], set[int]]:
+    """Raw symmetric-difference members at one level, inclusion-ordered,
+    and the union of the two families."""
     fam_a, fam_b = _level_families(G, s, i, j, k)
-    return sorted(fam_a ^ fam_b, key=canon_key)
+    return sorted(fam_a ^ fam_b, key=canon_key), fam_a | fam_b
 
 
-def _classify(G, s, i, j, k, sd, fam_a, fam_b) -> str:
+def _classify(G, s, i, j, k, sd, union) -> str:
     if s == 1:
         # A nonempty level-1 difference is a single tail terminating exactly
         # in the nodes joining i and j.
@@ -219,12 +219,11 @@ def _classify(G, s, i, j, k, sd, fam_a, fam_b) -> str:
             )
         return "condition-i"
     cross = (1 << i) | (1 << j)
-    union = fam_a | fam_b
     non_containing = [w for w in union if w & cross != cross]
     if len(non_containing) == 1 and non_containing[0] == sd[0]:
         return "condition-i"
     if s == 3:
-        sd2 = _sd_members(G, 2, i, j, k)
+        sd2, _ = _sd_members(G, 2, i, j, k)
         if sd2:
             zterm = G.term_mask(sd2[-1])
             hits = [w for w in union if G.term_mask(w) & zterm]
@@ -263,7 +262,7 @@ def _difference_nodes(G, i, j, k, sd, ij_nodes) -> tuple[int, int]:
     if in_ij(s2) and not in_ij(s1):
         s1, s2 = s2, s1
     elif in_ij(s1) and in_ij(s2):
-        sd3 = _sd_members(G, 3, i, j, k)
+        sd3, _ = _sd_members(G, 3, i, j, k)
         if sd3:
             t3 = G.term_mask(sd3[0])
             if (t3 >> s1) & 1 and not (t3 >> s2) & 1:

@@ -296,9 +296,10 @@ def assert_index_layout(G):
     after them, and lifted edges 3t..3t+2 are the chain over node t."""
     LG = build_c2(G)
     lg = LG.graph
-    assert LG.strict == tuple(range(G.p))
     assert lg.names[: G.p] == G.names and lg.marked == G.marked
     assert lg.p == G.p + 2 * len(G.nodes)
+    exc = [e for t in range(len(G.nodes)) for e in exceptional_pair(LG, t)]
+    assert sorted(exc) == list(range(G.p, lg.p))
     for t, nd in enumerate(G.nodes):
         e1, e2 = exceptional_pair(LG, t)
         assert G.p <= e1 and G.p <= e2
@@ -307,8 +308,9 @@ def assert_index_layout(G):
 
 
 def mu_image_oracle(LG, mask):
-    """The contraction as a loop over the members of the lifted mask."""
-    comp = {v: m for m, v in enumerate(LG.strict)}
+    """The contraction as a loop over the members of the lifted mask; the
+    strict transform of a base component is the lifted vertex of its name."""
+    comp = {LG.graph.index(name): m for m, name in enumerate(LG.base.names)}
     img = 0
     for v in members(mask):
         if v in comp:

@@ -135,6 +135,25 @@ def test_all_suites_green_small_batch():
     assert rep.ok, rep.to_json()
 
 
+def test_run_suite_check_counts_pinned():
+    # Counts measured before the sync suites shared one per-graph point list;
+    # a point list any suite could exhaust would leave the others at 0.
+    default = run_suite(SuiteConfig(seed=1, instances=10))
+    assert default.ok
+    assert default.checks == {
+        "closure-22/23": 275, "prop-31": 615, "thm-24-oracle": 74,
+        "lemma-35": 172, "thm-36-admissibility": 5284, "lemma-61": 164,
+        "prop-62": 302, "thm-63-pairwise": 82, "thm-64-resolution": 10,
+        "qs-uniqueness": 44,
+    }
+    sync = run_suite(SuiteConfig(
+        seed=1, instances=10, max_components=8, max_extra_edges=5,
+        suites=("lemma-61", "prop-62", "thm-63-pairwise"),
+    ))
+    assert sync.ok
+    assert sync.checks == {"lemma-61": 636, "prop-62": 1218, "thm-63-pairwise": 318}
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -190,6 +209,13 @@ def test_cli_verify_small(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out
+
+
+def test_cli_verify_rejects_negative_extra_edges(capsys):
+    assert main(["verify", "--instances", "1", "--max-extra-edges", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_verify_discrepancy(capsys):

@@ -50,10 +50,19 @@ def test_lifted_dot(G1, G4):
     assert "E(loop,1)" in build_c2(G1).to_dot()
 
 
-def test_lifted_exceptional_lookup(G4):
+def test_lifted_exceptional_lookup(G1, G3, G4):
     LG = build_c2(G4)
-    with pytest.raises(PreconditionError):
-        LG.exceptional(0, 7)
+    assert (LG.exceptional(0, 0), LG.exceptional(0, 1)) == (2, 3)
+    bad = [
+        (LG, 0, 7),
+        (LG, -1, 0),  # must not wrap around to the last node
+        (LG, len(G4.nodes), 0),
+        (build_c2(G3), 0, 2),  # C3 is not a side of e12
+        (build_c2(G1), 0, 3),  # a loop has slots 1 and 2 only
+    ]
+    for lifted, node, key in bad:
+        with pytest.raises(PreconditionError):
+            lifted.exceptional(node, key)
 
 
 def test_generator_bounds_validation():
@@ -182,13 +191,16 @@ _PLAN_MATCH = [["C1", "C1"], ["C2", "C2"]]
     {"pair": _PLAN_PAIR, "match": 5},
     {"pair": _PLAN_PAIR, "match": ["C1C1", "C2C2"]},
     {"pair": 7, "match": _PLAN_MATCH},
+    # a whole plan: one pair named twice, in either order
+    [{"pair": _PLAN_PAIR, "match": _PLAN_MATCH},
+     {"pair": ["b", "a"], "match": [["C1", "C2"], ["C2", "C1"]]}],
 ])
 def test_cli_resolve_plan_rejects_wrong_types(entry, tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps([{"pair": _PLAN_PAIR, "match": _PLAN_MATCH}]))
     assert main(["resolve", "G2", "--plan", str(path)]) == 0
     capsys.readouterr()
-    path.write_text(json.dumps([entry]))
+    path.write_text(json.dumps(entry if isinstance(entry, list) else [entry]))
     assert main(["resolve", "G2", "--plan", str(path)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()

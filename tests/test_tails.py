@@ -210,7 +210,8 @@ def hat_anchors(G):
     """The anchors the point layers grow families from on the subdivision:
     each exceptional vertex (level 1) and each distinguished point's pair."""
     LG = build_c2(G)
-    singles = set(LG._exc.values())
+    singles = {LG.exceptional(t, key) for t, nd in enumerate(G.nodes)
+               for key in ((1, 2) if nd.is_loop else (nd.a, nd.b))}
     pairs = set()
     for r1, r2 in combinations(G.reducible_nodes(), 2):
         for ch in pair_matchings(G, r1, r2):
