@@ -169,7 +169,7 @@ class PointVerdict:
 
 @per_graph
 def is_quasistable_point(
-    G: CurveGraph, point: DistinguishedPoint, profile: str = RECONSTRUCTED
+    G: CurveGraph, point: DistinguishedPoint, profile: str
 ) -> PointVerdict:
     """Whether at most one of the two nodes is terminal across each condition
     pair's level-2 and level-3 families.
@@ -519,12 +519,6 @@ class MinimalityReport:
     minimal_plan: BlowupPlan | None
     phi_t: BlowupPlan
     phi_t_minimal: bool
-
-    def forced_pairs(self):
-        return tuple(p for p, kind, _ in self.classification if kind == FORCED_PAIR)
-
-    def blocked_pairs(self):
-        return tuple(p for p, kind, _ in self.classification if kind == BLOCKED_PAIR)
 
     def describe(self, G: CurveGraph) -> dict:
         return {

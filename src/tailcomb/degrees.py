@@ -22,9 +22,6 @@ from .errors import (
 from .graph import CurveGraph, members, per_graph
 from .tails import joining_nodes_mask, tail_family
 
-Multidegree = tuple  # integer per component, indexed like G.names
-
-
 def multidegree(G: CurveGraph, data) -> tuple[int, ...]:
     """A multidegree from a mapping {component name: int} or a sequence.
 

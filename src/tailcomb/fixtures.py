@@ -8,12 +8,14 @@ component is C1 throughout.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .graph import CurveGraph, Node
 
-_CACHE: dict[str, CurveGraph] = {}
 
-
-def _build(name: str) -> CurveGraph:
+@cache
+def fixture(name: str) -> CurveGraph:
+    """Return the named fixture graph (instances are shared and immutable)."""
     if name == "G1":
         return CurveGraph(["C1"], [Node("loop", 0, 0)], 0)
     if name == "G2":
@@ -27,13 +29,6 @@ def _build(name: str) -> CurveGraph:
     if name == "G4":
         return CurveGraph(["C1", "C2"], [Node("e", 0, 1)], 0)
     raise KeyError(f"unknown fixture {name!r}")
-
-
-def fixture(name: str) -> CurveGraph:
-    """Return the named fixture graph (instances are shared and immutable)."""
-    if name not in _CACHE:
-        _CACHE[name] = _build(name)
-    return _CACHE[name]
 
 
 FIXTURE_NAMES = ("G1", "G2", "G3", "G4")

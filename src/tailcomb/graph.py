@@ -27,13 +27,6 @@ TERMINAL = "terminal"
 FREE = "free"
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def members(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -59,8 +52,14 @@ def canon_key(mask: int):
 def per_graph(fn):
     """Memoize fn(G, *args) in G's memo under the key (fn, *args).
 
-    A call that raises stores nothing, so errors are never cached.
+    The key is the positional arguments, so fn may have no defaults (a
+    defaulted and an explicit argument would be two entries) and is called
+    without keywords.  A call that raises stores nothing, so errors are
+    never cached.
     """
+    if fn.__defaults__ or fn.__kwdefaults__:
+        raise TypeError(f"per_graph cannot memoize {fn.__qualname__}: "
+                        "it has default arguments")
 
     @wraps(fn)
     def cached(G, *args):
@@ -254,9 +253,6 @@ class CurveGraph:
                     t |= 1 << i
             self._term[mask] = t
         return t
-
-    def terminal_set(self, mask: int) -> tuple[str, ...]:
-        return self.node_ids(self.term_mask(mask))
 
     def k(self, mask: int) -> int:
         return self.term_mask(mask).bit_count()

@@ -257,16 +257,6 @@ class SyncReport:
     def synchronized(self) -> bool:
         return all(l.ok for l in self.levels)
 
-    def level_ok(self, s: int) -> bool:
-        """Per-level verdict; level 1 always holds (`one_tail_diagnostic`
-        checks its structure, which is not a synchronization condition)."""
-        if s == 1:
-            return True
-        for l in self.levels:
-            if l.level == s:
-                return l.ok
-        raise PreconditionError(f"level must be 1, 2 or 3, got {s}")
-
     def describe(self, G: CurveGraph) -> dict:
         return {
             "point": self.point.describe(G),

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from itertools import combinations, combinations_with_replacement
+from dataclasses import asdict, dataclass
+from itertools import combinations, combinations_with_replacement, repeat
 
 from . import blowup as bw
 from . import degrees as dg
@@ -420,8 +420,8 @@ class SuiteConfig:
 @dataclass
 class VerificationReport:
     config: SuiteConfig
-    checks: dict = field(default_factory=dict)
-    violations: dict = field(default_factory=dict)
+    checks: dict  # suite name -> number of checks
+    violations: dict  # suite name -> list of reproducers
     wall_time: float = 0.0
 
     @property
@@ -467,15 +467,14 @@ def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):
     ]
 
 
-def _run_instance(args):
-    cfg_dict, index = args
-    cfg = SuiteConfig(**cfg_dict)
-    G = instance_graph(
-        cfg.seed, index, cfg.max_components, cfg.max_extra_edges, cfg.allow_loops
-    )
-    return index, {
-        name: _check(G, name, cfg.seed, index, cfg.profile) for name in cfg.suites
-    }
+def _run_instance(cfg: SuiteConfig, index: int, G: CurveGraph | None):
+    """Every selected suite on one graph: G, or else instance `index` of the
+    seeded stream (drawn here, so a pool worker draws its own)."""
+    if G is None:
+        G = instance_graph(
+            cfg.seed, index, cfg.max_components, cfg.max_extra_edges, cfg.allow_loops
+        )
+    return {name: _check(G, name, cfg.seed, index, cfg.profile) for name in cfg.suites}
 
 
 def _jsonable(obj):
@@ -486,26 +485,32 @@ def _jsonable(obj):
         return repr(obj)
 
 
-def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Run the selected suites over the seeded instance stream."""
+def _run(config: SuiteConfig, work: list) -> VerificationReport:
+    """The report of the selected suites on each (index, graph) of work; a
+    graph of None is drawn from the seeded stream.  The pool, when
+    config.jobs asks for one, never starts more workers than there are
+    instances."""
     start = time.monotonic()
-    report = VerificationReport(config)
-    for s in config.suites:
-        report.checks[s] = 0
-        report.violations[s] = []
-    cfg_dict = asdict(config)
-    work = [(cfg_dict, i) for i in range(config.instances)]
-    if config.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = sorted(pool.map(_run_instance, work), key=lambda r: r[0])
+    report = VerificationReport(config, {s: 0 for s in config.suites},
+                                {s: [] for s in config.suites})
+    jobs = min(config.jobs, len(work))
+    if jobs > 1:
+        indices, graphs = zip(*work)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_instance, repeat(config), indices, graphs))
     else:
-        results = [_run_instance(w) for w in work]
-    for _, per_suite in results:
+        results = [_run_instance(config, i, G) for i, G in work]
+    for per_suite in results:
         for name, (checks, bad) in per_suite.items():
             report.checks[name] += checks
             report.violations[name].extend(bad)
     report.wall_time = time.monotonic() - start
     return report
+
+
+def run_suite(config: SuiteConfig) -> VerificationReport:
+    """Run the selected suites over the seeded instance stream."""
+    return _run(config, [(i, None) for i in range(config.instances)])
 
 
 def replay(dump: dict) -> VerificationReport:
@@ -521,17 +526,11 @@ def replay(dump: dict) -> VerificationReport:
     if not isinstance(name, str) or name not in SUITES:
         raise PreconditionError(f"dump references unknown suite {name!r}")
     G = validate(dump.get("graph"))
-    profile = dump.get("profile", bw.RECONSTRUCTED)
     seed = _dump_int(dump, "seed", 1)
     index = _dump_int(dump, "instance", 0)
-    cfg = SuiteConfig(seed=seed, instances=1, profile=profile, suites=(name,))
-    report = VerificationReport(cfg)
-    start = time.monotonic()
-    report.checks[name], report.violations[name] = _check(
-        G, name, cfg.seed, index, profile
-    )
-    report.wall_time = time.monotonic() - start
-    return report
+    cfg = SuiteConfig(seed=seed, instances=1, suites=(name,),
+                      profile=dump.get("profile", bw.RECONSTRUCTED))
+    return _run(cfg, [(index, G)])
 
 
 def _dump_int(dump: dict, key: str, default: int) -> int:

@@ -25,12 +25,6 @@ class NestedFamily:
     anchors: int
     members: tuple[int, ...]
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
 
 @per_graph
 def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:

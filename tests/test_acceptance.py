@@ -73,7 +73,9 @@ def test_criterion_02_resolution_fixtures(G3):
     failing = [(G3.nodes[p.r1].id, G3.nodes[p.r2].id) for p in empty.failing_pairs()]
     ok = ok and not empty.resolved and failing == [("e12", "e13")]
     probe = minimality_probe(G3)
-    ok = ok and probe.forced_pairs() == ((0, 1),)
+    ok = ok and [
+        (p, kind) for p, kind, _ in probe.classification if kind != "free"
+    ] == [((0, 1), "forced")]
     ok = ok and probe.minimal_plan == phi_s
     ok = ok and not probe.phi_t_minimal
     dt = time.monotonic() - t0
@@ -193,11 +195,11 @@ def test_criterion_09_banana_end_to_end(G2):
     ok = True
     for pt in distinguished_points(G2, aligned):
         rep = is_synchronized(G2, pt)
-        ok = ok and is_quasistable_point(G2, pt).ok and rep.synchronized
+        ok = ok and is_quasistable_point(G2, pt, RECONSTRUCTED).ok and rep.synchronized
     for pt in distinguished_points(G2, crossed):
         rep = is_synchronized(G2, pt)
-        ok = ok and not is_quasistable_point(G2, pt).ok
-        ok = ok and not rep.level_ok(2)
+        ok = ok and not is_quasistable_point(G2, pt, RECONSTRUCTED).ok
+        ok = ok and not {l.level: l.ok for l in rep.levels}[2]
     ok = ok and dg.quasistable_representative(G2, (2, -2), 3) == ((0, 1), (0, 0))
     dt = time.monotonic() - t0
     record(9, "banana fixture end to end", ok, f"({dt:.3f}s)")

@@ -122,10 +122,34 @@ def test_point_verdicts_memoized_per_point_and_profile(G2):
     ]
 
 
+def test_point_verdict_profile_is_positional_and_required(G2):
+    # the memo keys on positional arguments, so a defaulted profile and an
+    # explicit one would be two entries: the profile has no default
+    pt = distinguished_points(G2, make_choice(G2, 0, 1, [(1, 1), (0, 0)]))[0]
+    with pytest.raises(TypeError):
+        is_quasistable_point(G2, pt)
+    with pytest.raises(TypeError):
+        is_quasistable_point(G2, pt, profile=RECONSTRUCTED)
+
+
+def test_per_graph_rejects_default_arguments():
+    from tailcomb.graph import per_graph
+
+    def with_default(G, profile=RECONSTRUCTED):
+        return profile
+
+    def with_keyword_default(G, *, profile=RECONSTRUCTED):
+        return profile
+
+    for fn in (with_default, with_keyword_default):
+        with pytest.raises(TypeError, match="default arguments"):
+            per_graph(fn)
+
+
 def test_qs_point_g3_crossed(G3):
     ch = make_choice(G3, 0, 1, [(1, 0), (0, 2)])  # {(C2,C1),(C1,C3)}
     for pt in distinguished_points(G3, ch):
-        assert not is_quasistable_point(G3, pt).ok
+        assert not is_quasistable_point(G3, pt, RECONSTRUCTED).ok
 
 
 # -- plan from tails ---------------------------------------------------------------
@@ -397,8 +421,9 @@ def test_resolution_no_pairs(G1, G4):
 
 def test_minimality_g3(G3):
     rep = minimality_probe(G3)
-    assert rep.forced_pairs() == ((0, 1),)
-    assert rep.blocked_pairs() == ()
+    assert [(p, kind) for p, kind, _ in rep.classification if kind != "free"] == [
+        ((0, 1), "forced")
+    ]
     phi_s = BlowupPlan()
     phi_s.set(make_choice(G3, 0, 1, [(1, 2), (0, 0)]))
     assert rep.minimal_plan == phi_s
@@ -407,7 +432,7 @@ def test_minimality_g3(G3):
 
 def test_minimality_banana(G2):
     rep = minimality_probe(G2)
-    assert rep.forced_pairs() == ((0, 1),)
+    assert [(p, kind) for p, kind, _ in rep.classification] == [((0, 1), "forced")]
     ch = rep.minimal_plan.get(0, 1)
     assert pairs_of(G2, ch.matching) == [("C1", "C1"), ("C2", "C2")]
     assert rep.phi_t_minimal  # the single forced pair carries the same choice
@@ -424,7 +449,8 @@ def test_no_blocked_pairs_reconstructed_fuzz():
 
     for i in range(30):
         G = instance_graph(31, i, 5, 3, True)
-        assert minimality_probe(G, RECONSTRUCTED).blocked_pairs() == ()
+        rep = minimality_probe(G, RECONSTRUCTED)
+        assert all(kind != "blocked" for _, kind, _ in rep.classification)
 
 
 def test_matching_points_share_condition_pairs_fuzz():
@@ -443,6 +469,6 @@ def test_matching_points_share_condition_pairs_fuzz():
                     condition_pairs(a2, RECONSTRUCTED)
                 )
                 assert (
-                    is_quasistable_point(G, a1).ok
-                    == is_quasistable_point(G, a2).ok
+                    is_quasistable_point(G, a1, RECONSTRUCTED).ok
+                    == is_quasistable_point(G, a2, RECONSTRUCTED).ok
                 )

@@ -86,16 +86,16 @@ def test_dot_export(G2):
 
 
 def test_terminal_set_examples(G3):
-    assert set(G3.terminal_set(sc(G3, "C2", "C3"))) == {"e12", "e13"}
+    assert set(G3.node_ids(G3.term_mask(sc(G3, "C2", "C3")))) == {"e12", "e13"}
     assert G3.k(sc(G3, "C2", "C3")) == 2
-    assert set(G3.terminal_set(sc(G3, "C2"))) == {"e12", "f", "g"}
+    assert set(G3.node_ids(G3.term_mask(sc(G3, "C2")))) == {"e12", "f", "g"}
     assert G3.k(sc(G3, "C2")) == 3
-    assert G3.terminal_set(G3.full_mask) == ()
-    assert G3.terminal_set(0) == ()
+    assert G3.term_mask(G3.full_mask) == 0
+    assert G3.term_mask(0) == 0
 
 
 def test_loops_never_terminal(G1):
-    assert G1.terminal_set(G1.full_mask) == ()
+    assert G1.term_mask(G1.full_mask) == 0
     assert G1.k(0) == 0
 
 

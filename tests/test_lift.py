@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from tailcomb.blowup import (
+    RECONSTRUCTED,
     distinguished_points,
     is_quasistable_point,
     make_choice,
@@ -138,18 +139,17 @@ def test_sync_banana(G2):
     for pt in distinguished_points(G2, aligned):
         rep = is_synchronized(G2, pt)
         assert rep.synchronized
-        assert rep.level_ok(1) and rep.level_ok(2) and rep.level_ok(3)
+        assert {l.level: l.ok for l in rep.levels} == {2: True, 3: True}
     for pt in distinguished_points(G2, crossed):
         rep = is_synchronized(G2, pt)
         assert not rep.synchronized
-        assert not rep.level_ok(2)
-        assert rep.level_ok(3)
+        assert {l.level: l.ok for l in rep.levels} == {2: False, 3: True}
 
 
 def test_sync_g3_aligned_pair(G3):
     ch = make_choice(G3, 0, 1, [(1, 2), (0, 0)])
     for pt in distinguished_points(G3, ch):
-        assert is_quasistable_point(G3, pt).ok
+        assert is_quasistable_point(G3, pt, RECONSTRUCTED).ok
         assert is_synchronized(G3, pt).synchronized
 
 
@@ -162,7 +162,9 @@ def test_thm63_pairwise_on_fixtures(G2, G3):
 
                 for ch in pair_matchings(G, red[i], red[j]):
                     pts = distinguished_points(G, ch)
-                    qs = all(is_quasistable_point(G, p).ok for p in pts)
+                    qs = all(
+                        is_quasistable_point(G, p, RECONSTRUCTED).ok for p in pts
+                    )
                     sy = all(is_synchronized(G, p).synchronized for p in pts)
                     assert qs == sy
 

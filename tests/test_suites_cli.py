@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tailcomb import degrees, suites
 from tailcomb.cli import main
+from tailcomb.errors import RepresentativeNotFound
 from tailcomb.fixtures import fixture
 from tailcomb.randgen import child_rng, instance_graph, random_graph
 from tailcomb.suites import (
@@ -218,13 +220,67 @@ def test_cli_verify_rejects_negative_extra_edges(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_cli_verify_discrepancy(capsys):
+def test_cli_verify_discrepancy(capsys, G2):
     assert main(["verify", "--discrepancy"]) == 0
-    assert "True" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "as-displayed discrepancy demonstrated on the banana fixture: True\n"
+    )
     assert main(["verify", "--discrepancy", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["discrepancy_demonstrated"] is True
     assert data["suites"]["thm-64-resolution"]["checks"] == 1
+    # the report is the replay's: one instance, its violation and reproducer
+    assert data["config"]["instances"] == 1 and data["ok"] is False
+    (bad,) = data["suites"]["thm-64-resolution"]["violations"]
+    assert bad["graph"] == G2.to_spec() and bad["profile"] == "as-displayed"
+    assert bad["context"]["failing_pairs"] == [["a", "b"]]
+    del data["discrepancy_demonstrated"], data["wall_time_s"]
+    assert data == json.loads(replay(bad).to_json(include_timing=False))
+
+
+def test_cli_verify_jobs_pool_sized_by_instances(monkeypatch, capsys):
+    # the fake pool maps in this process: no worker process is ever started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    argv = ["verify", "--instances", "2", "--suite", "prop-31", "--json"]
+    assert main(argv) == 0
+    serial = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--jobs", "5000"]) == 0
+    pooled = json.loads(capsys.readouterr().out)
+    assert sizes == [2]
+    assert pooled["suites"] == serial["suites"]
+    assert main(argv[:2] + ["1"] + argv[3:] + ["--jobs", "5000"]) == 0
+    assert sizes == [2]
+
+
+def test_cli_twister_oracle_error_is_a_disagreement(monkeypatch, capsys):
+    def not_found(G, d0, bound=None):
+        raise RepresentativeNotFound("box exhausted")
+
+    monkeypatch.setattr(degrees, "quasistable_representative", not_found)
+    assert main(["twister", "G4", "--oracle"]) == 1
+    out, err = capsys.readouterr()
+    *pairs, verdict = out.splitlines()
+    assert [line.split(" = ")[0] for line in pairs] == [
+        "alpha[C1,C1]", "alpha[C1,C2]", "alpha[C2,C2]"
+    ]
+    assert all(line.endswith(")  ORACLE DISAGREES: box exhausted") for line in pairs)
+    assert verdict == "oracle agreement: DISAGREE"
+    assert err.startswith("invariant violation: ")
 
 
 def test_cli_verify_replay(tmp_path, capsys, G2):

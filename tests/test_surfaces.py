@@ -3,13 +3,15 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 from tailcomb import cli
 from tailcomb.cli import build_parser, main
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import mask_of, members
+from tailcomb.graph import members
 from tailcomb.lift import build_c2
 from tailcomb.tails import nested, tail_family
 
@@ -17,7 +19,6 @@ from conftest import sc
 
 
 def test_mask_helpers():
-    assert mask_of([0, 2]) == 0b101
     assert members(0b101) == (0, 2)
     assert members(0) == ()
 
@@ -29,8 +30,7 @@ def test_graph_repr(G2):
 
 def test_nested_family_protocol(G3):
     fam = nested(G3, 2, sc(G3, "C2", "C3"))
-    assert len(fam) == 1
-    assert list(fam) == [sc(G3, "C2", "C3")]
+    assert fam.members == (sc(G3, "C2", "C3"),)
 
 
 def test_nested_anchor_range(G3):
@@ -243,3 +243,78 @@ def test_cli_parser_built_once_behaves_like_fresh(monkeypatch):
     assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2, 2, 0,
                                                 0, 0, 1, 0, 0, 0]
     assert "usage: tailcomb" in cached[8][1]
+
+
+def test_cli_tails_k_zero_is_named(capsys):
+    assert main(["tails", "G3", "--k", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" tail(s) with k=0")
+
+
+# -- the CLI error contract: exit 2, one error line, nothing on stdout -----------
+
+_NOT_UTF8 = b'{"components": ["C\xff"]}'
+_TOO_DEEP = "[" * 200_000
+
+
+def _assert_usage_error(argv):
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["qs-reduce", "G2", '{"C1": 6, "C2": -6}', "--bound", "1"],
+    ["qs-reduce", "G4", '{"C1": 600, "C2": -600}'],
+])
+def test_cli_qs_reduce_without_representative(argv):
+    _assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode()],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "PATH"],
+    ["resolve", "G2", "--plan", "PATH"],
+    ["verify", "--replay", "PATH"],
+    ["qs-check", "G2", "PATH"],
+], ids=["graph", "plan", "dump", "multidegree"])
+def test_cli_json_files_malformed_below_json(argv, content, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    _assert_usage_error([str(path) if a == "PATH" else a for a in argv])
+
+
+def test_cli_multidegree_text_too_deep():
+    _assert_usage_error(["qs-check", "G2", _TOO_DEEP])
+
+
+# -- the public surface -------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_top_level_exports_what_the_readme_uses():
+    import tailcomb
+
+    public = {name for name, value in vars(tailcomb).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == {
+        "fixture", "nested", "twister", "quasistable_representative",
+        "plan_from_tails", "decide_resolution", "CurveGraph", "load", "validate",
+        "GraphError", "InvariantViolation", "MultipleRepresentatives",
+        "PreconditionError", "RepresentativeNotFound",
+    }
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, scope)
+    G = scope["G"]
+    assert out.getvalue() == "True\n"
+    assert [set(G.names_of(w)) for w in scope["family"].members] == [{"C2", "C3"}]
+    assert scope["alpha"] == (0, 1, 1)
+    assert (scope["c"], scope["d"]) == ((0, 1, 1), (0, 0, 0))

@@ -20,8 +20,8 @@ def fam_sets(G, fam):
 
 
 def test_nested_examples(G3, G4):
-    assert fam_sets(G3, nested(G3, 2, sc(G3, "C2", "C3"))) == [{"C2", "C3"}]
-    assert fam_sets(G4, nested(G4, 1, sc(G4, "C2"))) == [{"C2"}]
+    assert fam_sets(G3, nested(G3, 2, sc(G3, "C2", "C3")).members) == [{"C2", "C3"}]
+    assert fam_sets(G4, nested(G4, 1, sc(G4, "C2")).members) == [{"C2"}]
     assert nested(G4, 1, sc(G4, "C1")).members == ()  # marked anchor
     assert nested(G3, 3, sc(G3, "C2")).members == ()  # blocked by the 2-family
 
