@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import wraps
 from typing import Iterable
 
-from .errors import GraphError
+from .errors import GraphError, PreconditionError
 
 PRECEDES = "precedes"
 TERMINAL = "terminal"
@@ -413,9 +413,24 @@ def validate(data: dict) -> CurveGraph:
     return CurveGraph(names, nodes, index[marked_name])
 
 
+def read_json(arg: str, inline: bool = False):
+    """The JSON value of the file at path arg, or of arg itself when inline:
+    the one reader of every JSON input (graph, plan, dump, multidegree).
+    Bytes that are not UTF-8 and nesting too deep for the parser raise
+    PreconditionError."""
+    try:
+        if not inline:
+            with open(arg, "r", encoding="utf-8") as fh:
+                arg = fh.read()
+        return json.loads(arg)
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"input is not UTF-8: {exc}") from None
+    except RecursionError:
+        raise PreconditionError("input JSON is nested too deeply") from None
+
+
 def load(path: str) -> CurveGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate(json.load(fh))
+    return validate(read_json(path))
 
 
 def relate(G: CurveGraph, Z: int, Zp: int) -> PairRelation:

@@ -238,6 +238,39 @@ def test_cli_verify_discrepancy(capsys, G2):
     assert data == json.loads(replay(bad).to_json(include_timing=False))
 
 
+def test_cli_verify_discrepancy_needs_the_resolution_failure(monkeypatch, capsys):
+    # a crash inside the suite is a violation too, but not the demonstration
+    def crash(G, rng, profile):
+        raise TypeError("broken plan")
+
+    monkeypatch.setitem(SUITES, "thm-64-resolution", crash)
+    assert main(["verify", "--discrepancy"]) == 1
+    assert capsys.readouterr().out.endswith(" banana fixture: False\n")
+    assert main(["verify", "--discrepancy", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["discrepancy_demonstrated"] is False and data["ok"] is False
+
+
+_FAILING_RUN = ["verify", "--instances", "3", "--suite", "thm-64-resolution",
+                "--profile", "as-displayed"]
+
+
+def test_cli_verify_dump_written_under_json(tmp_path, capsys):
+    text, js = tmp_path / "text.json", tmp_path / "json.json"
+    assert main(_FAILING_RUN + ["--dump", str(text)]) == 1
+    assert capsys.readouterr().out.endswith(f"written to {text}\n")
+    assert main(_FAILING_RUN + ["--json", "--dump", str(js)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    assert js.read_text() == text.read_text()
+    assert replay(json.loads(js.read_text())).ok is False
+
+
+def test_cli_verify_unwritable_dump_prints_nothing(tmp_path, capsys):
+    assert main(_FAILING_RUN + ["--dump", str(tmp_path / "no" / "d.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_verify_jobs_pool_sized_by_instances(monkeypatch, capsys):
     # the fake pool maps in this process: no worker process is ever started
     sizes = []

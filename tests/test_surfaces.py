@@ -11,7 +11,7 @@ import pytest
 from tailcomb import cli
 from tailcomb.cli import build_parser, main
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import members
+from tailcomb.graph import load, members
 from tailcomb.lift import build_c2
 from tailcomb.tails import nested, tail_family
 
@@ -286,6 +286,19 @@ def test_cli_json_files_malformed_below_json(argv, content, tmp_path):
 
 def test_cli_multidegree_text_too_deep():
     _assert_usage_error(["qs-check", "G2", _TOO_DEEP])
+
+
+def test_cli_tails_negative_k():
+    _assert_usage_error(["tails", "G3", "--k", "-1"])
+
+
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode()],
+                         ids=["not-utf8", "too-deep"])
+def test_load_malformed_below_json(content, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_bytes(content)
+    with pytest.raises(PreconditionError):
+        load(str(path))
 
 
 # -- the public surface -------------------------------------------------------------
