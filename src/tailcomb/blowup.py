@@ -343,8 +343,8 @@ def admissibility_check(
     divisor pairs are treated as intersecting); for r1 == r2 the diagonal
     pairing of the node's two sides is forced.  Instances of (18), (23) and
     (24) whose divisor pairs do not intersect are not emitted.  Every value
-    is a difference of two `degrees.delta` terms, read directly off the
-    twister table's rows.
+    is a difference of two coefficient differences alpha_m - alpha_n, read
+    directly off the twister table's rows.
     """
     diagonal = r1 == r2
     if diagonal:

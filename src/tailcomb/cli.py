@@ -176,7 +176,7 @@ def cmd_qs_reduce(args):
 
 def cmd_plan(args):
     G = _graph(args.graph)
-    plan = bw.plan_from_tails(G) if args.from_tails else bw.BlowupPlan()
+    plan = bw.BlowupPlan() if args.empty else bw.plan_from_tails(G)
     _emit(args, {"plan": plan.to_spec(G)},
           [json.dumps(plan.to_spec(G), sort_keys=True, indent=2)])
     return 0
@@ -357,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("plan", cmd_plan, help="emit a blowup plan")
     sp.add_argument("graph")
-    sp.add_argument("--from-tails", action="store_true", default=True)
-    sp.add_argument("--empty", dest="from_tails", action="store_false")
+    sp.add_argument("--empty", action="store_true", help="the plan with no pairs")
 
     sp = add("resolve", cmd_resolve, help="test whether a plan resolves")
     sp.add_argument("graph")

@@ -249,11 +249,12 @@ class TwisterTable:
 
 @per_graph
 def twister(G: CurveGraph) -> TwisterTable:
-    """The twister table, with the terminal-count identity behind `delta`.
+    """The twister table, with the terminal-count identity of its rows.
 
     For every pair and node, +1 per family tail with the node terminal that
     contains its first end, -1 per one containing its second end, must sum
-    to the coefficient difference of the two ends (0 = 0 for a loop).
+    to the coefficient difference of the two ends, alpha_m - alpha_n (0 = 0
+    for a loop).
     """
     table = {}
     for g1, g2 in combinations_with_replacement(range(G.p), 2):
@@ -268,7 +269,7 @@ def twister(G: CurveGraph) -> TwisterTable:
         for t, nd in enumerate(G.nodes):
             if signed[t] != al[nd.a] - al[nd.b]:
                 raise InvariantViolation(
-                    "terminal-count identity for delta failed",
+                    "terminal-count identity of the twister row failed",
                     pair=(G.names[g1], G.names[g2]),
                     node=nd.id,
                     m=G.names[nd.a],
@@ -288,16 +289,6 @@ def abel_multidegree(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
     d[g1] -= 1
     d[g2] -= 1
     return tuple(d)
-
-
-def delta(G: CurveGraph, g1: int, g2: int, m: int, n: int) -> int:
-    """Difference of twister coefficients, alpha_m - alpha_n.
-
-    For m and n joined by a node it equals the signed terminal count that
-    `twister` checks when it builds the table.
-    """
-    al = twister(G).alpha[(g1, g2)]
-    return al[m] - al[n]
 
 
 def lemma35_difference(G: CurveGraph, i: int, j: int, k: int) -> int:

@@ -6,10 +6,10 @@ integer bitmasks over the component indices, so every set operation is exact,
 hashable and cheap.  All values are immutable after construction.  Derived
 data (tails, nested families, the twister table, the node subdivision) is
 computed once per graph by functions decorated with `per_graph`, which keep
-it in the graph's single memo; terminal masks, the hottest lookup, have their
-own int-keyed table.  Tails come from rooted growth of connected vertex sets;
-a graph with a closed form for its s-tails, s <= 3, supplies it through
-`_derived_k_tails` (the node subdivision does), while `tails()` and
+it, terminal masks included, in the graph's single memo: the only store
+written after construction.  Tails come from rooted growth of connected
+vertex sets; a graph with a closed form for its s-tails, s <= 3, supplies it
+through `_derived_k_tails` (the node subdivision does), while `tails()` and
 `k_tails(k > 3)` always enumerate.
 """
 
@@ -21,11 +21,6 @@ from functools import wraps
 from typing import Iterable
 
 from .errors import GraphError, PreconditionError
-
-PRECEDES = "precedes"
-TERMINAL = "terminal"
-FREE = "free"
-
 
 def members(mask: int) -> tuple[int, ...]:
     out = []
@@ -90,28 +85,6 @@ class Node:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class PairRelation:
-    """Relation of a subcurve pair: exactly one of precedes/terminal/free,
-    plus the independent perfection flag."""
-
-    kind: str
-    perfect: bool
-
-    @property
-    def precedes(self) -> bool:
-        return self.kind == PRECEDES
-
-    @property
-    def terminal(self) -> bool:
-        return self.kind == TERMINAL
-
-    @property
-    def free(self) -> bool:
-        # Free means the terminal sets are disjoint; preceding pairs are free.
-        return self.kind != TERMINAL
-
-
 class CurveGraph:
     """Connected multigraph with ordered components and a marked component."""
 
@@ -123,9 +96,8 @@ class CurveGraph:
         "_index",
         "_node_index",
         "_nbr",
-        "_term",
-        "_memo",
         "_hash",
+        "_memo",
     )
 
     def __init__(self, names: Iterable[str], nodes: Iterable[Node], marked: int):
@@ -160,9 +132,8 @@ class CurveGraph:
                 nbr[nd.a] |= 1 << nd.b
                 nbr[nd.b] |= 1 << nd.a
         self._nbr = tuple(nbr)
-        self._term: dict[int, int] = {}
+        self._hash = hash((names, nodes, marked))
         self._memo: dict[tuple, object] = {}
-        self._hash = None
         if not self.connected(self.full_mask):
             raise GraphError("the multigraph is disconnected")
 
@@ -177,8 +148,6 @@ class CurveGraph:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.names, self.nodes, self.marked))
         return self._hash
 
     def __repr__(self):
@@ -239,19 +208,17 @@ class CurveGraph:
             frontier = nxt
         return seen == mask
 
+    @per_graph
     def term_mask(self, mask: int) -> int:
         """Bitmask over node indices of the terminal nodes of a subcurve.
 
         Loops never count; the full and empty subcurves have no terminal
         nodes by definition.
         """
-        t = self._term.get(mask)
-        if t is None:
-            t = 0
-            for i, nd in enumerate(self.nodes):
-                if ((mask >> nd.a) & 1) != ((mask >> nd.b) & 1):
-                    t |= 1 << i
-            self._term[mask] = t
+        t = 0
+        for i, nd in enumerate(self.nodes):
+            if ((mask >> nd.a) & 1) != ((mask >> nd.b) & 1):
+                t |= 1 << i
         return t
 
     def k(self, mask: int) -> int:
@@ -349,13 +316,22 @@ class CurveGraph:
         lines = ["graph curve {"]
         for i, nm in enumerate(self.names):
             shape = "doublecircle" if i == self.marked else "circle"
-            lines.append(f'  "{nm}" [shape={shape}];')
-        for nd in self.nodes:
-            lines.append(
-                f'  "{self.names[nd.a]}" -- "{self.names[nd.b]}" [label="{nd.id}"];'
-            )
+            lines.append(f"  {dot_quote(nm)} [shape={shape}];")
+        lines += dot_edges(self)
         lines.append("}")
         return "\n".join(lines)
+
+
+def dot_quote(name: str) -> str:
+    """A name as a DOT quoted string, with backslash and double quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dot_edges(G: CurveGraph) -> list[str]:
+    """One DOT edge line per node, labelled with the node id."""
+    q = dot_quote
+    return [f"  {q(G.names[nd.a])} -- {q(G.names[nd.b])} [label={q(nd.id)}];"
+            for nd in G.nodes]
 
 
 def _string(value, what: str) -> str:
@@ -413,16 +389,27 @@ def validate(data: dict) -> CurveGraph:
     return CurveGraph(names, nodes, index[marked_name])
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key is an error,
+    never a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise PreconditionError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(arg: str, inline: bool = False):
     """The JSON value of the file at path arg, or of arg itself when inline:
     the one reader of every JSON input (graph, plan, dump, multidegree).
-    Bytes that are not UTF-8 and nesting too deep for the parser raise
-    PreconditionError."""
+    Bytes that are not UTF-8, nesting too deep for the parser and an object
+    that repeats a key raise PreconditionError."""
     try:
         if not inline:
             with open(arg, "r", encoding="utf-8") as fh:
                 arg = fh.read()
-        return json.loads(arg)
+        return json.loads(arg, object_pairs_hook=_json_object)
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"input is not UTF-8: {exc}") from None
     except RecursionError:
@@ -433,30 +420,6 @@ def load(path: str) -> CurveGraph:
     return validate(read_json(path))
 
 
-def relate(G: CurveGraph, Z: int, Zp: int) -> PairRelation:
-    """Compare two subcurves: precedes / terminal / free, plus perfection."""
-    if G.term_mask(Z) & G.term_mask(Zp):
-        kind = TERMINAL
-    elif Z != Zp and Z & Zp == Z:
-        kind = PRECEDES
-    else:
-        kind = FREE
-    zc = G.full_mask ^ Z
-    perfect = (
-        Z | Zp == Zp
-        or Zp | Z == Z
-        or zc | Zp == Zp
-        or Zp | zc == zc
-    )
-    return PairRelation(kind, perfect)
-
-
 def precedes(G: CurveGraph, Z: int, Zp: int) -> bool:
     """Fast strict-containment-with-disjoint-terminals test (Z before Zp)."""
     return Z != Zp and Z & Zp == Z and not (G.term_mask(Z) & G.term_mask(Zp))
-
-
-def node_on(G: CurveGraph, Z: int, node: int | str) -> bool:
-    """Whether a node lies on the subcurve (at least one endpoint inside)."""
-    nd = G.nodes[node if isinstance(node, int) else G.node_index(node)]
-    return bool((Z >> nd.a) & 1 or (Z >> nd.b) & 1)

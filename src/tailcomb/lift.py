@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 from .blowup import DistinguishedPoint
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
+from .graph import (CurveGraph, Node, canon_key, dot_edges, dot_quote, members,
+                    per_graph, precedes)
 from .tails import NestedFamily, _candidates, nested
 
 
@@ -36,10 +37,12 @@ class LiftedGraph:
     """Subdivision of a base graph with the contraction bookkeeping.
 
     Every base node S with endpoints (u, v) becomes the chain
-    C_u -- E(S,u) -- E(S,v) -- C_v (loop sides are numbered 1 and 2); the
-    lifted graph is itself a CurveGraph marked at the strict transform of
-    the base marked component.  Its s-tails for s <= 3 are derived from the
-    base graph's rather than enumerated (index layout: module docstring).
+    C_u -- E(S,u) -- E(S,v) -- C_v (loop sides are numbered 1 and 2) with
+    edges S:u, S:mid and S:v; a generated name that repeats an earlier one
+    (a base component may be called E(S,u)) gets a suffix, #2 or higher.
+    The lifted graph is itself a CurveGraph marked at the strict transform
+    of the base marked component.  Its s-tails for s <= 3 are derived from
+    the base graph's rather than enumerated (index layout: module docstring).
     """
 
     __slots__ = ("base", "graph")
@@ -47,15 +50,15 @@ class LiftedGraph:
     def __init__(self, base: CurveGraph):
         self.base = base
         names = list(base.names)
-        edges: list[Node] = []
+        ids, ends = [], []
         for nd in base.nodes:
             labels = ("1", "2") if nd.is_loop else (names[nd.a], names[nd.b])
             e1 = len(names)  # p + 2t over node t
             names += [f"E({nd.id},{lab})" for lab in labels]
-            edges.append(Node(f"{nd.id}:{labels[0]}", nd.a, e1))
-            edges.append(Node(f"{nd.id}:mid", e1, e1 + 1))
-            edges.append(Node(f"{nd.id}:{labels[1]}", e1 + 1, nd.b))
-        self.graph = _Subdivision(names, edges, base.marked, self)
+            ids += [f"{nd.id}:{labels[0]}", f"{nd.id}:mid", f"{nd.id}:{labels[1]}"]
+            ends += [(nd.a, e1), (e1, e1 + 1), (e1 + 1, nd.b)]
+        edges = [Node(i, a, b) for i, (a, b) in zip(_distinct(ids), ends)]
+        self.graph = _Subdivision(_distinct(names), edges, base.marked, self)
 
     def exceptional(self, node: int, key: int) -> int:
         """Lifted vertex E(node, key) = p + 2 * node, plus 1 for the second
@@ -83,14 +86,32 @@ class LiftedGraph:
         lines = ["graph lifted {"]
         for i, nm in enumerate(g.names):
             if i >= self.base.p:
-                lines.append(f'  "{nm}" [shape=square, width=0.25, height=0.25];')
+                shape = "square, width=0.25, height=0.25"
             else:
                 shape = "doublecircle" if i == g.marked else "circle"
-                lines.append(f'  "{nm}" [shape={shape}];')
-        for nd in g.nodes:
-            lines.append(f'  "{g.names[nd.a]}" -- "{g.names[nd.b]}" [label="{nd.id}"];')
+            lines.append(f"  {dot_quote(nm)} [shape={shape}];")
+        lines += dot_edges(g)
         lines.append("}")
         return "\n".join(lines)
+
+
+def _distinct(names: list[str]) -> list[str]:
+    """The names with each repeat of an earlier one renamed to name#2 (or #3,
+    ...: the first suffix that no name in the list has), so a name changes
+    only where it collides."""
+    taken = set(names)
+    seen = set()
+    out = []
+    for nm in names:
+        if nm in seen:
+            i = 2
+            while f"{nm}#{i}" in taken:
+                i += 1
+            nm = f"{nm}#{i}"
+            taken.add(nm)
+        seen.add(nm)
+        out.append(nm)
+    return out
 
 
 class _Subdivision(CurveGraph):

@@ -17,7 +17,7 @@ from itertools import combinations, combinations_with_replacement, repeat
 from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, node_on, per_graph, relate, validate
+from .graph import CurveGraph, per_graph, validate
 from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
 from .tails import (_candidates, _free_k_tails, _level_families, joining_nodes_mask,
@@ -81,30 +81,43 @@ def suite_closure(G: CurveGraph, rng, profile):
                 bad.append(
                     {"check": "lemma-2.6", "anchors": _sub(G, anchors), "z": _sub(G, z)}
                 )
-    tails = G.tails()
+    checks27, bad27 = lemma27(G, G.tails())
+    return checks + checks27, bad + bad27
+
+
+def lemma27(G: CurveGraph, masks) -> tuple[int, list]:
+    """Lemma 2.7's three pair facts, one check per ordered pair of masks.
+
+    With T(z) the terminal nodes of z, on(z) the nodes with an end on z and
+    k(z) = |T(z)|: (i) T(z) inside on(z') implies z or its complement lies
+    in z'; (ii) |T(z) & T(z')| = k(z) - 1 implies the pair is perfect (z or
+    its complement is comparable with z'); (iii) k(z) >= 2 and k(z') = 1
+    imply T(z) & T(z') is empty.
+    """
     full = G.full_mask
-    for z in tails:
-        kz = G.k(z)
+    rows = []
+    for z in masks:
+        on = 0
+        for t, nd in enumerate(G.nodes):
+            if (z >> nd.a | z >> nd.b) & 1:
+                on |= 1 << t
         tz = G.term_mask(z)
-        tz_nodes = [t for t, nd in enumerate(G.nodes) if (tz >> t) & 1]
-        for zp in tails:
-            checks += 1
-            rel = relate(G, z, zp)
-            if all(node_on(G, zp, t) for t in tz_nodes):
-                if not (z & zp == z or (full ^ z) & zp == (full ^ z)):
-                    bad.append(
-                        {"check": "lemma-2.7-i", "z": _sub(G, z), "zp": _sub(G, zp)}
-                    )
-            if (tz & G.term_mask(zp)).bit_count() == kz - 1:
-                if not rel.perfect:
+        rows.append((z, full ^ z, tz, tz.bit_count(), on))
+    bad = []
+    for z, zc, tz, kz, _ in rows:
+        for zp, _, tzp, kzp, on_zp in rows:
+            if not tz & ~on_zp and z & zp != z and zc & zp != zc:
+                bad.append({"check": "lemma-2.7-i", "z": _sub(G, z), "zp": _sub(G, zp)})
+            shared = tz & tzp
+            if shared.bit_count() == kz - 1:
+                w, wc = z & zp, zc & zp
+                if w != z and w != zp and wc != zc and wc != zp:
                     bad.append(
                         {"check": "lemma-2.7-ii", "z": _sub(G, z), "zp": _sub(G, zp)}
                     )
-            if kz >= 2 and G.k(zp) == 1 and not rel.free:
-                bad.append(
-                    {"check": "lemma-2.7-iii", "z": _sub(G, z), "zp": _sub(G, zp)}
-                )
-    return checks, bad
+            if kz >= 2 and kzp == 1 and shared:
+                bad.append({"check": "lemma-2.7-iii", "z": _sub(G, z), "zp": _sub(G, zp)})
+    return len(rows) ** 2, bad
 
 
 def _ijk_triples(G):

@@ -3,6 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import strategies as st
 
+from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.fixtures import fixture
 from tailcomb.graph import CurveGraph, Node
@@ -43,6 +44,14 @@ def d_count(G, family, node_mask):
     counted once per tail however many of its terminal nodes are hit (the
     per-node oracle of `lift.eq34_level2`)."""
     return sum(1 for w in family if G.term_mask(w) & node_mask)
+
+
+def delta(G, g1, g2, m, n):
+    """Difference of twister coefficients, alpha_m - alpha_n: for m and n
+    joined by a node, the signed terminal count `twister` checks when it
+    builds the table (the oracle's unit in the admissibility tests)."""
+    al = twister(G).alpha[(g1, g2)]
+    return al[m] - al[n]
 
 
 def outcome(fn, *args):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, oracle_corpus, outcome
+from conftest import delta, graphs, oracle_corpus, outcome
 from tailcomb.blowup import (
     AS_DISPLAYED,
     RECONSTRUCTED,
@@ -22,7 +22,6 @@ from tailcomb.blowup import (
     pair_matchings,
     plan_from_tails,
 )
-from tailcomb.degrees import delta
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph
 from tailcomb.lift import is_synchronized
@@ -296,7 +295,7 @@ def test_admissibility_needs_matching(G2):
 
 def admissibility_oracle(G, r1, r2, choice=None):
     """`admissibility_check` with every value a difference of two
-    `degrees.delta` calls and the intersection gate tested per instance."""
+    `delta` calls and the intersection gate tested per instance."""
     diagonal = r1 == r2
     if diagonal:
         g1, g1p = _node_sides(G, r1)

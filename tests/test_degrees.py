@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from tailcomb.degrees import (
     abel_multidegree,
     beta2,
-    delta,
     format_half,
     is_quasistable,
     laplacian,
@@ -22,7 +21,7 @@ from tailcomb.errors import (
 from tailcomb.graph import CurveGraph
 from tailcomb.tails import tail_family
 
-from conftest import sc, tset
+from conftest import delta, sc, tset
 from test_graph import graphs
 
 

@@ -1,18 +1,18 @@
 import json
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 
 from tailcomb.degrees import twister
 from tailcomb.errors import GraphError
-from tailcomb.graph import (
-    CurveGraph, canon_key, members, node_on, precedes, relate, validate,
-)
+from tailcomb.graph import CurveGraph, canon_key, members, precedes, validate
 from tailcomb.lift import build_c2
+from tailcomb.suites import lemma27
 from tailcomb.tails import nested
 
-from conftest import graphs, sc, tset
+from conftest import graphs, oracle_corpus, sc, tset
 
 
 # -- construction and validation ----------------------------------------------
@@ -146,6 +146,115 @@ def test_is_tail(G3):
 
 
 # -- pair relations --------------------------------------------------------------
+#
+# The relation layer below is the oracle of `suites.lemma27`, which tests the
+# same three clauses of lemma 2.7 with mask arithmetic.
+
+PRECEDES = "precedes"
+TERMINAL = "terminal"
+FREE = "free"
+
+
+@dataclass(frozen=True)
+class PairRelation:
+    """Relation of a subcurve pair: exactly one of precedes/terminal/free,
+    plus the independent perfection flag."""
+
+    kind: str
+    perfect: bool
+
+    @property
+    def precedes(self) -> bool:
+        return self.kind == PRECEDES
+
+    @property
+    def terminal(self) -> bool:
+        return self.kind == TERMINAL
+
+    @property
+    def free(self) -> bool:
+        # Free means the terminal sets are disjoint; preceding pairs are free.
+        return self.kind != TERMINAL
+
+
+def relate(G, Z, Zp):
+    """Compare two subcurves: precedes / terminal / free, plus perfection."""
+    if G.term_mask(Z) & G.term_mask(Zp):
+        kind = TERMINAL
+    elif Z != Zp and Z & Zp == Z:
+        kind = PRECEDES
+    else:
+        kind = FREE
+    zc = G.full_mask ^ Z
+    perfect = (
+        Z | Zp == Zp
+        or Zp | Z == Z
+        or zc | Zp == Zp
+        or Zp | zc == zc
+    )
+    return PairRelation(kind, perfect)
+
+
+def node_on(G, Z, node):
+    """Whether a node lies on the subcurve (at least one endpoint inside)."""
+    nd = G.nodes[node if isinstance(node, int) else G.node_index(node)]
+    return bool((Z >> nd.a) & 1 or (Z >> nd.b) & 1)
+
+
+def lemma27_oracle(G, masks):
+    """Lemma 2.7 per ordered pair through `relate` and `node_on`."""
+    checks = 0
+    bad = []
+    full = G.full_mask
+    for z in masks:
+        kz = G.k(z)
+        tz = G.term_mask(z)
+        tz_nodes = [t for t, nd in enumerate(G.nodes) if (tz >> t) & 1]
+        for zp in masks:
+            checks += 1
+            rel = relate(G, z, zp)
+            if all(node_on(G, zp, t) for t in tz_nodes):
+                if not (z & zp == z or (full ^ z) & zp == (full ^ z)):
+                    bad.append({"check": "lemma-2.7-i", "z": list(G.names_of(z)),
+                                "zp": list(G.names_of(zp))})
+            if (tz & G.term_mask(zp)).bit_count() == kz - 1:
+                if not rel.perfect:
+                    bad.append({"check": "lemma-2.7-ii", "z": list(G.names_of(z)),
+                                "zp": list(G.names_of(zp))})
+            if kz >= 2 and G.k(zp) == 1 and not rel.free:
+                bad.append({"check": "lemma-2.7-iii", "z": list(G.names_of(z)),
+                            "zp": list(G.names_of(zp))})
+    return checks, bad
+
+
+def assert_lemma27_matches_oracle(G):
+    """On every ordered pair of proper nonempty subcurves, tails or not."""
+    masks = range(1, G.full_mask)
+    assert lemma27(G, masks) == lemma27_oracle(G, masks)
+
+
+def test_lemma27_matches_oracle_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        assert_lemma27_matches_oracle(G)
+
+
+def test_lemma27_matches_oracle_corpus():
+    clauses = set()
+    for G in oracle_corpus():
+        if G.p <= 6:
+            assert_lemma27_matches_oracle(G)
+            clauses.update(b["check"] for b in lemma27(G, range(1, G.full_mask))[1])
+        else:
+            assert lemma27(G, G.tails()) == lemma27_oracle(G, G.tails())
+    # subcurves that are not tails break every clause, so the entries
+    # compared are not all empty
+    assert clauses == {"lemma-2.7-i", "lemma-2.7-ii", "lemma-2.7-iii"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs())
+def test_lemma27_matches_oracle_property(G):
+    assert_lemma27_matches_oracle(G)
 
 
 def test_relate_examples(G3):

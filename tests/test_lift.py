@@ -12,9 +12,10 @@ from tailcomb.blowup import (
     pair_matchings,
 )
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import CurveGraph, members, precedes
+from tailcomb.graph import CurveGraph, Node, members, precedes, validate
 from tailcomb.lift import (
     LiftedGraph,
+    _distinct,
     _side_without,
     base_level_multiset,
     build_c2,
@@ -25,6 +26,7 @@ from tailcomb.lift import (
     one_tail_diagnostic,
 )
 from tailcomb.randgen import instance_graph
+from tailcomb.suites import replay
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc
 
@@ -385,3 +387,42 @@ def test_point_layers_match_oracles_corpus():
 @given(graphs())
 def test_point_layers_match_oracles_property(G):
     assert_point_layers_match_oracles(G, random.Random(0))
+
+
+# -- names of the subdivision ----------------------------------------------------
+
+# a valid graph whose component E(a,C1) is also the name the subdivision
+# generates for the exceptional vertex over node a on the side of C1
+NAMED_LIKE_A_LIFT = {
+    "components": ["C1", "E(a,C1)", "C3"],
+    "marked": "C1",
+    "nodes": [
+        {"id": "a", "ends": ["C1", "E(a,C1)"]},
+        {"id": "b", "ends": ["C1", "C3"]},
+        {"id": "c", "ends": ["C3", "E(a,C1)"]},
+    ],
+}
+
+
+def test_distinct_renames_only_repeats():
+    assert _distinct(["x", "y", "z"]) == ["x", "y", "z"]
+    # the suffix skips every name the list already holds
+    assert _distinct(["x", "x", "x#2", "x"]) == ["x", "x#3", "x#2", "x#4"]
+
+
+def test_subdivision_names_unique_when_a_component_collides():
+    G = validate(NAMED_LIKE_A_LIFT)
+    lg = build_c2(G).graph
+    assert lg.names[:3] == G.names
+    assert lg.names[3:] == ("E(a,C1)#2", "E(a,E(a,C1))", "E(b,C1)", "E(b,C3)",
+                            "E(c,E(a,C1))", "E(c,C3)")
+
+
+def test_subdivision_node_ids_unique_when_a_side_is_called_mid():
+    G = CurveGraph(["C1", "mid"], [Node("a", 0, 1)], 0)
+    assert [nd.id for nd in build_c2(G).graph.nodes] == ["a:C1", "a:mid", "a:mid#2"]
+
+
+def test_prop62_replays_green_on_a_graph_named_like_a_lift():
+    report = replay({"suite": "prop-62", "graph": NAMED_LIKE_A_LIFT})
+    assert report.ok and report.checks["prop-62"] > 1

@@ -11,7 +11,7 @@ import pytest
 from tailcomb import cli
 from tailcomb.cli import build_parser, main
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import load, members
+from tailcomb.graph import CurveGraph, Node, load, members, read_json
 from tailcomb.lift import build_c2
 from tailcomb.tails import nested, tail_family
 
@@ -108,6 +108,32 @@ def test_cli_export_dot_modes(capsys):
     assert "doublecircle" in capsys.readouterr().out
     assert main(["export-dot", "G2", "--c2"]) == 0
     assert "shape=square" in capsys.readouterr().out
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    G = CurveGraph(['C"1', "C\\2"], [Node('a"b', 0, 1), Node("c", 0, 1)], 0)
+    lines = G.to_dot().splitlines()
+    assert r'  "C\"1" [shape=doublecircle];' in lines
+    assert r'  "C\\2" [shape=circle];' in lines
+    assert r'  "C\"1" -- "C\\2" [label="a\"b"];' in lines
+    lifted = build_c2(G).to_dot().splitlines()
+    assert r'  "E(a\"b,C\"1)" [shape=square, width=0.25, height=0.25];' in lifted
+    assert r'  "C\"1" -- "E(a\"b,C\"1)" [label="a\"b:C\"1"];' in lifted
+
+
+def test_cli_export_dot_c2_on_a_graph_named_like_a_lift(tmp_path):
+    from test_lift import NAMED_LIKE_A_LIFT
+
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(NAMED_LIKE_A_LIFT))
+    code, out, err = _call(["export-dot", str(path), "--c2"])
+    assert (code, err) == (0, "")
+    assert '  "E(a,C1)#2" [shape=square, width=0.25, height=0.25];' in out.splitlines()
+
+
+def test_cli_plan_has_no_from_tails_flag():
+    code, out, err = _call(["plan", "G3", "--from-tails"])
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
 
 
 def test_cli_minimal_text(capsys):
@@ -290,6 +316,33 @@ def test_cli_multidegree_text_too_deep():
 
 def test_cli_tails_negative_k():
     _assert_usage_error(["tails", "G3", "--k", "-1"])
+
+
+_NODE_A = '{"id": "a", "ends": ["C1", "C2"]}'
+
+
+@pytest.mark.parametrize("text", [
+    '{"C1": 5, "C2": -1, "C3": 0, "C1": 1}',
+    '{"C1": 5, "C2": -5, "C3": 0, "C2": -5}',
+], ids=["last-wins", "same-value"])
+def test_cli_multidegree_duplicate_key(text, tmp_path):
+    _assert_usage_error(["qs-check", "G3", text])
+    path = tmp_path / "degrees.json"
+    path.write_text(text)
+    _assert_usage_error(["qs-check", "G3", str(path)])
+
+
+@pytest.mark.parametrize("text", [
+    '{"components": ["C1", "C2"], "marked": "C1", "nodes": [], "nodes": [%s]}' % _NODE_A,
+    '{"components": ["C1", "C2"], "marked": "C1",'
+    ' "nodes": [{"id": "b", "id": "a", "ends": ["C1", "C2"]}]}',
+], ids=["top-level", "in-a-node"])
+def test_cli_graph_duplicate_key(text, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    _assert_usage_error(["validate", str(path)])
+    with pytest.raises(PreconditionError, match="duplicate JSON key"):
+        read_json(str(path))
 
 
 @pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode()],
