@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from operator import sub
 from typing import NamedTuple
 
 from .errors import GraphError, InvariantViolation, PreconditionError
@@ -182,17 +184,24 @@ def is_quasistable_point(
     bits = (1 << r1) | (1 << r2)
     for (a, b) in condition_pairs(point, profile):
         anchors = (1 << a) | (1 << b)
-        fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
-        covered = 0
-        for w in fam:
-            covered |= G.term_mask(w) & bits
-        if covered.bit_count() > 1:
+        if _family_terminals(G, anchors) & bits == bits:
+            fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
             contributing = tuple(
                 (r, tuple(w for w in fam if G.term_mask(w) & (1 << r)))
                 for r in (r1, r2)
             )
             return PointVerdict(False, profile, (a, b), contributing)
     return PointVerdict(True, profile)
+
+
+@per_graph
+def _family_terminals(G: CurveGraph, anchors: int) -> int:
+    """The nodes terminal for some member of the level-2 or level-3 family
+    anchored at the given components."""
+    covered = 0
+    for w in nested(G, 2, anchors).members + nested(G, 3, anchors).members:
+        covered |= G.term_mask(w)
+    return covered
 
 
 def _string_pair(value, what: str) -> list[str]:
@@ -322,16 +331,38 @@ class IneqInstance(NamedTuple):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """The admissibility instances at a node pair.
+
+    `count` (the number of instances) and `failures()` (the failing ones, in
+    instance order) are computed by the check.  `instances`, every instance
+    in order, is built on first access from what the check kept: (18) node
+    by node, each node once per gated side quadruple, then (19)-(25).
+    """
+
     r1: int
     r2: int
-    instances: tuple[IneqInstance, ...]
+    count: int
+    _failures: tuple[IneqInstance, ...]
+    # (18)'s nodes as (id, m, n), its quadruples with the difference of
+    # their two twister rows, and (19)-(25) as (ineq, args, value)
+    _across: tuple
+    _quads: tuple
+    _rest: tuple
 
     @property
     def ok(self) -> bool:
-        return all(inst.ok for inst in self.instances)
+        return not self._failures
 
     def failures(self) -> tuple[IneqInstance, ...]:
-        return tuple(i for i in self.instances if not i.ok)
+        return self._failures
+
+    @cached_property
+    def instances(self) -> tuple[IneqInstance, ...]:
+        out = [IneqInstance(18, (node, *quad), diff[m] - diff[n],
+                            abs(diff[m] - diff[n]) <= 1)
+               for node, m, n in self._across for quad, diff in self._quads]
+        out += [IneqInstance(i, q, v, abs(v) <= 1) for i, q, v in self._rest]
+        return tuple(out)
 
 
 def admissibility_check(
@@ -344,14 +375,15 @@ def admissibility_check(
     pairing of the node's two sides is forced.  Instances of (18), (23) and
     (24) whose divisor pairs do not intersect are not emitted.  Every value
     is a difference of two coefficient differences alpha_m - alpha_n, read
-    directly off the twister table's rows.
+    directly off the twister table's rows.  An (18) instance reads the
+    difference of two rows across a node, so the nodes are scanned for
+    failures only where that difference spans more than 1.
     """
     diagonal = r1 == r2
     if diagonal:
         # The diagonal blowup pairs each side with the other one.
         g1, g1p = _node_sides(G, r1)
         g2, g2p = g1p, g1
-        matched = frozenset(((g1, g2), (g1p, g2p)))
     else:
         if choice is None:
             raise PreconditionError("distinct nodes need a matching")
@@ -359,50 +391,57 @@ def admissibility_check(
             raise PreconditionError("choice does not describe this node pair")
         r1, r2 = choice.r1, choice.r2
         (g1, g2), (g1p, g2p) = choice.matched_pairs()
-        matched = choice.matching
-    triples = (matched | {(g1, g2p)}, matched | {(g1p, g2)})
     alpha = twister(G).alpha
 
-    def gate(pa, pb):
-        if pa[0] == pb[0] or pa[1] == pb[1]:
-            return True
-        return any(pa in t and pb in t for t in triples)
-
-    def delta(g, h, m, n):
-        row = alpha[(g, h)]
-        return row[m] - row[n]
-
-    instances: list[IneqInstance] = []
-
-    def emit(ineq, args, value):
-        instances.append(IneqInstance(ineq, args, value, abs(value) <= 1))
+    def crossed(a, ap, b, bp):
+        # The triples are the matched pairs (g1, g2), (g1', g2') plus one
+        # cross pair each, so two divisor pairs with no side in common
+        # intersect unless they are the cross pairs (g1, g2') and (g1', g2).
+        return a != ap and b != bp and (a == g1) != (b == g2)
 
     # (18): every other node S joining distinct components m, n, at each
-    # gated side quadruple, delta(a, b) - delta(a', b') across S.
-    quads = [((a, ap, b, bp), alpha[(a, b)], alpha[(ap, bp)])
-             for a, ap in product((g1, g1p), repeat=2)
-             for b, bp in product((g2, g2p), repeat=2) if gate((a, b), (ap, bp))]
-    for t, nd in enumerate(G.nodes):
-        if nd.is_loop or t in (r1, r2):
-            continue
-        m, n = nd.a, nd.b
-        for quad, row, rowp in quads:
-            emit(18, (nd.id, *quad), row[m] - row[n] - (rowp[m] - rowp[n]))
+    # gated side quadruple, delta(a, b) - delta(a', b') across S, which is
+    # the difference of the rows of (a, b) and (a', b') taken across S.
+    across = tuple((nd.id, nd.a, nd.b) for t, nd in enumerate(G.nodes)
+                   if nd.a != nd.b and t != r1 and t != r2)
+    quads = []
+    wide = []
+    for a, ap in product((g1, g1p), repeat=2):
+        for b, bp in product((g2, g2p), repeat=2):
+            if not crossed(a, ap, b, bp):
+                diff = tuple(map(sub, alpha[(a, b)], alpha[(ap, bp)]))
+                quads.append(((a, ap, b, bp), diff))
+                if max(diff) - min(diff) > 1:
+                    wide.append(quads[-1])
+    failures = [IneqInstance(18, (node, *quad), diff[m] - diff[n], False)
+                for node, m, n in across for quad, diff in wide
+                if abs(diff[m] - diff[n]) > 1]
+    # (19)-(25): with da and db the coefficient differences of the (a, b)
+    # row across (a, a') and across (b, b'), each value compares one of
+    # them with the same difference in another row.
+    rest = []
     if not diagonal:
         for a, ap in ((g1, g1p), (g1p, g1)):
             for b, bp in ((g2, g2p), (g2p, g2)):
                 q = (a, ap, b, bp)
-                emit(19, q, delta(a, b, a, ap) - delta(a, bp, a, ap))
-                emit(20, q, delta(a, b, b, bp) - delta(ap, b, b, bp))
-                emit(21, q, delta(a, b, a, ap) - delta(ap, b, a, ap) - 1)
-                emit(22, q, delta(a, b, b, bp) - delta(a, bp, b, bp) - 1)
-                if gate((a, b), (ap, bp)):
-                    emit(23, q, delta(a, b, a, ap) - delta(ap, bp, a, ap) - 1)
-                    emit(24, q, delta(a, b, b, bp) - delta(ap, bp, b, bp) - 1)
+                ab, abp, apb = alpha[(a, b)], alpha[(a, bp)], alpha[(ap, b)]
+                da, db = ab[a] - ab[ap], ab[b] - ab[bp]
+                rest += ((19, q, da - (abp[a] - abp[ap])),
+                         (20, q, db - (apb[b] - apb[bp])),
+                         (21, q, da - (apb[a] - apb[ap]) - 1),
+                         (22, q, db - (abp[b] - abp[bp]) - 1))
+                if not crossed(a, ap, b, bp):
+                    apbp = alpha[(ap, bp)]
+                    rest += ((23, q, da - (apbp[a] - apbp[ap]) - 1),
+                             (24, q, db - (apbp[b] - apbp[bp]) - 1))
     else:
         for a, ap in ((g1, g1p), (g1p, g1)):
-            emit(25, (a, ap), delta(a, a, a, ap) - delta(a, ap, a, ap) - 1)
-    return AdmissibilityReport(min(r1, r2), max(r1, r2), tuple(instances))
+            aa, aap = alpha[(a, a)], alpha[(a, ap)]
+            rest.append((25, (a, ap), aa[a] - aa[ap] - (aap[a] - aap[ap]) - 1))
+    failures += [IneqInstance(i, q, v, False) for i, q, v in rest if abs(v) > 1]
+    return AdmissibilityReport(
+        min(r1, r2), max(r1, r2), len(across) * len(quads) + len(rest),
+        tuple(failures), across, tuple(quads), tuple(rest))
 
 
 # -- resolution -------------------------------------------------------------

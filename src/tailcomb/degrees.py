@@ -2,16 +2,20 @@
 
 Stability thresholds are half-integers, so every beta value is carried as a
 doubled integer and no floats appear anywhere.  The search for a quasistable
-representative stays deliberately brute force: it scans a whole twist box
-(with interval pruning that provably discards only hit-free subtrees) and
+representative stays deliberately brute force: it scans a whole twist box and
 asserts the hit is unique, serving as an independent oracle for the
-nested-tail description of the twister table.
+nested-tail description of the twister table.  At each coordinate the scan
+propagates intervals: it computes the exact range of values that keeps every
+tail within reach of its bounds and descends only into that range, so it
+visits the same hits, in the same order, as the naive scan of every box
+point (kept in the tests as the oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .errors import (
     InvariantViolation,
@@ -25,12 +29,18 @@ from .tails import joining_nodes_mask, tail_family
 def multidegree(G: CurveGraph, data) -> tuple[int, ...]:
     """A multidegree from a mapping {component name: int} or a sequence.
 
-    Entries must be integers (booleans excluded); nothing is coerced.
+    Entries must be integers (booleans excluded) and a mapping must name
+    every component; nothing is coerced or completed.
     """
     if isinstance(data, dict):
-        d = [0] * G.p
+        d = [None] * G.p
         for name, v in data.items():
             d[G.index(name)] = _degree(v)
+        missing = [G.names[m] for m in range(G.p) if d[m] is None]
+        if missing:
+            raise PreconditionError(
+                "multidegree map misses component(s) " + ", ".join(missing)
+            )
         return tuple(d)
     if not isinstance(data, (list, tuple)):
         raise PreconditionError("multidegree must be a JSON object or array")
@@ -112,18 +122,40 @@ def is_quasistable(G: CurveGraph, d) -> QSResult:
     return QSResult(True)
 
 
-def _qs_profile(G: CurveGraph):
-    """Per-tail data for the hot scan: only the sides avoiding the marked
-    component (the two conditions of a complementary pair are equivalent at
-    total degree 0), ordered small k first so violations exit early."""
+class _Box(NamedTuple):
+    """Per-graph data of the box scan.
+
+    tails: (k, member indices) of every tail avoiding the marked component
+    (the two conditions of a complementary pair are equivalent at total
+    degree 0), small k first; positions: the unmarked components, in scan
+    order; levels[i]: (tail, doubled weight of twisting position i on it,
+    k, reach) for each tail the weight moves, where reach is the summed
+    absolute weight of the later positions (times the bound, the most they
+    can still move it); entry: the summed absolute weights of all positions.
+    """
+
+    lap: tuple[tuple[int, ...], ...]
+    tails: tuple[tuple[int, tuple[int, ...]], ...]
+    positions: tuple[int, ...]
+    levels: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    entry: tuple[int, ...]
+
+
+@per_graph
+def _box(G: CurveGraph) -> _Box:
+    lap = laplacian(G)
     marked = G.marked
-    rows = []
-    for y in G.tails():
-        if (y >> marked) & 1:
-            continue
-        rows.append((G.k(y), members(y)))
-    rows.sort()
-    return tuple((idx, kk) for kk, idx in rows)
+    tails = sorted((G.k(y), members(y)) for y in G.tails() if not (y >> marked) & 1)
+    positions = tuple(m for m in range(G.p) if m != marked)
+    weights = [[2 * sum(lap[m][x] for x in idx) for _, idx in tails]
+               for m in positions]
+    reach = [0] * len(tails)
+    levels = []
+    for wi in reversed(weights):
+        levels.append(tuple((t, w, tails[t][0], reach[t])
+                            for t, w in enumerate(wi) if w))
+        reach = [r + abs(w) for r, w in zip(reach, wi)]
+    return _Box(lap, tuple(tails), positions, tuple(reversed(levels)), tuple(reach))
 
 
 def quasistable_representative(
@@ -144,13 +176,10 @@ def quasistable_representative(
         raise PreconditionError(f"total degree must be 0, got {sum(d0)}")
     if bound is not None and bound <= 0:
         raise PreconditionError("bound must be positive")
-    lap = laplacian(G)
-    profile = _qs_profile(G)
-    positions = [m for m in range(G.p) if m != G.marked]
     bounds = [bound] if bound is not None else [2, 4, 8, 16, 32, 64, 128, 256]
     hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for b in bounds:
-        hits = _scan_box(G, d0, b, lap, profile, positions)
+        hits = _scan_box(G, d0, b)
         if hits:
             break
     if not hits:
@@ -167,60 +196,73 @@ def quasistable_representative(
     return hits[0]
 
 
-def _scan_box(G, d0, b, lap, profile, positions):
-    """Exhaustive box scan with sound interval pruning.
+def _scan_box(G, d0, b):
+    """Every twist c in [-b, b] on the unmarked components, 0 on the marked
+    one, with d0 + L.c quasistable, in lexicographic order of c.
 
-    Per tail, the doubled degree is tracked incrementally and a subtree is
-    skipped only when the remaining coordinates provably cannot bring it
-    back into [-k, k); the hit set is identical to the naive scan (kept in
-    the tests as the oracle).
+    Per tail, 2*deg over the tail must end in [-k, k).  At each coordinate
+    the scan intersects, over the tails that coordinate moves, the exact
+    range of values that keeps the tail within reach of that window (the
+    later coordinates can still move it by at most b times their summed
+    weights), and descends only into that range.  These are exactly the
+    children a per-child reachability test would accept, so the hits and
+    their order are those of the naive scan of the whole box (kept in the
+    tests as the oracle).
     """
-    p = G.p
+    box = _box(G)
+    lap, positions = box.lap, box.positions
+    g = [2 * sum(d0[x] for x in idx) for _, idx in box.tails]
+    # A tail the whole box cannot bring into its window empties the box;
+    # the first coordinate that moves it would find that too, but only
+    # after expanding every coordinate before it.
+    for (k, _), gt, r in zip(box.tails, g, box.entry):
+        if gt - b * r >= k or gt + b * r < -k:
+            return []
+    levels = [tuple((t, w, k, b * r) for t, w, k, r in lvl) for lvl in box.levels]
     n = len(positions)
-    ks = [k for _, k in profile]
-    g = [2 * sum(d0[x] for x in idx) for idx, _ in profile]
-    weights = [
-        [2 * sum(lap[m][x] for x in idx) for idx, _ in profile]
-        for m in positions
-    ]
-    nt = len(profile)
-    slack = [[0] * nt for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for t in range(nt):
-            slack[i][t] = slack[i + 1][t] + b * abs(weights[i][t])
     hits = []
-    c = [0] * p
+    c = [0] * G.p
 
     def rec(i):
-        si = slack[i]
-        for t in range(nt):
+        lo, hi = -b, b
+        for t, w, k, s in levels[i]:
             gt = g[t]
-            kt = ks[t]
-            if gt - si[t] > kt - 1 or gt + si[t] < -kt:
+            # -k - s <= gt + v*w <= k - 1 + s, solved for v
+            if w > 0:
+                a, z = -((k + s + gt) // w), (k - 1 + s - gt) // w
+            else:
+                a, z = -((k - 1 + s - gt) // -w), (k + s + gt) // -w
+            if a > lo:
+                lo = a
+            if z < hi:
+                hi = z
+            if lo > hi:
                 return
-        if i == n:
-            d = tuple(
-                d0[x] + sum(lap[m][x] * c[m] for m in positions)
-                for x in range(p)
-            )
-            hits.append((tuple(c), d))
-            return
         m = positions[i]
-        wi = weights[i]
-        for t in range(nt):
-            g[t] -= b * wi[t]
-        c[m] = -b
-        rec(i + 1)
-        for v in range(-b + 1, b + 1):
-            for t in range(nt):
-                g[t] += wi[t]
+        if i == n - 1:
+            for v in range(lo, hi + 1):
+                c[m] = v
+                d = tuple(d0[x] + sum(lap[y][x] * c[y] for y in positions)
+                          for x in range(G.p))
+                hits.append((tuple(c), d))
+            c[m] = 0
+            return
+        lvl = levels[i]
+        for t, w, _, _ in lvl:
+            g[t] += (lo - 1) * w
+        for v in range(lo, hi + 1):
+            for t, w, _, _ in lvl:
+                g[t] += w
             c[m] = v
             rec(i + 1)
-        for t in range(nt):
-            g[t] -= b * wi[t]
+        for t, w, _, _ in lvl:
+            g[t] -= hi * w
         c[m] = 0
 
-    rec(0)
+    if n:
+        rec(0)
+    else:
+        hits.append((tuple(c), d0))
     return hits
 
 

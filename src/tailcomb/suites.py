@@ -252,14 +252,14 @@ def suite_admissibility(G: CurveGraph, rng, profile):
     red = G.reducible_nodes()
     for r in red:
         rep = bw.admissibility_check(G, r, r)
-        checks += len(rep.instances)
+        checks += rep.count
         for inst in rep.failures():
             bad.append({"check": f"ineq-{inst.ineq}", "pair": [G.nodes[r].id],
                         "args": list(inst.args), "value": inst.value})
     for r1, r2 in combinations(red, 2):
         for ch in bw.pair_matchings(G, r1, r2):
             rep = bw.admissibility_check(G, r1, r2, ch)
-            checks += len(rep.instances)
+            checks += rep.count
             for inst in rep.failures():
                 bad.append({
                     "check": f"ineq-{inst.ineq}",

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from conftest import delta, graphs, oracle_corpus, outcome
 from tailcomb.blowup import (
     AS_DISPLAYED,
+    PROFILES,
     RECONSTRUCTED,
     AdmissibilityReport,
     BlowupChoice,
     BlowupPlan,
     IneqInstance,
+    PointVerdict,
     _node_sides,
     admissibility_check,
+    condition_pairs,
     decide_resolution,
     distinguished_points,
     is_quasistable_point,
@@ -22,10 +25,12 @@ from tailcomb.blowup import (
     pair_matchings,
     plan_from_tails,
 )
+from tailcomb.degrees import TwisterTable, twister
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph
 from tailcomb.lift import is_synchronized
 from tailcomb.randgen import instance_graph
+from tailcomb.tails import nested
 
 
 def pairs_of(G, matching):
@@ -149,6 +154,39 @@ def test_qs_point_g3_crossed(G3):
     ch = make_choice(G3, 0, 1, [(1, 0), (0, 2)])  # {(C2,C1),(C1,C3)}
     for pt in distinguished_points(G3, ch):
         assert not is_quasistable_point(G3, pt, RECONSTRUCTED).ok
+
+
+def point_oracle(G, point, profile):
+    """`is_quasistable_point` with the terminal masks of every level-2 and
+    level-3 family member ORed again for each point."""
+    r1, r2 = point.choice.r1, point.choice.r2
+    bits = (1 << r1) | (1 << r2)
+    for (a, b) in condition_pairs(point, profile):
+        anchors = (1 << a) | (1 << b)
+        fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
+        covered = 0
+        for w in fam:
+            covered |= G.term_mask(w) & bits
+        if covered.bit_count() > 1:
+            contributing = tuple(
+                (r, tuple(w for w in fam if G.term_mask(w) & (1 << r)))
+                for r in (r1, r2)
+            )
+            return PointVerdict(False, profile, (a, b), contributing)
+    return PointVerdict(True, profile)
+
+
+def test_point_verdicts_match_oracle_corpus(G2, G3):
+    failing = 0
+    for G in (G2, G3) + oracle_corpus():
+        for r1, r2 in combinations(G.reducible_nodes(), 2):
+            for ch in pair_matchings(G, r1, r2):
+                for pt in distinguished_points(G, ch):
+                    for profile in PROFILES:
+                        verdict = is_quasistable_point(G, pt, profile)
+                        assert verdict == point_oracle(G, pt, profile)
+                        failing += not verdict.ok
+    assert failing > 100
 
 
 # -- plan from tails ---------------------------------------------------------------
@@ -347,14 +385,26 @@ def admissibility_oracle(G, r1, r2, choice=None):
     else:
         for a, ap in ((g1, g1p), (g1p, g1)):
             emit(25, (a, ap), delta(G, a, a, a, ap) - delta(G, a, ap, a, ap) - 1)
-    return AdmissibilityReport(min(r1, r2), max(r1, r2), tuple(out))
+    return min(r1, r2), max(r1, r2), tuple(out)
+
+
+def assert_report_is(rep, expected):
+    """The report holds the oracle's node pair and instances (in order),
+    and its count, failures (in order) and verdict follow from them."""
+    r1, r2, instances = expected
+    assert type(rep) is AdmissibilityReport and (rep.r1, rep.r2) == (r1, r2)
+    assert rep.count == len(instances)
+    assert rep.failures() == tuple(i for i in instances if not i.ok)
+    assert rep.ok == all(i.ok for i in instances)
+    assert rep.instances == instances
+    assert all(type(i) is IneqInstance for i in rep.instances)
 
 
 def assert_admissibility_matches_oracle(G):
-    """Equal reports (instances in order) or equal errors: at every node
-    (loops raise), at every pair of reducible nodes under both matchings,
-    without a matching, and with a matching of another pair; returns the
-    number of instances compared."""
+    """Equal reports or equal errors: at every node (loops raise), at every
+    pair of reducible nodes under both matchings, without a matching, and
+    with a matching of another pair; returns the number of instances
+    compared."""
     calls = [(r, r) for r in range(len(G.nodes))]
     red = G.reducible_nodes()
     for r1, r2 in combinations(red, 2):
@@ -365,10 +415,12 @@ def assert_admissibility_matches_oracle(G):
     n = 0
     for args in calls:
         got = outcome(admissibility_check, G, *args)
-        assert got == outcome(admissibility_oracle, G, *args)
+        want = outcome(admissibility_oracle, G, *args)
         if isinstance(got, AdmissibilityReport):
-            assert all(type(i) is IneqInstance for i in got.instances)
-            n += len(got.instances)
+            assert_report_is(got, want)
+            n += got.count
+        else:
+            assert got == want
     return n
 
 
@@ -386,6 +438,37 @@ def test_admissibility_matches_oracle_corpus():
 @given(graphs())
 def test_admissibility_matches_oracle_property(G):
     assert_admissibility_matches_oracle(G)
+
+
+def test_admissibility_failures_match_oracle(G3):
+    # No real graph fails, so a copy of G3 gets a table whose (C1, C2) row
+    # reads (0, 2, 2) instead of (0, 0, 0).  Against the (C2, C3) row,
+    # (0, 1, 1), it then differs by a range of 1, where every (18) instance
+    # passes unscanned; against the (C1, C1) row by a range of 2, which
+    # fails across the nodes joining C1 to C2 and C3.  The check and the
+    # oracle read the same table from the memo.
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)
+    alpha = dict(twister(G3).alpha)
+    alpha[(0, 1)] = alpha[(1, 0)] = (0, 2, 2)
+    G._memo[(twister.__wrapped__,)] = TwisterTable(G, alpha)
+    spans, failing = set(), set()
+    calls = [(r, r) for r in range(len(G.nodes))] + [
+        (r1, r2, ch) for r1, r2 in combinations(G.reducible_nodes(), 2)
+        for ch in pair_matchings(G, r1, r2)]
+    for args in calls:
+        rep = admissibility_check(G, *args)
+        assert_report_is(rep, admissibility_oracle(G, *args))
+        spans |= {max(diff) - min(diff) for _, diff in rep._quads}
+        failing |= {i.ineq for i in rep.failures()}
+    assert {1, 2} <= spans
+    assert failing == set(range(18, 26))
+    e12 = G.node_index("e12")
+    assert [(i.ineq, i.args, i.value)
+            for i in admissibility_check(G, e12, e12).failures()] == [
+        (18, ("e13", 0, 0, 1, 0), -2), (18, ("e13", 0, 0, 0, 1), 2),
+        (18, ("e13", 0, 1, 0, 0), 2), (18, ("e13", 1, 0, 0, 0), -2),
+        (25, (1, 0), -2),
+    ]
 
 
 # -- resolution ----------------------------------------------------------------------

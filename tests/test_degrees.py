@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailcomb.degrees import (
+    _scan_box,
     abel_multidegree,
     beta2,
     format_half,
@@ -18,10 +21,10 @@ from tailcomb.errors import (
     PreconditionError,
     RepresentativeNotFound,
 )
-from tailcomb.graph import CurveGraph
+from tailcomb.graph import CurveGraph, members
 from tailcomb.tails import tail_family
 
-from conftest import delta, sc, tset
+from conftest import delta, oracle_corpus, sc, tset
 from test_graph import graphs
 
 
@@ -202,8 +205,18 @@ def _qs_fast(d, profile) -> bool:
     return True
 
 
+def _scan_inputs(G):
+    """The Laplacian, the tails avoiding the marked component as
+    (members, k), small k first, and the unmarked positions: what both
+    reference scans read, built here without the scan's per-graph data."""
+    profile = sorted((G.k(y), members(y)) for y in G.tails()
+                     if not (y >> G.marked) & 1)
+    positions = [m for m in range(G.p) if m != G.marked]
+    return laplacian(G), tuple((idx, kk) for kk, idx in profile), positions
+
+
 def _scan_box_naive(G, d0, b, lap, profile, positions):
-    """Reference for the pruned scan: every twist in the box, no pruning."""
+    """Reference for the box scan: every twist in the box, no pruning."""
     p = G.p
     hits = []
     c = [0] * p
@@ -224,23 +237,130 @@ def _scan_box_naive(G, d0, b, lap, profile, positions):
     return hits
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(), st.integers(-2, 2), st.integers(-2, 2))
-def test_pruned_scan_matches_naive(G, a, b):
-    from tailcomb.degrees import _qs_profile, _scan_box
+def _scan_box_per_child(G, d0, b, lap, profile, positions):
+    """Reference for the box scan on boxes too large for the naive one:
+    every child of every visited node is entered, and the subtree is
+    dropped when some tail cannot get back into [-k, k) within the
+    remaining coordinates' reach."""
+    p = G.p
+    n = len(positions)
+    ks = [k for _, k in profile]
+    g = [2 * sum(d0[x] for x in idx) for idx, _ in profile]
+    weights = [
+        [2 * sum(lap[m][x] for x in idx) for idx, _ in profile]
+        for m in positions
+    ]
+    nt = len(profile)
+    slack = [[0] * nt for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for t in range(nt):
+            slack[i][t] = slack[i + 1][t] + b * abs(weights[i][t])
+    hits = []
+    c = [0] * p
 
-    d0 = [0] * G.p
-    if G.p >= 2:
-        d0[0] += a
-        d0[1] -= a
-        d0[-1] += b
-        d0[0] -= b
-    lap = laplacian(G)
-    profile = _qs_profile(G)
-    positions = [m for m in range(G.p) if m != G.marked]
-    assert _scan_box(G, tuple(d0), 2, lap, profile, positions) == _scan_box_naive(
-        G, tuple(d0), 2, lap, profile, positions
-    )
+    def rec(i):
+        si = slack[i]
+        for t in range(nt):
+            if g[t] - si[t] > ks[t] - 1 or g[t] + si[t] < -ks[t]:
+                return
+        if i == n:
+            d = tuple(
+                d0[x] + sum(lap[m][x] * c[m] for m in positions)
+                for x in range(p)
+            )
+            hits.append((tuple(c), d))
+            return
+        m = positions[i]
+        wi = weights[i]
+        for t in range(nt):
+            g[t] -= (b + 1) * wi[t]
+        for v in range(-b, b + 1):
+            for t in range(nt):
+                g[t] += wi[t]
+            c[m] = v
+            rec(i + 1)
+        for t in range(nt):
+            g[t] -= b * wi[t]
+        c[m] = 0
+
+    rec(0)
+    return hits
+
+
+def _balanced(G, entries):
+    """A degree-0 multidegree: the entries on all but the last component,
+    the last one balancing them."""
+    d = list(entries[: G.p - 1])
+    return tuple(d + [-sum(d)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(), st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=5,
+                                            max_size=5))
+def test_pruned_scan_matches_naive(G, b, entries):
+    d0 = _balanced(G, entries)
+    inputs = _scan_inputs(G)
+    hits = _scan_box(G, d0, b)
+    assert hits == _scan_box_naive(G, d0, b, *inputs)
+    assert hits == _scan_box_per_child(G, d0, b, *inputs)
+
+
+NAIVE_BOX_POINTS = 9**4  # larger boxes are compared with the per-child scan only
+
+
+def _assert_scan_matches(G, d0, b, inputs):
+    hits = _scan_box(G, d0, b)
+    if (2 * b + 1) ** len(inputs[2]) <= NAIVE_BOX_POINTS:
+        assert hits == _scan_box_naive(G, d0, b, *inputs)
+        naive = 1
+    else:
+        naive = 0
+    assert hits == _scan_box_per_child(G, d0, b, *inputs)
+    return len(hits), naive
+
+
+def test_pruned_scan_matches_oracles_corpus():
+    """On the corpus: the Abel multidegree of every pair at the bound
+    thm-24-oracle uses, and seeded multidegrees with entries in [-3, 3]
+    at bound 3, whose boxes may hold no hit."""
+    rng = random.Random(11)
+    found = empty = naive = 0
+    for G in oracle_corpus():
+        inputs = _scan_inputs(G)
+        cases = [(abel_multidegree(G, g1, g2), max(alpha) + 2)
+                 for (g1, g2), alpha in sorted(twister(G).alpha.items())
+                 if g1 <= g2]
+        cases += [(_balanced(G, [rng.randint(-3, 3) for _ in range(G.p)]), 3)
+                  for _ in range(3)]
+        for d0, b in cases:
+            hits, compared = _assert_scan_matches(G, d0, b, inputs)
+            found += hits
+            empty += not hits
+            naive += compared
+    assert found > 1000 and empty > 50 and naive > 500
+
+
+def test_pruned_scan_root_without_hits(G3):
+    # (40, -20, -20) is out of reach of the bound-1 box: the root test
+    # fails and nothing below it is visited.
+    inputs = _scan_inputs(G3)
+    assert _scan_box(G3, (40, -20, -20), 1) == []
+    assert _scan_box_naive(G3, (40, -20, -20), 1, *inputs) == []
+
+
+def test_pruned_scan_negative_weights(G3):
+    # Twisting C2 moves the tail {C2} by a positive and {C3} by a negative
+    # doubled weight, so the range for C2 takes the floor and ceiling
+    # divisions of both signs.
+    from tailcomb.degrees import _box
+
+    box = _box(G3)
+    signs = {w > 0 for lvl in box.levels for _, w, _, _ in lvl}
+    assert signs == {True, False}
+    inputs = _scan_inputs(G3)
+    for d0 in ((3, -1, -2), (-4, 5, -1), (0, 7, -7), (1, -4, 3)):
+        for b in (1, 2, 3, 4):
+            _assert_scan_matches(G3, d0, b, inputs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -81,6 +81,16 @@ def test_multidegree_length_check(G3):
         multidegree(G3, (1, -1))
 
 
+def test_multidegree_map_names_every_component(G3):
+    from tailcomb.degrees import multidegree
+
+    with pytest.raises(PreconditionError, match="misses component.*C2, C3$"):
+        multidegree(G3, {"C1": 0})
+    with pytest.raises(PreconditionError, match="C1, C2, C3$"):
+        multidegree(G3, {})
+    assert multidegree(G3, {"C3": -1, "C1": 1, "C2": 0}) == (1, 0, -1)
+
+
 # -- CLI text modes ---------------------------------------------------------
 
 
@@ -316,6 +326,18 @@ def test_cli_multidegree_text_too_deep():
 
 def test_cli_tails_negative_k():
     _assert_usage_error(["tails", "G3", "--k", "-1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["qs-check", "G3", "{}"],
+    ["qs-check", "G3", '{"C1": 0}'],
+    ["qs-reduce", "G3", '{"C1": 1, "C2": -1}'],
+    ["qs-reduce", "G3", '{"C1": 1, "C2": -1}', "--json"],
+])
+def test_cli_multidegree_map_missing_component(argv):
+    # a component left out of a map is an error, never read as 0
+    _assert_usage_error(argv)
+    assert "C3" in _call(argv)[2]
 
 
 _NODE_A = '{"id": "a", "ends": ["C1", "C2"]}'
