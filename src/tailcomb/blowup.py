@@ -11,7 +11,6 @@ demonstrate the discrepancy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import GraphError, InvariantViolation, PreconditionError
 from .graph import CurveGraph, canon_key, members, per_graph
-from .tails import nested
+from .tails import family_terminals, nested
 from .degrees import twister
 
 RECONSTRUCTED = "reconstructed"
@@ -48,6 +47,10 @@ class BlowupChoice:
 
     def matched_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return tuple(sorted(self.matching))
+
+    def match_names(self, G: CurveGraph) -> list[list[str]]:
+        """The matching as written in JSON: its side pairs by component name."""
+        return [[G.names[x], G.names[y]] for x, y in self.matched_pairs()]
 
 
 def _node_sides(G: CurveGraph, r: int) -> tuple[int, int]:
@@ -110,7 +113,7 @@ class DistinguishedPoint(NamedTuple):
         n = G.names
         return {
             "pair": [G.nodes[self.choice.r1].id, G.nodes[self.choice.r2].id],
-            "matching": [[n[x], n[y]] for x, y in self.choice.matched_pairs()],
+            "matching": self.choice.match_names(G),
             "point": self.index,
             "triple": sorted([n[x], n[y]] for x, y in self.triple),
             "labels": {
@@ -139,6 +142,18 @@ def distinguished_points(
         choice, 2, frozenset(base | {(xb, y)}), g1=xb, g1p=x, g2=y, g2p=yb
     )
     return (a1, a2)
+
+
+@per_graph
+def choices(G: CurveGraph) -> tuple:
+    """Each blowup choice with its two points, once per graph for all suites:
+    the pairs of reducible nodes in order, each with both of its matchings
+    in `pair_matchings` order."""
+    return tuple(
+        (ch, distinguished_points(G, ch))
+        for r1, r2 in combinations(G.reducible_nodes(), 2)
+        for ch in pair_matchings(G, r1, r2)
+    )
 
 
 def condition_pairs(point: DistinguishedPoint, profile: str) -> tuple:
@@ -198,10 +213,7 @@ def is_quasistable_point(
 def _family_terminals(G: CurveGraph, anchors: int) -> int:
     """The nodes terminal for some member of the level-2 or level-3 family
     anchored at the given components."""
-    covered = 0
-    for w in nested(G, 2, anchors).members + nested(G, 3, anchors).members:
-        covered |= G.term_mask(w)
-    return covered
+    return family_terminals(G, 2, anchors) | family_terminals(G, 3, anchors)
 
 
 def _string_pair(value, what: str) -> list[str]:
@@ -230,21 +242,8 @@ class BlowupPlan:
         return isinstance(other, BlowupPlan) and self.choices == other.choices
 
     def to_spec(self, G: CurveGraph) -> list:
-        out = []
-        for (r1, r2), ch in sorted(self.choices.items()):
-            out.append(
-                {
-                    "pair": [G.nodes[r1].id, G.nodes[r2].id],
-                    "match": [
-                        [G.names[x], G.names[y]] for x, y in ch.matched_pairs()
-                    ],
-                }
-            )
-        return out
-
-    def to_json(self, G: CurveGraph, **kw) -> str:
-        kw.setdefault("sort_keys", True)
-        return json.dumps(self.to_spec(G), **kw)
+        return [{"pair": [G.nodes[r1].id, G.nodes[r2].id], "match": ch.match_names(G)}
+                for (r1, r2), ch in sorted(self.choices.items())]
 
     @classmethod
     def from_spec(cls, G: CurveGraph, data) -> "BlowupPlan":
@@ -492,10 +491,7 @@ class ResolutionReport:
                     "ok": p.ok,
                     "matchings": [
                         {
-                            "match": [
-                                [G.names[x], G.names[y]]
-                                for x, y in m.choice.matched_pairs()
-                            ],
+                            "match": m.choice.match_names(G),
                             "ok": m.ok,
                             "points": [pt.describe(G) for pt in m.points],
                         }
@@ -505,14 +501,6 @@ class ResolutionReport:
                 for p in self.pairs
             ],
         }
-
-
-def _evaluate_matching(G, choice, profile) -> MatchingVerdict:
-    a1, a2 = distinguished_points(G, choice)
-    return MatchingVerdict(
-        choice,
-        (is_quasistable_point(G, a1, profile), is_quasistable_point(G, a2, profile)),
-    )
 
 
 def decide_resolution(
@@ -528,19 +516,14 @@ def decide_resolution(
     """
     _check_profile(profile)
     verdicts = []
-    red = G.reducible_nodes()
-    for r1, r2 in combinations(red, 2):
+    for r1, r2 in combinations(G.reducible_nodes(), 2):
         choice = plan.get(r1, r2)
-        if choice is not None:
-            mats = (_evaluate_matching(G, choice, profile),)
-            chosen = True
-        else:
-            mats = tuple(
-                _evaluate_matching(G, ch, profile)
-                for ch in pair_matchings(G, r1, r2)
-            )
-            chosen = False
-        verdicts.append(PairVerdict(r1, r2, chosen, mats))
+        mats = []
+        for ch in pair_matchings(G, r1, r2) if choice is None else (choice,):
+            a1, a2 = distinguished_points(G, ch)
+            mats.append(MatchingVerdict(ch, (is_quasistable_point(G, a1, profile),
+                                             is_quasistable_point(G, a2, profile))))
+        verdicts.append(PairVerdict(r1, r2, choice is not None, tuple(mats)))
     return ResolutionReport(profile, tuple(verdicts))
 
 
@@ -549,6 +532,8 @@ def decide_resolution(
 FREE_PAIR = "free"
 FORCED_PAIR = "forced"
 BLOCKED_PAIR = "blocked"
+# a pair's kind by the number of its matchings that pass
+_KINDS = (BLOCKED_PAIR, FORCED_PAIR, FREE_PAIR)
 
 
 @dataclass(frozen=True)
@@ -566,10 +551,7 @@ class MinimalityReport:
                 {
                     "pair": [G.nodes[r1].id, G.nodes[r2].id],
                     "kind": kind,
-                    "passing": [
-                        [[G.names[x], G.names[y]] for x, y in ch.matched_pairs()]
-                        for ch in passing
-                    ],
+                    "passing": [ch.match_names(G) for ch in passing],
                 }
                 for (r1, r2), kind, passing in self.classification
             ],
@@ -583,26 +565,21 @@ class MinimalityReport:
 
 def minimality_probe(G: CurveGraph, profile: str = RECONSTRUCTED) -> MinimalityReport:
     """Classify every pair as free, forced or blocked and build the minimal
-    resolving plan (choices exactly on the forced pairs)."""
-    _check_profile(profile)
+    resolving plan (choices exactly on the forced pairs).
+
+    The empty plan's resolution evaluates both matchings at every pair; a
+    pair is free when both pass, forced when one does, blocked when none.
+    """
     classification = []
     minimal = BlowupPlan()
     blocked = False
-    for r1, r2 in combinations(G.reducible_nodes(), 2):
-        passing = tuple(
-            ch
-            for ch in pair_matchings(G, r1, r2)
-            if _evaluate_matching(G, ch, profile).ok
-        )
-        if len(passing) == 2:
-            kind = FREE_PAIR
-        elif len(passing) == 1:
-            kind = FORCED_PAIR
+    for pair in decide_resolution(G, BlowupPlan(), profile).pairs:
+        passing = tuple(m.choice for m in pair.matchings if m.ok)
+        kind = _KINDS[len(passing)]
+        if kind == FORCED_PAIR:
             minimal.set(passing[0])
-        else:
-            kind = BLOCKED_PAIR
-            blocked = True
-        classification.append(((r1, r2), kind, passing))
+        blocked |= kind == BLOCKED_PAIR
+        classification.append(((pair.r1, pair.r2), kind, passing))
     phi_t = plan_from_tails(G)
     phi_t_minimal = not blocked and phi_t == minimal
     return MinimalityReport(

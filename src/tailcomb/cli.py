@@ -361,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("resolve", cmd_resolve, help="test whether a plan resolves")
     sp.add_argument("graph")
-    sp.add_argument("--plan", default=None, help="plan JSON file")
-    sp.add_argument("--from-tails", action="store_true")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--plan", default=None, help="plan JSON file")
+    source.add_argument("--from-tails", action="store_true")
     sp.add_argument("--profile", default=bw.RECONSTRUCTED, choices=bw.PROFILES)
 
     sp = add("distinguished", cmd_distinguished,
@@ -391,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", default=SuiteConfig.profile, choices=bw.PROFILES)
     sp.add_argument("--suite", action="append", choices=ALL_SUITES)
     sp.add_argument("--jobs", type=int, default=SuiteConfig.jobs)
-    sp.add_argument("--replay", default=None, help="re-run a counterexample dump")
-    sp.add_argument("--discrepancy", action="store_true",
-                    help="demonstrate the as-displayed profile failure")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--replay", default=None, help="re-run a counterexample dump")
+    source.add_argument("--discrepancy", action="store_true",
+                        help="demonstrate the as-displayed profile failure")
     sp.add_argument("--dump", default=None,
                     help="write the first counterexample to this file")
 

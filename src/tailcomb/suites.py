@@ -12,16 +12,16 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, repeat
 
 from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, per_graph, validate
+from .graph import CurveGraph, validate
 from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
-from .tails import (_candidates, _free_k_tails, _level_families, joining_nodes_mask,
-                    nested, symm_diff, tail_family)
+from .tails import (_candidates, _free_k_tails, _level_families, family_terminals,
+                    joining_nodes_mask, nested, symm_diff, tail_family)
 
 
 def _sub(G, mask):
@@ -161,8 +161,6 @@ def suite_prop31(G: CurveGraph, rng, profile):
                 fb = set(nested(G, 1, 1 << j).members)
             else:
                 fa, fb = _level_families(G, s, i, j, k)
-                if s == 2:
-                    fa2, fb2 = fa, fb
             checks += 1
             for w in fa:
                 for wp in fb:
@@ -188,12 +186,8 @@ def suite_prop31(G: CurveGraph, rng, profile):
                     bad.append({"check": "eq-16-s2", "i": G.names[i],
                                 "j": G.names[j], "k": G.names[k],
                                 "s2": G.nodes[s2].id})
-            ui = uj = 0
-            for w in fa2:
-                ui |= G.term_mask(w)
-            for w in fb2:
-                uj |= G.term_mask(w)
-            both = ui & uj
+            both = (family_terminals(G, 2, (1 << i) | (1 << k))
+                    & family_terminals(G, 2, (1 << j) | (1 << k)))
             checks += 1
             for w in fam[1:-1]:
                 if G.term_mask(w) & ~both:
@@ -249,43 +243,30 @@ def suite_admissibility(G: CurveGraph, rng, profile):
     instances."""
     checks = 0
     bad = []
-    red = G.reducible_nodes()
-    for r in red:
+    for r in G.reducible_nodes():
         rep = bw.admissibility_check(G, r, r)
         checks += rep.count
         for inst in rep.failures():
             bad.append({"check": f"ineq-{inst.ineq}", "pair": [G.nodes[r].id],
                         "args": list(inst.args), "value": inst.value})
-    for r1, r2 in combinations(red, 2):
-        for ch in bw.pair_matchings(G, r1, r2):
-            rep = bw.admissibility_check(G, r1, r2, ch)
-            checks += rep.count
-            for inst in rep.failures():
-                bad.append({
-                    "check": f"ineq-{inst.ineq}",
-                    "pair": [G.nodes[r1].id, G.nodes[r2].id],
-                    "matching": [[G.names[x], G.names[y]]
-                                 for x, y in ch.matched_pairs()],
-                    "args": list(inst.args),
-                    "value": inst.value,
-                })
+    for ch, _ in bw.choices(G):
+        rep = bw.admissibility_check(G, ch.r1, ch.r2, ch)
+        checks += rep.count
+        for inst in rep.failures():
+            bad.append({
+                "check": f"ineq-{inst.ineq}",
+                "pair": [G.nodes[ch.r1].id, G.nodes[ch.r2].id],
+                "matching": ch.match_names(G),
+                "args": list(inst.args),
+                "value": inst.value,
+            })
     return checks, bad
-
-
-@per_graph
-def _all_points(G: CurveGraph) -> tuple:
-    """Each blowup choice with its two points, once per graph for all suites."""
-    return tuple(
-        (ch, bw.distinguished_points(G, ch))
-        for r1, r2 in combinations(G.reducible_nodes(), 2)
-        for ch in bw.pair_matchings(G, r1, r2)
-    )
 
 
 def suite_lemma61(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
-    for ch, pts in _all_points(G):
+    for ch, pts in bw.choices(G):
         for pt in pts:
             checks += 1
             diag = one_tail_diagnostic(G, pt)
@@ -300,7 +281,7 @@ def suite_prop62(G: CurveGraph, rng, profile):
     identity on every synchronized point."""
     checks = 0
     bad = []
-    for ch, pts in _all_points(G):
+    for ch, pts in bw.choices(G):
         for pt in pts:
             checks += 1
             qs = bw.is_quasistable_point(G, pt, profile)
@@ -323,7 +304,7 @@ def suite_prop62(G: CurveGraph, rng, profile):
 def suite_thm63(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
-    for ch, pts in _all_points(G):
+    for ch, pts in bw.choices(G):
         checks += 1
         qs_both = all(bw.is_quasistable_point(G, pt, profile).ok for pt in pts)
         sync_both = all(is_synchronized(G, pt).synchronized for pt in pts)
@@ -331,8 +312,7 @@ def suite_thm63(G: CurveGraph, rng, profile):
             bad.append({
                 "check": "thm-6.3",
                 "pair": [G.nodes[ch.r1].id, G.nodes[ch.r2].id],
-                "matching": [[G.names[x], G.names[y]]
-                             for x, y in ch.matched_pairs()],
+                "matching": ch.match_names(G),
                 "quasistable": qs_both,
                 "synchronized": sync_both,
             })
@@ -417,9 +397,13 @@ class SuiteConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        self.suites = tuple(self.suites)
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise PreconditionError(f"unknown suites: {bad}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise PreconditionError(f"suites named more than once: {repeated}")
         if self.profile not in bw.PROFILES:
             raise PreconditionError(f"unknown profile {self.profile!r}")
         if (self.instances < 0 or self.max_components < 1
@@ -427,7 +411,6 @@ class SuiteConfig:
             raise PreconditionError(
                 "instances, max_components, max_extra_edges, jobs out of range"
             )
-        self.suites = tuple(self.suites)
 
 
 @dataclass

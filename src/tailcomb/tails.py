@@ -90,11 +90,18 @@ def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
     """
     cands = [(z, tz) for z, tz in _free_k_tails(G, s) if z & anchors == anchors]
     if s == 3:
-        blocked = 0
-        for w in nested(G, 2, anchors).members:
-            blocked |= G.term_mask(w)
+        blocked = family_terminals(G, 2, anchors)
         cands = [(z, tz) for z, tz in cands if not tz & blocked]
     return cands
+
+
+def family_terminals(G: CurveGraph, s: int, anchors: int) -> int:
+    """The nodes terminal for some member of the level-s family at the
+    anchors, as a mask over node indices."""
+    covered = 0
+    for w in nested(G, s, anchors).members:
+        covered |= G.term_mask(w)
+    return covered
 
 
 @per_graph

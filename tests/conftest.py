@@ -1,8 +1,10 @@
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
+from tailcomb.blowup import distinguished_points, pair_matchings
 from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.fixtures import fixture
@@ -52,6 +54,17 @@ def delta(G, g1, g2, m, n):
     builds the table (the oracle's unit in the admissibility tests)."""
     al = twister(G).alpha[(g1, g2)]
     return al[m] - al[n]
+
+
+def choices_oracle(G):
+    """Each blowup choice with its two points, pair by pair in node order and
+    both matchings of a pair in `pair_matchings` order (the oracle of
+    `blowup.choices`)."""
+    return tuple(
+        (ch, distinguished_points(G, ch))
+        for r1, r2 in combinations(G.reducible_nodes(), 2)
+        for ch in pair_matchings(G, r1, r2)
+    )
 
 
 def outcome(fn, *args):

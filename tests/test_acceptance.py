@@ -7,7 +7,7 @@ generator bounds (components <= 6, extra edges <= 4, loops allowed).
 """
 
 import time
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,7 +21,6 @@ from tailcomb.blowup import (
     is_quasistable_point,
     make_choice,
     minimality_probe,
-    pair_matchings,
     plan_from_tails,
 )
 from tailcomb.lift import eq34_level2, is_synchronized, one_tail_diagnostic
@@ -35,7 +34,7 @@ from tailcomb.suites import (
 )
 from tailcomb.tails import tail_family
 
-from conftest import sc
+from conftest import choices_oracle, sc
 
 CORPUS_SIZE = 200
 
@@ -142,18 +141,12 @@ def test_criterion_06_level_set_difference(corpus):
            f"({checks} triples, {dt:.1f}s)")
 
 
-def _all_points(G):
-    for r1, r2 in combinations(G.reducible_nodes(), 2):
-        for ch in pair_matchings(G, r1, r2):
-            yield ch, distinguished_points(G, ch)
-
-
 def test_criterion_07_quasistable_synchronized_equivalence(corpus):
     t0 = time.monotonic()
     points = pair_checks = 0
     violations = []
     for G in corpus:
-        for ch, pts in _all_points(G):
+        for ch, pts in choices_oracle(G):
             qs = [is_quasistable_point(G, p, RECONSTRUCTED).ok for p in pts]
             sy = [is_synchronized(G, p).synchronized for p in pts]
             for q, s, p in zip(qs, sy, pts):
@@ -174,7 +167,7 @@ def test_criterion_08_level1_diagnostic_and_counting(corpus):
     diags = identities = 0
     violations = []
     for G in corpus:
-        for ch, pts in _all_points(G):
+        for ch, pts in choices_oracle(G):
             for p in pts:
                 diags += 1
                 if not one_tail_diagnostic(G, p).ok:

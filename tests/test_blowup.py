@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import delta, graphs, oracle_corpus, outcome
+from conftest import choices_oracle, delta, graphs, oracle_corpus, outcome
 from tailcomb.blowup import (
     AS_DISPLAYED,
     PROFILES,
@@ -16,6 +17,7 @@ from tailcomb.blowup import (
     PointVerdict,
     _node_sides,
     admissibility_check,
+    choices,
     condition_pairs,
     decide_resolution,
     distinguished_points,
@@ -524,6 +526,40 @@ def test_minimality_single_node(G4):
     rep = minimality_probe(G4)
     assert rep.classification == ()
     assert rep.phi_t_minimal
+
+
+def minimality_oracle(G, profile):
+    """`minimality_probe`'s classification, minimal plan and plan-from-tails
+    verdict, read pair by pair off both matchings' distinguished points."""
+    classification = []
+    minimal = BlowupPlan()
+    for r1, r2 in combinations(G.reducible_nodes(), 2):
+        passing = tuple(
+            ch for ch in pair_matchings(G, r1, r2)
+            if all(is_quasistable_point(G, pt, profile).ok
+                   for pt in distinguished_points(G, ch))
+        )
+        kind = {2: "free", 1: "forced", 0: "blocked"}[len(passing)]
+        if kind == "forced":
+            minimal.set(passing[0])
+        classification.append(((r1, r2), kind, passing))
+    blocked = any(kind == "blocked" for _, kind, _ in classification)
+    phi_t_minimal = not blocked and plan_from_tails(G) == minimal
+    return tuple(classification), None if blocked else minimal, phi_t_minimal
+
+
+def test_minimality_matches_oracle_corpus(G1, G2, G3, G4):
+    seen = Counter()
+    for G in (G1, G2, G3, G4) + oracle_corpus():
+        assert choices(G) == choices_oracle(G)
+        for profile in PROFILES:
+            rep = minimality_probe(G, profile)
+            got = (rep.classification, rep.minimal_plan, rep.phi_t_minimal)
+            assert got == minimality_oracle(G, profile)
+            seen.update(kind for _, kind, _ in rep.classification)
+            seen[rep.phi_t_minimal] += 1
+    # every kind and both plan-from-tails verdicts occur
+    assert all(seen[key] > 20 for key in ("free", "forced", "blocked", True, False))
 
 
 def test_no_blocked_pairs_reconstructed_fuzz():

@@ -13,6 +13,7 @@ from tailcomb.cli import build_parser, main
 from tailcomb.errors import PreconditionError
 from tailcomb.graph import CurveGraph, Node, load, members, read_json
 from tailcomb.lift import build_c2
+from tailcomb.suites import SuiteConfig
 from tailcomb.tails import nested, tail_family
 
 from conftest import sc
@@ -326,6 +327,33 @@ def test_cli_multidegree_text_too_deep():
 
 def test_cli_tails_negative_k():
     _assert_usage_error(["tails", "G3", "--k", "-1"])
+
+
+def test_cli_resolve_plan_file_excludes_from_tails(tmp_path):
+    # the two flags name different plans (here: resolved, not resolved), so
+    # naming both is a usage error rather than a silent pick of the file
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    assert _call(["resolve", "G3", "--from-tails"])[0] == 0
+    assert _call(["resolve", "G3", "--plan", str(path)])[0] == 1
+    code, out, err = _call(["resolve", "G3", "--plan", str(path), "--from-tails"])
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+def test_cli_verify_replay_excludes_discrepancy(tmp_path, G3):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps({"suite": "lemma-35", "graph": G3.to_spec()}))
+    assert _call(["verify", "--replay", str(path)])[0] == 0
+    code, out, err = _call(["verify", "--replay", str(path), "--discrepancy"])
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+def test_suite_named_twice_rejected():
+    with pytest.raises(PreconditionError, match=r"more than once: \['lemma-35'\]$"):
+        SuiteConfig(suites=("lemma-35", "prop-31", "lemma-35"))
+    _assert_usage_error(["verify", "--suite", "lemma-35", "--suite", "lemma-35"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,8 @@ from tailcomb.blowup import distinguished_points, pair_matchings
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph, Node, precedes
 from tailcomb.lift import build_c2
-from tailcomb.tails import joining_nodes_mask, nested, symm_diff, tail_family
+from tailcomb.tails import (family_terminals, joining_nodes_mask, nested, symm_diff,
+                            tail_family)
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc, tset
 
@@ -250,6 +251,25 @@ def test_nested_matches_oracle_corpus():
     compared = sum(assert_nested_matches_oracle(G, pair_anchors(G))
                    for G in oracle_corpus())
     assert compared > 10_000  # the corpus grows many nontrivial chains
+
+
+def member_terminals(G, s, anchors):
+    """The OR of the terminal masks of the level-s family's members."""
+    covered = 0
+    for w in nested(G, s, anchors).members:
+        covered |= G.term_mask(w)
+    return covered
+
+
+def test_family_terminals_matches_member_or_corpus():
+    nonempty = 0
+    for G in oracle_corpus():
+        for anchors in pair_anchors(G):
+            for s in (1, 2, 3):
+                got = outcome(family_terminals, G, s, anchors)
+                assert got == outcome(member_terminals, G, s, anchors)
+                nonempty += isinstance(got, int) and got != 0
+    assert nonempty > 500
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,14 @@
 """Guards on the benchmark tooling under perfbench/, which these tests only read."""
 
+import importlib
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import tailcomb
-from tailcomb import blowup, degrees, lift, tails
+from tailcomb import blowup, cli, degrees, lift, suites, tails
+from tailcomb.graph import CurveGraph
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +47,40 @@ def test_tracer_finds_every_target():
     for stem, (mod, attr) in layers.items():
         assert getattr(mod, attr) is originals[stem]
     assert tailcomb.nested is originals["tails.nested"]
+
+
+def test_traced_operations_run_and_fill_the_counters():
+    # The tracer's hooks read `build_c2(G).graph`, `.instances` of an
+    # admissibility report, `.members` of a nested family and the twist of
+    # `quasistable_representative(...)[0]`; reshaping any of these results
+    # would fail every traced operation, which this run catches.
+    tracer = load_tracer()
+    graph_methods = {m: CurveGraph.__dict__[m] for m in tracer.GRAPH_METHODS}
+    homes = {home: importlib.import_module(f"tailcomb.{home}")
+             for home, _, _, _ in tracer.TARGETS}
+    targets = {(home, attr): getattr(homes[home], attr)
+               for home, attr, _, _ in tracer.TARGETS if hasattr(homes[home], attr)}
+    registry = dict(suites.SUITES)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        suites.run_suite(suites.SuiteConfig(seed=1, instances=3))
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["qs-reduce", "G3", '{"C1": 1, "C2": 0, "C3": -1}']) == 0
+            assert cli.main(["minimal", "G3"]) == 0
+            assert cli.main(["resolve", "G3", "--from-tails"]) == 0
+        counters = {
+            "lifted_vertices": t.lifted_vertices,
+            "lifted_tails": t.value("graph.lifted_tails", "count"),
+            "instances": t.value("blowup.admissibility_check", "instances"),
+            "members": t.value("tails.nested", "members"),
+            "twist_l1": t.value("degrees.qs_representative", "twist_l1"),
+        }
+        assert all(v > 0 for v in counters.values()), counters
+    finally:
+        t.remove()
+    assert {m: CurveGraph.__dict__[m] for m in graph_methods} == graph_methods
+    for (home, attr), orig in targets.items():
+        assert getattr(homes[home], attr) is orig
+    assert suites.SUITES == registry
+    assert cli.suite_oracle is registry["thm-24-oracle"]
