@@ -125,10 +125,12 @@ class DistinguishedPoint(NamedTuple):
         }
 
 
+@per_graph
 def distinguished_points(
     G: CurveGraph, choice: BlowupChoice
 ) -> tuple[DistinguishedPoint, DistinguishedPoint]:
-    """The two distinguished points of a choice.
+    """The two distinguished points of a choice, built once per graph and
+    choice for the suites, `decide_resolution` and the CLI.
 
     For matching {(x,y), (xb,yb)} the triples are the matching plus (x,yb)
     and the matching plus (xb,y); the extra pair determines the point.
@@ -145,12 +147,12 @@ def distinguished_points(
 
 
 @per_graph
-def choices(G: CurveGraph) -> tuple:
-    """Each blowup choice with its two points, once per graph for all suites:
-    the pairs of reducible nodes in order, each with both of its matchings
-    in `pair_matchings` order."""
+def choices(G: CurveGraph) -> tuple[BlowupChoice, ...]:
+    """Each blowup choice, once per graph for all suites: the pairs of
+    reducible nodes in order, each with both of its matchings in
+    `pair_matchings` order.  Their points come from `distinguished_points`."""
     return tuple(
-        (ch, distinguished_points(G, ch))
+        ch
         for r1, r2 in combinations(G.reducible_nodes(), 2)
         for ch in pair_matchings(G, r1, r2)
     )

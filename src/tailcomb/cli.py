@@ -1,11 +1,13 @@
 """Command-line surface.
 
-Every subcommand reads graphs from JSON files (the built-in fixture names
-G1..G4 are also accepted), prints human text by default and JSON with
+Every subcommand except verify and fixture reads a graph from a JSON file
+(the built-in fixture names G1..G4 are also accepted), which `main` loads
+before the handler runs; each prints human text by default and JSON with
 --json.  Exit codes: 0 success, 1 negative verdict where the verdict is the
 output (resolve, verify, twister --oracle), 2 malformed input or
-configuration (the cases the README lists), with one `error:` line on stderr
-and nothing on stdout.
+configuration (the cases the README lists).  Every exit 2 takes one path,
+usage errors the argument parser catches included: one `error:` line on
+stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import cache
 
 from . import blowup as bw
@@ -74,16 +77,14 @@ def _parse_match(G, pair_arg: str, match_arg: str):
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_validate(args):
-    G = _graph(args.graph)
+def cmd_validate(G, args):
     _emit(args, {"valid": True, "graph": G.to_spec()},
           [f"valid: {G.p} components, {len(G.nodes)} nodes, "
            f"marked {G.names[G.marked]}"])
     return 0
 
 
-def cmd_tails(args):
-    G = _graph(args.graph)
+def cmd_tails(G, args):
     if args.k is not None and args.k < 0:
         raise PreconditionError(f"--k must be non-negative, got {args.k}")
     masks = G.k_tails(args.k) if args.k is not None else G.tails()
@@ -95,8 +96,7 @@ def cmd_tails(args):
     return 0
 
 
-def cmd_nested(args):
-    G = _graph(args.graph)
+def cmd_nested(G, args):
     anchors = G.subcurve(x.strip() for x in args.anchors.split(","))
     fam = nested(G, args.s, anchors)
     _emit(
@@ -109,8 +109,7 @@ def cmd_nested(args):
     return 0
 
 
-def cmd_twister(args):
-    G = _graph(args.graph)
+def cmd_twister(G, args):
     table = dg.twister(G)
     # the thm-24-oracle suite's disagreements: the oracle's twist or its error
     disagree = {}
@@ -139,8 +138,7 @@ def cmd_twister(args):
     return 0
 
 
-def cmd_qs_check(args):
-    G = _graph(args.graph)
+def cmd_qs_check(G, args):
     d = _multidegree(G, args.multidegree)
     res = dg.is_quasistable(G, d)
     payload = {"multidegree": dg.multidegree_map(G, d), "quasistable": res.ok}
@@ -161,8 +159,7 @@ def cmd_qs_check(args):
     return 0
 
 
-def cmd_qs_reduce(args):
-    G = _graph(args.graph)
+def cmd_qs_reduce(G, args):
     d0 = _multidegree(G, args.multidegree)
     c, d = dg.quasistable_representative(G, d0, bound=args.bound)
     _emit(
@@ -174,16 +171,14 @@ def cmd_qs_reduce(args):
     return 0
 
 
-def cmd_plan(args):
-    G = _graph(args.graph)
+def cmd_plan(G, args):
     plan = bw.BlowupPlan() if args.empty else bw.plan_from_tails(G)
     _emit(args, {"plan": plan.to_spec(G)},
           [json.dumps(plan.to_spec(G), sort_keys=True, indent=2)])
     return 0
 
 
-def cmd_resolve(args):
-    G = _graph(args.graph)
+def cmd_resolve(G, args):
     if args.plan:
         plan = bw.BlowupPlan.from_spec(G, read_json(args.plan))
     elif args.from_tails:
@@ -198,8 +193,7 @@ def cmd_resolve(args):
     return 0 if report.resolved else NEGATIVE
 
 
-def cmd_distinguished(args):
-    G = _graph(args.graph)
+def cmd_distinguished(G, args):
     choice = _parse_match(G, args.pair, args.match)
     pts = bw.distinguished_points(G, choice)
     payload = {"points": []}
@@ -219,8 +213,7 @@ def cmd_distinguished(args):
     return 0
 
 
-def cmd_sync(args):
-    G = _graph(args.graph)
+def cmd_sync(G, args):
     choice = _parse_match(G, args.pair, args.match)
     pts = bw.distinguished_points(G, choice)
     pt = pts[args.point - 1]
@@ -239,8 +232,7 @@ def cmd_sync(args):
     return 0
 
 
-def cmd_minimal(args):
-    G = _graph(args.graph)
+def cmd_minimal(G, args):
     rep = bw.minimality_probe(G, args.profile)
     lines = []
     for (r1, r2), kind, _ in rep.classification:
@@ -253,34 +245,39 @@ def cmd_minimal(args):
 
 
 def cmd_verify(args):
-    if args.replay:
-        report = replay(read_json(args.replay))
-    elif args.discrepancy:
+    # the run flags default to SUPPRESS, so `args` holds only those given
+    given = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)
+             if f.name in args}
+    if args.replay or args.discrepancy:
+        # a replay takes its run from the dump; the demonstration takes a seed
+        ignored = [_RUN_FLAG.get(k, "--" + k.replace("_", "-")) for k in given
+                   if args.replay or k != "seed"]
+        if ignored:
+            mode = "--replay" if args.replay else "--discrepancy"
+            raise PreconditionError(f"{mode} ignores {', '.join(ignored)}")
+    if args.discrepancy:
         # The as-displayed reading breaks the resolution suite on the banana
         # fixture; replaying that failure is the demonstration, and finding
         # it is the pass.
-        report = replay({"suite": "thm-64-resolution", "seed": args.seed,
-                         "profile": bw.AS_DISPLAYED, "graph": fixture("G2").to_spec()})
-        found = any("failing_pairs" in v["context"]
-                    for v in report.violations["thm-64-resolution"])
-        _emit(args, {**report.to_dict(), "discrepancy_demonstrated": found},
-              ["as-displayed discrepancy demonstrated on the banana fixture:"
-               f" {found}"])
-        return 0 if found else NEGATIVE
+        report = replay({"suite": "thm-64-resolution", "profile": bw.AS_DISPLAYED,
+                         "graph": fixture("G2").to_spec(), **given})
+        ok = any("failing_pairs" in v["context"]
+                 for v in report.violations["thm-64-resolution"])
+        payload = {**report.to_dict(), "discrepancy_demonstrated": ok}
+        lines = ["as-displayed discrepancy demonstrated on the banana fixture:"
+                 f" {ok}"]
     else:
-        cfg = SuiteConfig(
-            seed=args.seed,
-            instances=args.instances,
-            max_components=args.max_components,
-            max_extra_edges=args.max_extra_edges,
-            allow_loops=not args.no_loops,
-            profile=args.profile,
-            suites=tuple(args.suite) if args.suite else ALL_SUITES,
-            jobs=args.jobs,
-        )
-        report = run_suite(cfg)
-    dumped = not report.ok and args.dump
-    if dumped:
+        report = (replay(read_json(args.replay)) if args.replay
+                  else run_suite(SuiteConfig(**given)))
+        ok = report.ok
+        payload = report.to_dict()
+        lines = []
+        for s in report.config.suites:
+            n = len(report.violations[s])
+            lines.append(f"{s:24s} checks={report.checks[s]:7d} "
+                         f"{'ok' if n == 0 else f'VIOLATIONS={n}'}")
+        lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
+    if not report.ok and args.dump:
         # written before anything is printed, so that an unwritable path
         # leaves stdout empty
         with open(args.dump, "w", encoding="utf-8") as fh:
@@ -288,21 +285,12 @@ def cmd_verify(args):
                 v for s in report.config.suites for v in report.violations[s]
             )
             json.dump(first, fh, sort_keys=True, indent=2)
-    if args.json:
-        print(report.to_json())
-    else:
-        for s in report.config.suites:
-            n = len(report.violations[s])
-            print(f"{s:24s} checks={report.checks[s]:7d} "
-                  f"{'ok' if n == 0 else f'VIOLATIONS={n}'}")
-        print("verdict:", "pass" if report.ok else "FAIL")
-        if dumped:
-            print(f"first counterexample written to {args.dump}")
-    return 0 if report.ok else NEGATIVE
+        lines.append(f"first counterexample written to {args.dump}")
+    _emit(args, payload, lines)
+    return 0 if ok else NEGATIVE
 
 
-def cmd_export_dot(args):
-    G = _graph(args.graph)
+def cmd_export_dot(G, args):
     print(build_c2(G).to_dot() if args.c2 else G.to_dot())
     return 0
 
@@ -312,55 +300,61 @@ def cmd_fixture(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take `main`'s one error path:
+    argparse's message, named by the (sub)command that caught it."""
+
+    def error(self, message):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
+# verify's run flags whose SuiteConfig field is not named after the flag
+_RUN_FLAG = {"allow_loops": "--no-loops", "suites": "--suite"}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     later `main` call in the process (parsing never mutates it)."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tailcomb",
         description="Exact dual-graph combinatorics for nodal curves.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kw):
+    def add(name, handler, graph=True, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="emit JSON")
+        if graph:
+            sp.add_argument("graph")
         return sp
 
-    sp = add("validate", cmd_validate, help="check a graph description")
-    sp.add_argument("graph")
+    add("validate", cmd_validate, help="check a graph description")
 
     sp = add("tails", cmd_tails, help="enumerate tails")
-    sp.add_argument("graph")
     sp.add_argument("--k", type=int, default=None)
 
     sp = add("nested", cmd_nested, help="nested tail family")
-    sp.add_argument("graph")
     sp.add_argument("--s", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--anchors", required=True,
                     help="comma-separated component names")
 
     sp = add("twister", cmd_twister, help="twister coefficient table")
-    sp.add_argument("graph")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the brute-force search")
 
     sp = add("qs-check", cmd_qs_check, help="quasistability of a multidegree")
-    sp.add_argument("graph")
     sp.add_argument("multidegree", help="JSON map or path to one")
 
     sp = add("qs-reduce", cmd_qs_reduce, help="quasistable representative")
-    sp.add_argument("graph")
     sp.add_argument("multidegree")
     sp.add_argument("--bound", type=int, default=None)
 
     sp = add("plan", cmd_plan, help="emit a blowup plan")
-    sp.add_argument("graph")
     sp.add_argument("--empty", action="store_true", help="the plan with no pairs")
 
     sp = add("resolve", cmd_resolve, help="test whether a plan resolves")
-    sp.add_argument("graph")
     source = sp.add_mutually_exclusive_group()
     source.add_argument("--plan", default=None, help="plan JSON file")
     source.add_argument("--from-tails", action="store_true")
@@ -368,30 +362,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("distinguished", cmd_distinguished,
              help="distinguished points of a matching")
-    sp.add_argument("graph")
     sp.add_argument("--pair", required=True, help="two node ids, e.g. e12,e13")
     sp.add_argument("--match", required=True, help="side pairs, e.g. C2:C3,C1:C1")
     sp.add_argument("--profile", default=bw.RECONSTRUCTED, choices=bw.PROFILES)
 
     sp = add("sync", cmd_sync, help="synchronization of a distinguished point")
-    sp.add_argument("graph")
     sp.add_argument("--pair", required=True)
     sp.add_argument("--match", required=True)
     sp.add_argument("--point", type=int, required=True, choices=(1, 2))
 
     sp = add("minimal", cmd_minimal, help="forced pairs and minimal plans")
-    sp.add_argument("graph")
     sp.add_argument("--profile", default=bw.RECONSTRUCTED, choices=bw.PROFILES)
 
-    sp = add("verify", cmd_verify, help="run the property suites")
-    sp.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    sp.add_argument("--instances", type=int, default=SuiteConfig.instances)
-    sp.add_argument("--max-components", type=int, default=SuiteConfig.max_components)
-    sp.add_argument("--max-extra-edges", type=int, default=SuiteConfig.max_extra_edges)
-    sp.add_argument("--no-loops", action="store_true")
-    sp.add_argument("--profile", default=SuiteConfig.profile, choices=bw.PROFILES)
-    sp.add_argument("--suite", action="append", choices=ALL_SUITES)
-    sp.add_argument("--jobs", type=int, default=SuiteConfig.jobs)
+    sp = add("verify", cmd_verify, graph=False, help="run the property suites")
+    # the run flags: SuiteConfig's fields, defaulted by SuiteConfig alone
+    run = {"default": argparse.SUPPRESS}
+    sp.add_argument("--seed", type=int, **run)
+    sp.add_argument("--instances", type=int, **run)
+    sp.add_argument("--max-components", type=int, **run)
+    sp.add_argument("--max-extra-edges", type=int, **run)
+    sp.add_argument("--no-loops", dest="allow_loops", action="store_false", **run)
+    sp.add_argument("--profile", choices=bw.PROFILES, **run)
+    sp.add_argument("--suite", dest="suites", action="append", choices=ALL_SUITES,
+                    **run)
+    sp.add_argument("--jobs", type=int, **run)
     source = sp.add_mutually_exclusive_group()
     source.add_argument("--replay", default=None, help="re-run a counterexample dump")
     source.add_argument("--discrepancy", action="store_true",
@@ -400,19 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the first counterexample to this file")
 
     sp = add("export-dot", cmd_export_dot, help="DOT rendering")
-    sp.add_argument("graph")
     sp.add_argument("--c2", action="store_true", help="render the subdivision")
 
-    sp = add("fixture", cmd_fixture, help="emit a built-in fixture as JSON")
+    sp = add("fixture", cmd_fixture, graph=False,
+             help="emit a built-in fixture as JSON")
     sp.add_argument("name", choices=FIXTURE_NAMES)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if "graph" in args:
+            return args.handler(_graph(args.graph), args)
         return args.handler(args)
     except (GraphError, PreconditionError, RepresentativeNotFound,
             json.JSONDecodeError, OSError) as exc:

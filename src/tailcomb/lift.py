@@ -301,8 +301,8 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     A level synchronizes when the contraction images of the hat family equal
     the base multiset with multiplicity and no member is purely exceptional.
     Level 1 always synchronizes, so it is not compared; its structure is
-    checked by `one_tail_diagnostic`.  Memoized per graph and point, so a
-    point rebuilt by another `distinguished_points` call is not re-evaluated.
+    checked by `one_tail_diagnostic`.  Memoized per graph and point, so an
+    equal point built elsewhere is not re-evaluated.
     """
     LG = build_c2(G)
     hats = hat_families(G, point)

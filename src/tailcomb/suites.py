@@ -249,7 +249,7 @@ def suite_admissibility(G: CurveGraph, rng, profile):
         for inst in rep.failures():
             bad.append({"check": f"ineq-{inst.ineq}", "pair": [G.nodes[r].id],
                         "args": list(inst.args), "value": inst.value})
-    for ch, _ in bw.choices(G):
+    for ch in bw.choices(G):
         rep = bw.admissibility_check(G, ch.r1, ch.r2, ch)
         checks += rep.count
         for inst in rep.failures():
@@ -266,8 +266,8 @@ def suite_admissibility(G: CurveGraph, rng, profile):
 def suite_lemma61(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
-    for ch, pts in bw.choices(G):
-        for pt in pts:
+    for ch in bw.choices(G):
+        for pt in bw.distinguished_points(G, ch):
             checks += 1
             diag = one_tail_diagnostic(G, pt)
             if not diag.ok:
@@ -281,8 +281,8 @@ def suite_prop62(G: CurveGraph, rng, profile):
     identity on every synchronized point."""
     checks = 0
     bad = []
-    for ch, pts in bw.choices(G):
-        for pt in pts:
+    for ch in bw.choices(G):
+        for pt in bw.distinguished_points(G, ch):
             checks += 1
             qs = bw.is_quasistable_point(G, pt, profile)
             sync = is_synchronized(G, pt)
@@ -304,7 +304,8 @@ def suite_prop62(G: CurveGraph, rng, profile):
 def suite_thm63(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
-    for ch, pts in bw.choices(G):
+    for ch in bw.choices(G):
+        pts = bw.distinguished_points(G, ch)
         checks += 1
         qs_both = all(bw.is_quasistable_point(G, pt, profile).ok for pt in pts)
         sync_both = all(is_synchronized(G, pt).synchronized for pt in pts)

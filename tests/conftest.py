@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from tailcomb.blowup import distinguished_points, pair_matchings
+from tailcomb.blowup import pair_matchings
 from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.fixtures import fixture
@@ -57,11 +57,10 @@ def delta(G, g1, g2, m, n):
 
 
 def choices_oracle(G):
-    """Each blowup choice with its two points, pair by pair in node order and
-    both matchings of a pair in `pair_matchings` order (the oracle of
-    `blowup.choices`)."""
+    """Each blowup choice, pair by pair in node order and both matchings of a
+    pair in `pair_matchings` order (the oracle of `blowup.choices`)."""
     return tuple(
-        (ch, distinguished_points(G, ch))
+        ch
         for r1, r2 in combinations(G.reducible_nodes(), 2)
         for ch in pair_matchings(G, r1, r2)
     )

@@ -146,7 +146,8 @@ def test_criterion_07_quasistable_synchronized_equivalence(corpus):
     points = pair_checks = 0
     violations = []
     for G in corpus:
-        for ch, pts in choices_oracle(G):
+        for ch in choices_oracle(G):
+            pts = distinguished_points(G, ch)
             qs = [is_quasistable_point(G, p, RECONSTRUCTED).ok for p in pts]
             sy = [is_synchronized(G, p).synchronized for p in pts]
             for q, s, p in zip(qs, sy, pts):
@@ -167,8 +168,8 @@ def test_criterion_08_level1_diagnostic_and_counting(corpus):
     diags = identities = 0
     violations = []
     for G in corpus:
-        for ch, pts in choices_oracle(G):
-            for p in pts:
+        for ch in choices_oracle(G):
+            for p in distinguished_points(G, ch):
                 diags += 1
                 if not one_tail_diagnostic(G, p).ok:
                     violations.append(("lemma-6.1", p.describe(G)))

@@ -114,7 +114,9 @@ def test_qs_point_profiles_disagree(G2):
 def test_point_verdicts_memoized_per_point_and_profile(G2):
     aligned = make_choice(G2, 0, 1, [(1, 1), (0, 0)])
     first = distinguished_points(G2, aligned)
-    again = distinguished_points(G2, aligned)
+    assert distinguished_points(G2, make_choice(G2, 1, 0, [(1, 1), (0, 0)])) is first
+    # an equal point built outside the memo still hits the verdicts' memo
+    again = distinguished_points.__wrapped__(G2, aligned)
     for pt, rebuilt in zip(first, again):
         assert pt is not rebuilt and pt == rebuilt
         assert is_synchronized(G2, rebuilt) is is_synchronized(G2, pt)

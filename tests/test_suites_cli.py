@@ -251,6 +251,51 @@ def test_cli_verify_discrepancy_needs_the_resolution_failure(monkeypatch, capsys
     assert data["discrepancy_demonstrated"] is False and data["ok"] is False
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--suite", "prop-31", "--seed", "9", "--instances", "4",
+      "--profile", "as-displayed"], "--seed, --instances, --profile, --suite"),
+    (["--no-loops"], "--no-loops"),
+    (["--max-components", "3", "--max-extra-edges", "1", "--jobs", "2"],
+     "--max-components, --max-extra-edges, --jobs"),
+])
+def test_cli_verify_replay_and_discrepancy_reject_ignored_flags(flags, named,
+                                                              tmp_path, capsys):
+    # a replay runs the dump's suite on its graph, the demonstration a fixed
+    # dump: a run flag given with either would be ignored, so it is an error
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps({"suite": "lemma-35", "graph": G2_SPEC}))
+    for mode in (["--replay", str(path)], ["--discrepancy"]):
+        assert main(["verify", *mode, *flags, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        ignored = named.replace("--seed, ", "") if "--discrepancy" in mode else named
+        assert err == f"error: {mode[0]} ignores {ignored}\n"
+    # the demonstration takes a seed; --json and --dump are valid with both
+    assert main(["verify", "--discrepancy", "--seed", "4"]) == 0
+    assert main(["verify", "--replay", str(path), "--json",
+                 "--dump", str(tmp_path / "unused.json")]) == 0
+
+
+def test_cli_verify_discrepancy_dump(tmp_path, capsys):
+    text, js = tmp_path / "text.json", tmp_path / "json.json"
+    assert main(["verify", "--discrepancy", "--dump", str(text)]) == 0
+    assert capsys.readouterr().out == (
+        "as-displayed discrepancy demonstrated on the banana fixture: True\n"
+        f"first counterexample written to {text}\n"
+    )
+    assert main(["verify", "--discrepancy", "--json", "--dump", str(js)]) == 0
+    (bad,) = json.loads(capsys.readouterr().out)["suites"]["thm-64-resolution"][
+        "violations"]
+    assert json.loads(js.read_text()) == bad and js.read_text() == text.read_text()
+    # the dump is the failure's reproducer, as every other mode writes it
+    assert main(["verify", "--replay", str(js)]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--discrepancy", "--dump",
+                 str(tmp_path / "no" / "d.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 _FAILING_RUN = ["verify", "--instances", "3", "--suite", "thm-64-resolution",
                 "--profile", "as-displayed"]
 

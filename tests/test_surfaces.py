@@ -404,6 +404,66 @@ def test_load_malformed_below_json(content, tmp_path):
         load(str(path))
 
 
+# each subcommand with a complete argument list, and one that leaves out a
+# required argument (verify has none, so its --seed lacks a value)
+_D3 = '{"C1": 0, "C2": 0, "C3": 0}'
+_PAIR = ["--pair", "e12,e13", "--match", "C2:C1,C1:C3"]
+_SUBCOMMANDS = {
+    "validate": (["G3"], []),
+    "tails": (["G3"], []),
+    "nested": (["G3", "--s", "2", "--anchors", "C2,C3"], ["G3", "--s", "2"]),
+    "twister": (["G3"], []),
+    "qs-check": (["G3", _D3], ["G3"]),
+    "qs-reduce": (["G3", _D3], ["G3"]),
+    "plan": (["G3"], []),
+    "resolve": (["G3"], []),
+    "distinguished": (["G3", *_PAIR], ["G3", "--pair", "e12,e13"]),
+    "sync": (["G3", *_PAIR, "--point", "1"], ["G3", *_PAIR]),
+    "minimal": (["G3"], []),
+    "verify": ([], ["--seed"]),
+    "export-dot": (["G3"], []),
+    "fixture": (["G3"], []),
+}
+# (argv, the parser that catches it): a subcommand's parser catches what
+# its own arguments get wrong, the top-level parser anything left over
+_USAGE_ERRORS = [
+    pytest.param([], "tailcomb", id="no-command"),
+    pytest.param(["nope"], "tailcomb", id="unknown-command"),
+    pytest.param(["--bogus"], "tailcomb", id="unknown-flag"),
+    *(pytest.param([cmd, *missing], f"tailcomb {cmd}", id=f"{cmd}-missing")
+      for cmd, (_, missing) in _SUBCOMMANDS.items()),
+    *(pytest.param([cmd, *full, "--bogus"], "tailcomb", id=f"{cmd}-unknown-flag")
+      for cmd, (full, _) in _SUBCOMMANDS.items()),
+    *(pytest.param(argv, f"tailcomb {argv[0]}", id=f"{argv[0]}-bad-choice")
+      for argv in (
+          ["resolve", "G3", "--profile", "nope"],
+          ["distinguished", "G3", *_PAIR, "--profile", "nope"],
+          ["minimal", "G3", "--profile", "nope"],
+          ["verify", "--profile", "nope"],
+          ["nested", "G3", "--s", "4", "--anchors", "C2,C3"],
+          ["sync", "G3", *_PAIR, "--point", "3"],
+          ["verify", "--suite", "nope"],
+          ["fixture", "G9"],
+      )),
+]
+
+
+@pytest.mark.parametrize("argv, prog", _USAGE_ERRORS)
+def test_cli_usage_errors_take_the_one_error_path(argv, prog):
+    # exit 2 and one `error:` line holding the parser's message, which names
+    # the (sub)command whose parser caught it
+    _assert_usage_error(argv)
+    assert _call(argv)[2].startswith(f"error: {prog}: ")
+
+
+@pytest.mark.parametrize("cmd", [[], *([cmd] for cmd in _SUBCOMMANDS)],
+                         ids=["top-level", *_SUBCOMMANDS])
+def test_cli_help_still_exits_zero(cmd):
+    code, out, err = _call([*cmd, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: tailcomb", *cmd]))
+
+
 # -- the public surface -------------------------------------------------------------
 
 README = Path(__file__).resolve().parents[1] / "README.md"

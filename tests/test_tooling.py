@@ -3,7 +3,7 @@
 import importlib
 import importlib.util
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import tailcomb
@@ -69,6 +69,13 @@ def test_traced_operations_run_and_fill_the_counters():
             assert cli.main(["qs-reduce", "G3", '{"C1": 1, "C2": 0, "C3": -1}']) == 0
             assert cli.main(["minimal", "G3"]) == 0
             assert cli.main(["resolve", "G3", "--from-tails"]) == 0
+        # a usage error returns 2 like any malformed input: a measured
+        # operation, which catches Exception but not SystemExit, counts it
+        # as one failed operation instead of ending the run
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert cli.main(["resolve", "G3", "--profile", "nope"]) == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         counters = {
             "lifted_vertices": t.lifted_vertices,
             "lifted_tails": t.value("graph.lifted_tails", "count"),
