@@ -7,8 +7,8 @@ hashable and cheap.  All values are immutable after construction.  Derived
 data (tails, nested families, the twister table, the node subdivision) is
 computed once per graph by functions decorated with `per_graph`, which keep
 it, terminal masks included, in the graph's single memo: the only store
-written after construction.  Tails come from rooted growth of connected
-vertex sets; a graph with a closed form for its s-tails, s <= 3, supplies it
+written after construction.  Tails come from a binary-partition (bond)
+search; a graph with a closed form for its s-tails, s <= 3, supplies it
 through `_derived_k_tails` (the node subdivision does), while `tails()` and
 `k_tails(k > 3)` always enumerate.
 """
@@ -190,23 +190,22 @@ class CurveGraph:
 
     # -- connectivity and terminal data ------------------------------------
 
-    def connected(self, mask: int) -> bool:
-        if mask == 0:
-            return True
-        seen = mask & -mask
-        frontier = seen
+    def _reach(self, mask: int, start: int) -> int:
+        """The vertices joined to the start set by paths inside mask."""
+        seen = frontier = start
         nbr = self._nbr
         while frontier:
             nxt = 0
-            t = frontier
-            while t:
-                low = t & -t
+            while frontier:
+                low = frontier & -frontier
                 nxt |= nbr[low.bit_length() - 1]
-                t ^= low
-            nxt &= mask & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == mask
+                frontier ^= low
+            frontier = nxt & mask & ~seen
+            seen |= frontier
+        return seen
+
+    def connected(self, mask: int) -> bool:
+        return self._reach(mask, mask & -mask) == mask
 
     @per_graph
     def term_mask(self, mask: int) -> int:
@@ -240,40 +239,30 @@ class CurveGraph:
     def tails(self) -> tuple[int, ...]:
         """Every tail, canonically ordered.
 
-        Enumeration grows connected vertex sets from component 0 by frontier
-        extension; a set and its complement are both tails or neither, so
-        rooting the growth at one vertex visits each tail pair exactly once.
+        A binary-partition search over pairs (S, X): S is connected and holds
+        component 0, and X holds frontier vertices kept out of S.  A pair
+        branches on its lowest frontier vertex v outside X, which joins S or
+        joins X, and a branch is kept only while X lies inside one component
+        of the rest, so no branch is wasted.  At a leaf the whole frontier is
+        in X, so the rest is connected: S and its complement are a tail pair,
+        and each pair is reached exactly once.
         """
-        if self.p == 1:
-            return ()
-        full = self.full_mask
-        nbr = self._nbr
-        found = []
-        seen = {1}
-        stack = [1]
-        while stack:
-            s = stack.pop()
-            comp = full ^ s
-            if comp and self.connected(comp):
-                found.append(s)
-            frontier = 0
-            t = s
-            while t:
-                low = t & -t
-                frontier |= nbr[low.bit_length() - 1]
-                t ^= low
-            frontier &= ~s
-            while frontier:
-                low = frontier & -frontier
-                nxt = s | low
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-                frontier ^= low
+        full, nbr, reach = self.full_mask, self._nbr, self._reach
         out = []
-        for s in found:
-            out.append(s)
-            out.append(full ^ s)
+        stack = [(1, 0, nbr[0])]
+        while stack:
+            s, x, front = stack.pop()
+            free = front & ~x
+            if not free:
+                if s != full:
+                    out += (s, full ^ s)
+                continue
+            v = free & -free
+            grown = s | v
+            if reach(full ^ grown, x & -x) & x == x:
+                stack.append((grown, x, (front | nbr[v.bit_length() - 1]) & ~grown))
+            if reach(full ^ s, v) & x == x:
+                stack.append((s, x | v, front))
         return tuple(sorted(out, key=canon_key))
 
     @per_graph

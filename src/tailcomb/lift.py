@@ -5,7 +5,7 @@ vertices, producing another CurveGraph, so the whole tail machinery applies
 unchanged.  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is
 a series extension, so they follow in closed form from the base graph's
 s-tails and bridges (`_lifted_k_tails`).  `tails()` and `k_tails(k > 3)` on
-the subdivision still use the rooted growth of `CurveGraph`.  Canonical
+the subdivision still use the bond search of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
 synchronization all live here.  Synchronization compares levels 2 and 3

@@ -18,12 +18,8 @@ def child_rng(seed: int, tag: int | str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def random_graph(
-    rng: random.Random,
-    max_components: int = 6,
-    max_extra_edges: int = 4,
-    allow_loops: bool = True,
-) -> CurveGraph:
+def random_graph(rng: random.Random, max_components: int, max_extra_edges: int,
+                 allow_loops: bool) -> CurveGraph:
     if max_components < 1:
         raise ValueError("max_components must be at least 1")
     p = rng.randint(1, max_components)

@@ -515,7 +515,8 @@ def replay(dump: dict) -> VerificationReport:
 
     The dump is an object with a suite name and a graph description, and
     optionally integer "seed" and "instance" (not booleans) and a profile
-    name; anything else raises PreconditionError or GraphError.
+    name; anything else raises PreconditionError or GraphError.  A seed or
+    profile the dump lacks is `SuiteConfig`'s.
     """
     if not isinstance(dump, dict):
         raise PreconditionError("a dump must be a JSON object")
@@ -523,15 +524,10 @@ def replay(dump: dict) -> VerificationReport:
     if not isinstance(name, str) or name not in SUITES:
         raise PreconditionError(f"dump references unknown suite {name!r}")
     G = validate(dump.get("graph"))
-    seed = _dump_int(dump, "seed", 1)
-    index = _dump_int(dump, "instance", 0)
-    cfg = SuiteConfig(seed=seed, instances=1, suites=(name,),
-                      profile=dump.get("profile", bw.RECONSTRUCTED))
-    return _run(cfg, [(index, G)])
-
-
-def _dump_int(dump: dict, key: str, default: int) -> int:
-    value = dump.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionError(f"dump {key} must be an integer, got {value!r}")
-    return value
+    for key in ("seed", "instance"):
+        value = dump.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise PreconditionError(f"dump {key} must be an integer, got {value!r}")
+    run = {key: dump[key] for key in ("seed", "profile") if key in dump}
+    cfg = SuiteConfig(instances=1, suites=(name,), **run)
+    return _run(cfg, [(dump.get("instance", 0), G)])

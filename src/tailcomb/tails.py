@@ -21,8 +21,6 @@ from .graph import CurveGraph, canon_key, members, per_graph
 class NestedFamily:
     """A chain of s-tails, each strictly preceding the next."""
 
-    level: int
-    anchors: int
     members: tuple[int, ...]
 
 
@@ -43,7 +41,7 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
     if anchors & ~G.full_mask:
         raise PreconditionError("anchors outside the component range")
     if (anchors >> G.marked) & 1:
-        return NestedFamily(s, anchors, ())
+        return NestedFamily(())
     cands = _candidates(G, s, anchors)
     chain: list[int] = []
     prev = tprev = 0
@@ -77,7 +75,7 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
             chain=[G.names_of(z) for z in chain],
             candidates=[G.names_of(z) for z, _ in cands],
         )
-    return NestedFamily(s, anchors, tuple(chain))
+    return NestedFamily(tuple(chain))
 
 
 def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
@@ -143,10 +141,6 @@ def joining_nodes_mask(G: CurveGraph, i: int, j: int) -> int:
 class SymmDiffReport:
     """Symmetric difference of two same-level families sharing a component."""
 
-    level: int
-    i: int
-    j: int
-    k: int
     family: tuple[int, ...]
     difference_nodes: tuple[int, ...]  # node indices; empty or a pair
     condition: str  # "empty" | "condition-i" | "condition-ii"
@@ -184,12 +178,12 @@ def symm_diff(G: CurveGraph, s: int, i: int, j: int, k: int) -> SymmDiffReport:
                 members=[G.names_of(z) for z in sd],
             )
     if not sd:
-        return SymmDiffReport(s, i, j, k, (), (), "empty")
+        return SymmDiffReport((), (), "empty")
     condition = _classify(G, s, i, j, k, sd, union)
     diff_nodes: tuple[int, ...] = ()
     if s == 2:
         diff_nodes = _difference_nodes(G, i, j, k, sd, ij_nodes)
-    return SymmDiffReport(s, i, j, k, tuple(sd), diff_nodes, condition)
+    return SymmDiffReport(tuple(sd), diff_nodes, condition)
 
 
 def _level_families(G, s, i, j, k) -> tuple[set, set]:

@@ -9,6 +9,7 @@ from tailcomb.degrees import twister
 from tailcomb.errors import GraphError
 from tailcomb.graph import CurveGraph, canon_key, members, precedes, validate
 from tailcomb.lift import build_c2
+from tailcomb.randgen import instance_graph
 from tailcomb.suites import lemma27
 from tailcomb.tails import nested
 
@@ -102,13 +103,70 @@ def test_loops_never_terminal(G1):
 # -- tails ----------------------------------------------------------------------
 
 
+def bfs_connected(G, mask):
+    """Independent connectivity test: a breadth-first search over G.nodes."""
+    inside = set(members(mask))
+    if not inside:
+        return True
+    adjacent = {v: set() for v in inside}
+    for nd in G.nodes:
+        if nd.a in inside and nd.b in inside:
+            adjacent[nd.a].add(nd.b)
+            adjacent[nd.b].add(nd.a)
+    start = min(inside)
+    seen, todo = {start}, [start]
+    while todo:
+        for w in adjacent[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return seen == inside
+
+
 def brute_force_tails(G):
     """Independent oracle: filter the full power set."""
     out = []
     for mask in range(1, G.full_mask):
-        if G.connected(mask) and G.connected(G.full_mask ^ mask):
+        if bfs_connected(G, mask) and bfs_connected(G, G.full_mask ^ mask):
             out.append(mask)
     return sorted(out, key=canon_key)
+
+
+def rooted_growth_tails(G):
+    """Oracle: grow every connected vertex set from component 0 by frontier
+    extension and keep those with a connected complement; a set and its
+    complement are both tails or neither, so rooting the growth at one
+    vertex visits each tail pair exactly once."""
+    if G.p == 1:
+        return ()
+    full = G.full_mask
+    nbr = G._nbr
+    found = []
+    seen = {1}
+    stack = [1]
+    while stack:
+        s = stack.pop()
+        comp = full ^ s
+        if comp and bfs_connected(G, comp):
+            found.append(s)
+        frontier = 0
+        t = s
+        while t:
+            low = t & -t
+            frontier |= nbr[low.bit_length() - 1]
+            t ^= low
+        frontier &= ~s
+        while frontier:
+            low = frontier & -frontier
+            nxt = s | low
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+            frontier ^= low
+    out = []
+    for s in found:
+        out.append(s)
+        out.append(full ^ s)
+    return tuple(sorted(out, key=canon_key))
 
 
 def test_canon_key_orders_by_size_then_vertex_tuple():
@@ -126,6 +184,34 @@ def test_canon_key_orders_by_size_then_vertex_tuple():
 def test_tails_match_brute_force(G1, G2, G3, G4):
     for G in (G1, G2, G3, G4):
         assert list(G.tails()) == brute_force_tails(G)
+
+
+def test_tails_match_rooted_growth_fixtures_and_corpus(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4, *oracle_corpus()):
+        assert G.tails() == rooted_growth_tails(G)
+
+
+def test_tails_match_rooted_growth_on_larger_draws():
+    draws = ([instance_graph(3, i, 9, 7, True) for i in range(300)]
+             + [instance_graph(1, i, 12, 10, True) for i in range(10)])
+    for G in draws:
+        assert G.tails() == rooted_growth_tails(G)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_tails_match_rooted_growth_property(G):
+    assert G.tails() == rooted_growth_tails(G)
+
+
+def test_tails_of_the_p28_graph():
+    # 28 components and 39 nodes: the rooted growth visits 5.3 million
+    # connected sets here, so the count is pinned instead
+    G = instance_graph(1, 0, 30, 20, True)
+    assert (G.p, len(G.nodes)) == (28, 39)
+    tails = G.tails()
+    assert len(tails) == len(set(tails)) == 30_850
+    assert {G.full_mask ^ z for z in tails} == set(tails)
 
 
 def test_k_tails_examples(G2, G3):
@@ -322,7 +408,7 @@ def test_tails_partition_by_double_count(G):
     brute = sum(
         1
         for mask in range(1, G.full_mask)
-        if G.connected(mask) and G.connected(G.full_mask ^ mask)
+        if bfs_connected(G, mask) and bfs_connected(G, G.full_mask ^ mask)
     )
     assert via_k == len(G.tails()) == brute
 
@@ -331,11 +417,12 @@ def test_tails_double_count_up_to_ten_components():
     from tailcomb.randgen import child_rng, random_graph
 
     for i in range(25):
-        G = random_graph(child_rng(17, i), max_components=10, max_extra_edges=5)
+        G = random_graph(child_rng(17, i), max_components=10, max_extra_edges=5,
+                         allow_loops=True)
         brute = sum(
             1
             for mask in range(1, G.full_mask)
-            if G.connected(mask) and G.connected(G.full_mask ^ mask)
+            if bfs_connected(G, mask) and bfs_connected(G, G.full_mask ^ mask)
         )
         assert len(G.tails()) == brute
         assert sum(len(G.k_tails(k)) for k in range(3 * len(G.nodes) + 1)) == brute

@@ -227,7 +227,7 @@ def corpus():
 
 def enumerated_subdivision(G):
     """The subdivision of G and a plain copy whose k-tails bucket its
-    rooted-growth enumeration."""
+    enumerated tails."""
     lg = LiftedGraph(G).graph
     return lg, CurveGraph(lg.names, lg.nodes, lg.marked)
 

@@ -405,6 +405,18 @@ def test_cli_verify_replay_rejects_malformed_dump(tmp_path, capsys, dump):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_replay_takes_a_missing_seed_and_profile_from_suite_config():
+    # a dump without "seed" or "profile" runs under SuiteConfig's defaults
+    report = replay({"suite": "thm-64-resolution", "graph": G2_SPEC})
+    default = SuiteConfig()
+    assert (report.config.seed, report.config.profile) == (default.seed,
+                                                           default.profile)
+    explicit = replay({"suite": "thm-64-resolution", "graph": G2_SPEC,
+                       "seed": default.seed, "profile": default.profile})
+    assert (report.to_json(include_timing=False)
+            == explicit.to_json(include_timing=False))
+
+
 def test_cli_sync_and_distinguished(capsys):
     assert main(["distinguished", "G2", "--pair", "a,b",
                  "--match", "C2:C2,C1:C1", "--json"]) == 0

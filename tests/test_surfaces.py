@@ -72,7 +72,8 @@ def test_generator_bounds_validation():
     from tailcomb.randgen import random_graph
 
     with pytest.raises(ValueError):
-        random_graph(random.Random(0), max_components=0)
+        random_graph(random.Random(0), max_components=0, max_extra_edges=4,
+                     allow_loops=True)
 
 
 def test_multidegree_length_check(G3):
