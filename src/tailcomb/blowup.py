@@ -334,7 +334,7 @@ class IneqInstance(NamedTuple):
 class AdmissibilityReport:
     """The admissibility instances at a node pair.
 
-    `count` (the number of instances) and `failures()` (the failing ones, in
+    `count` (the number of instances) and `failures` (the failing ones, in
     instance order) are computed by the check.  `instances`, every instance
     in order, is built on first access from what the check kept: (18) node
     by node, each node once per gated side quadruple, then (19)-(25).
@@ -343,7 +343,7 @@ class AdmissibilityReport:
     r1: int
     r2: int
     count: int
-    _failures: tuple[IneqInstance, ...]
+    failures: tuple[IneqInstance, ...]
     # (18)'s nodes as (id, m, n), its quadruples with the difference of
     # their two twister rows, and (19)-(25) as (ineq, args, value)
     _across: tuple
@@ -352,10 +352,7 @@ class AdmissibilityReport:
 
     @property
     def ok(self) -> bool:
-        return not self._failures
-
-    def failures(self) -> tuple[IneqInstance, ...]:
-        return self._failures
+        return not self.failures
 
     @cached_property
     def instances(self) -> tuple[IneqInstance, ...]:
@@ -392,7 +389,7 @@ def admissibility_check(
             raise PreconditionError("choice does not describe this node pair")
         r1, r2 = choice.r1, choice.r2
         (g1, g2), (g1p, g2p) = choice.matched_pairs()
-    alpha = twister(G).alpha
+    alpha = twister(G)
 
     def crossed(a, ap, b, bp):
         # The triples are the matched pairs (g1, g2), (g1', g2') plus one

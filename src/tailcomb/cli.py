@@ -119,7 +119,7 @@ def cmd_twister(G, args):
                     else b["error"] for b in bad}
     agree = not disagree
     lines = []
-    for (g1, g2), alpha in sorted(table.alpha.items()):
+    for (g1, g2), alpha in sorted(table.items()):
         if g1 > g2:
             continue
         line = (f"alpha[{G.names[g1]},{G.names[g2]}] = "
@@ -129,7 +129,10 @@ def cmd_twister(G, args):
         lines.append(line)
     if args.oracle:
         lines.append("oracle agreement: " + ("agree" if agree else "DISAGREE"))
-    payload = {"alpha": table.to_map()}
+    payload = {"alpha": {
+        G.names[g1]: {G.names[g2]: dg.multidegree_map(G, table[g1, g2])
+                      for g2 in range(G.p)}
+        for g1 in range(G.p)}}
     if args.oracle:
         payload["oracle_agrees"] = agree
     _emit(args, payload, lines)
@@ -218,7 +221,7 @@ def cmd_sync(G, args):
     pts = bw.distinguished_points(G, choice)
     pt = pts[args.point - 1]
     report = is_synchronized(G, pt)
-    diagnostic_ok = one_tail_diagnostic(G, pt).ok
+    diagnostic_ok = not one_tail_diagnostic(G, pt)
     lines = [f"point {pt.index}: synchronized={report.synchronized}"]
     for l in report.levels:
         lines.append(

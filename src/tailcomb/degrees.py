@@ -24,7 +24,7 @@ from .errors import (
     RepresentativeNotFound,
 )
 from .graph import CurveGraph, members, per_graph
-from .tails import joining_nodes_mask, tail_family
+from .tails import tail_family
 
 def multidegree(G: CurveGraph, data) -> tuple[int, ...]:
     """A multidegree from a mapping {component name: int} or a sequence.
@@ -69,16 +69,12 @@ def laplacian(G: CurveGraph) -> tuple[tuple[int, ...], ...]:
     component on a regular smoothing, negated: diagonal = non-loop valence,
     off-diagonal = minus the edge count.  Rows sum to zero.
     """
-    p = G.p
-    lap = [[0] * p for _ in range(p)]
-    for nd in G.nodes:
-        if nd.is_loop:
-            continue
-        lap[nd.a][nd.a] += 1
-        lap[nd.b][nd.b] += 1
-        lap[nd.a][nd.b] -= 1
-        lap[nd.b][nd.a] -= 1
-    return tuple(tuple(row) for row in lap)
+    lap = []
+    for m in range(G.p):
+        row = [-G.joining(m, n).bit_count() for n in range(G.p)]
+        row[m] = -sum(row)
+        lap.append(tuple(row))
+    return tuple(lap)
 
 
 def beta2(G: CurveGraph, d, Y: int) -> int:
@@ -266,34 +262,14 @@ def _scan_box(G, d0, b):
     return hits
 
 
-@dataclass(frozen=True)
-class TwisterTable:
-    """Tail-count coefficients for every ordered component pair.
-
-    alpha[(g1, g2)][m] counts the members of the pair's tail multiset that
-    contain component m; it is symmetric in the pair and vanishes on the
-    marked component.
-    """
-
-    graph: CurveGraph
-    alpha: dict[tuple[int, int], tuple[int, ...]]
-
-    def to_map(self) -> dict:
-        G = self.graph
-        return {
-            G.names[g1]: {
-                G.names[g2]: multidegree_map(G, self.alpha[(g1, g2)])
-                for g2 in range(G.p)
-            }
-            for g1 in range(G.p)
-        }
-
-
 @per_graph
-def twister(G: CurveGraph) -> TwisterTable:
-    """The twister table, with the terminal-count identity of its rows.
+def twister(G: CurveGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The twister table {(g1, g2): alpha}, with both orders of each pair.
 
-    For every pair and node, +1 per family tail with the node terminal that
+    alpha[m] counts the members of the pair's tail multiset that contain
+    component m; it is symmetric in the pair and vanishes on the marked
+    component.  The rows are checked against the terminal-count identity:
+    for every pair and node, +1 per family tail with the node terminal that
     contains its first end, -1 per one containing its second end, must sum
     to the coefficient difference of the two ends, alpha_m - alpha_n (0 = 0
     for a loop).
@@ -320,7 +296,7 @@ def twister(G: CurveGraph) -> TwisterTable:
                     alpha_difference=al[nd.a] - al[nd.b],
                 )
         table[(g1, g2)] = table[(g2, g1)] = tuple(al)
-    return TwisterTable(G, table)
+    return table
 
 
 def abel_multidegree(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
@@ -343,11 +319,11 @@ def lemma35_difference(G: CurveGraph, i: int, j: int, k: int) -> int:
     """
     if i == j:
         raise PreconditionError("needs distinct components i, j")
-    if not joining_nodes_mask(G, i, j):
+    if not G.joining(i, j):
         raise PreconditionError(
             f"components {G.names[i]} and {G.names[j]} share no node"
         )
-    tab = twister(G).alpha
+    tab = twister(G)
     fa, fb = tab[(i, k)], tab[(j, k)]
     f = [fa[m] - fb[m] for m in range(G.p)]
     values = sorted(set(f))

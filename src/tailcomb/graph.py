@@ -3,11 +3,14 @@
 Components are vertices and nodes are edges; a loop is a self-node of a
 single component and is never a reducible node.  Subcurves are encoded as
 integer bitmasks over the component indices, so every set operation is exact,
-hashable and cheap.  All values are immutable after construction.  Derived
-data (tails, nested families, the twister table, the node subdivision) is
-computed once per graph by functions decorated with `per_graph`, which keep
-it, terminal masks included, in the graph's single memo: the only store
-written after construction.  Tails come from a binary-partition (bond)
+hashable and cheap.  Node incidence is built with the graph, one mask of
+non-loop nodes per component: a terminal mask is the XOR of its members'
+masks, and the nodes joining two components are the AND of theirs.  All
+values are immutable after construction.  Derived data (tails, nested
+families, the twister table, the node subdivision) is computed once per
+graph by functions decorated with `per_graph`, which keep it, terminal masks
+included, in the graph's single memo: the only store written after
+construction.  Tails come from a binary-partition (bond)
 search; a graph with a closed form for its s-tails, s <= 3, supplies it
 through `_derived_k_tails` (the node subdivision does), while `tails()` and
 `k_tails(k > 3)` always enumerate.
@@ -80,10 +83,6 @@ class Node:
     def is_loop(self) -> bool:
         return self.a == self.b
 
-    @property
-    def ends(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 class CurveGraph:
     """Connected multigraph with ordered components and a marked component."""
@@ -96,6 +95,7 @@ class CurveGraph:
         "_index",
         "_node_index",
         "_nbr",
+        "_inc",
         "_hash",
         "_memo",
     )
@@ -127,11 +127,15 @@ class CurveGraph:
         self._index = index
         self._node_index = node_index
         nbr = [0] * len(names)
-        for nd in nodes:
+        inc = [0] * len(names)  # per component, its non-loop nodes
+        for t, nd in enumerate(nodes):
             if not nd.is_loop:
                 nbr[nd.a] |= 1 << nd.b
                 nbr[nd.b] |= 1 << nd.a
+                inc[nd.a] |= 1 << t
+                inc[nd.b] |= 1 << t
         self._nbr = tuple(nbr)
+        self._inc = tuple(inc)
         self._hash = hash((names, nodes, marked))
         self._memo: dict[tuple, object] = {}
         if not self.connected(self.full_mask):
@@ -212,13 +216,22 @@ class CurveGraph:
         """Bitmask over node indices of the terminal nodes of a subcurve.
 
         Loops never count; the full and empty subcurves have no terminal
-        nodes by definition.
+        nodes by definition.  A node is terminal when exactly one of its
+        ends lies in the subcurve, so this is the XOR of the members'
+        incident nodes.
         """
         t = 0
-        for i, nd in enumerate(self.nodes):
-            if ((mask >> nd.a) & 1) != ((mask >> nd.b) & 1):
-                t |= 1 << i
+        inc = self._inc
+        while mask:
+            low = mask & -mask
+            t ^= inc[low.bit_length() - 1]
+            mask ^= low
         return t
+
+    def joining(self, i: int, j: int) -> int:
+        """Bitmask over node indices of the nodes joining components i and j;
+        0 when i == j, since loops are never counted."""
+        return self._inc[i] & self._inc[j] if i != j else 0
 
     def k(self, mask: int) -> int:
         return self.term_mask(mask).bit_count()
@@ -326,6 +339,11 @@ def dot_edges(G: CurveGraph) -> list[str]:
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise GraphError(f"{what} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        # a lone surrogate ("\ud800" in JSON) has no UTF-8 form to print
+        raise GraphError(f"{what} {value!r} is not valid Unicode text") from None
     return value
 
 
@@ -389,16 +407,27 @@ def _json_object(pairs: list) -> dict:
     return obj
 
 
+def _json_int(text: str) -> int:
+    """An integer literal; one with more digits than the interpreter converts
+    (sys.get_int_max_str_digits) is an error, never a bare ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(
+            f"integer literal of {len(text)} characters is too long") from None
+
+
 def read_json(arg: str, inline: bool = False):
     """The JSON value of the file at path arg, or of arg itself when inline:
     the one reader of every JSON input (graph, plan, dump, multidegree).
-    Bytes that are not UTF-8, nesting too deep for the parser and an object
-    that repeats a key raise PreconditionError."""
+    Bytes that are not UTF-8, nesting too deep for the parser, an integer
+    literal too long to convert and an object that repeats a key raise
+    PreconditionError."""
     try:
         if not inline:
             with open(arg, "r", encoding="utf-8") as fh:
                 arg = fh.read()
-        return json.loads(arg, object_pairs_hook=_json_object)
+        return json.loads(arg, object_pairs_hook=_json_object, parse_int=_json_int)
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"input is not UTF-8: {exc}") from None
     except RecursionError:

@@ -11,7 +11,8 @@ distinguished point, and the multiset comparison that defines
 synchronization all live here.  Synchronization compares levels 2 and 3
 and is memoized per graph and point; its report keeps each level's hat
 members and base multiset, which the eq. (34) node count reads.  The
-level-1 structure is a separate diagnostic (`one_tail_diagnostic`).
+level-1 structure is a separate diagnostic (`one_tail_diagnostic`), which
+returns its findings, none when the level-1 families pass.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
@@ -228,22 +229,16 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
     return (l0, l1, l2)
 
 
-@dataclass(frozen=True)
-class HatFamilies:
-    """Nested families on the subdivision attached to a distinguished point."""
-
-    t2: NestedFamily
-    t3: NestedFamily
-
-
-def hat_families(G: CurveGraph, point: DistinguishedPoint) -> HatFamilies:
-    """Level-2 and level-3 families on the subdivision anchored at
+def hat_families(
+    G: CurveGraph, point: DistinguishedPoint
+) -> tuple[NestedFamily, NestedFamily]:
+    """The level-2 and level-3 families on the subdivision anchored at
     E(R1, g1) and E(R2, g2)."""
     LG = build_c2(G)
     lg = LG.graph
     a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
     a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
-    return HatFamilies(nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2))
+    return nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2)
 
 
 def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tuple[int, ...]:
@@ -305,9 +300,8 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     equal point built elsewhere is not re-evaluated.
     """
     LG = build_c2(G)
-    hats = hat_families(G, point)
     levels = []
-    for s, fam in ((2, hats.t2), (3, hats.t3)):
+    for s, fam in zip((2, 3), hat_families(G, point)):
         mus = [LG.mu_image(y) for y in fam.members]
         images = tuple(sorted((img for img, _ in mus), key=canon_key))
         base = base_level_multiset(G, point, s)
@@ -319,26 +313,20 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
 # -- level-1 diagnostic -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneTailDiagnostic:
-    """Structural account of the level-1 hat families.
+def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> tuple:
+    """What is wrong with the level-1 hat families of a point: empty when
+    they pass.
 
-    ok gates on facts that hold unconditionally: every member contracts to a
-    1-tail avoiding the marked component; the members whose image crosses
-    the anchored node are exactly the three canonical liftings of each base
-    1-tail containing both of its sides; and the leftover members match the
-    separating-node pattern.  The level-1 base multiset has two possible
-    readings (four or six family terms), so it is deliberately not gated.
+    Only facts that hold unconditionally are gated: every member contracts
+    to a 1-tail avoiding the marked component; the members whose image
+    crosses the anchored node are exactly the three canonical liftings of
+    each base 1-tail containing both of its sides; and the leftover members
+    match the separating-node pattern.  The level-1 base multiset has two
+    possible readings (four or six family terms), so it is deliberately not
+    gated.
     """
-
-    ok: bool
-    detail: tuple
-
-
-def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> OneTailDiagnostic:
-    detail = (_one_tail_side(G, point.choice.r1, point.g1)
-              + _one_tail_side(G, point.choice.r2, point.g2))
-    return OneTailDiagnostic(not detail, detail)
+    return (_one_tail_side(G, point.choice.r1, point.g1)
+            + _one_tail_side(G, point.choice.r2, point.g2))
 
 
 @per_graph

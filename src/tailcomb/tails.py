@@ -128,15 +128,6 @@ def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
     )
 
 
-def joining_nodes_mask(G: CurveGraph, i: int, j: int) -> int:
-    """Bitmask over node indices of the edges joining components i and j."""
-    m = 0
-    for t, nd in enumerate(G.nodes):
-        if not nd.is_loop and {nd.a, nd.b} == {i, j}:
-            m |= 1 << t
-    return m
-
-
 @dataclass(frozen=True)
 class SymmDiffReport:
     """Symmetric difference of two same-level families sharing a component."""
@@ -157,7 +148,7 @@ def symm_diff(G: CurveGraph, s: int, i: int, j: int, k: int) -> SymmDiffReport:
     """
     if i == j:
         raise PreconditionError("symmetric difference needs distinct i, j")
-    ij_nodes = joining_nodes_mask(G, i, j)
+    ij_nodes = G.joining(i, j)
     if not ij_nodes:
         raise PreconditionError(
             f"components {G.names[i]} and {G.names[j]} share no node"
@@ -207,7 +198,7 @@ def _classify(G, s, i, j, k, sd, union) -> str:
     if s == 1:
         # A nonempty level-1 difference is a single tail terminating exactly
         # in the nodes joining i and j.
-        if len(sd) != 1 or G.term_mask(sd[0]) != joining_nodes_mask(G, i, j):
+        if len(sd) != 1 or G.term_mask(sd[0]) != G.joining(i, j):
             raise InvariantViolation(
                 "level-1 symmetric difference is not a single (i,j)-cut tail",
                 members=[G.names_of(z) for z in sd],

@@ -52,7 +52,7 @@ def delta(G, g1, g2, m, n):
     """Difference of twister coefficients, alpha_m - alpha_n: for m and n
     joined by a node, the signed terminal count `twister` checks when it
     builds the table (the oracle's unit in the admissibility tests)."""
-    al = twister(G).alpha[(g1, g2)]
+    al = twister(G)[(g1, g2)]
     return al[m] - al[n]
 
 

@@ -27,7 +27,7 @@ from tailcomb.blowup import (
     pair_matchings,
     plan_from_tails,
 )
-from tailcomb.degrees import TwisterTable, twister
+from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph
 from tailcomb.lift import is_synchronized
@@ -398,7 +398,7 @@ def assert_report_is(rep, expected):
     r1, r2, instances = expected
     assert type(rep) is AdmissibilityReport and (rep.r1, rep.r2) == (r1, r2)
     assert rep.count == len(instances)
-    assert rep.failures() == tuple(i for i in instances if not i.ok)
+    assert rep.failures == tuple(i for i in instances if not i.ok)
     assert rep.ok == all(i.ok for i in instances)
     assert rep.instances == instances
     assert all(type(i) is IneqInstance for i in rep.instances)
@@ -452,9 +452,9 @@ def test_admissibility_failures_match_oracle(G3):
     # fails across the nodes joining C1 to C2 and C3.  The check and the
     # oracle read the same table from the memo.
     G = CurveGraph(G3.names, G3.nodes, G3.marked)
-    alpha = dict(twister(G3).alpha)
+    alpha = dict(twister(G3))
     alpha[(0, 1)] = alpha[(1, 0)] = (0, 2, 2)
-    G._memo[(twister.__wrapped__,)] = TwisterTable(G, alpha)
+    G._memo[(twister.__wrapped__,)] = alpha
     spans, failing = set(), set()
     calls = [(r, r) for r in range(len(G.nodes))] + [
         (r1, r2, ch) for r1, r2 in combinations(G.reducible_nodes(), 2)
@@ -463,12 +463,12 @@ def test_admissibility_failures_match_oracle(G3):
         rep = admissibility_check(G, *args)
         assert_report_is(rep, admissibility_oracle(G, *args))
         spans |= {max(diff) - min(diff) for _, diff in rep._quads}
-        failing |= {i.ineq for i in rep.failures()}
+        failing |= {i.ineq for i in rep.failures}
     assert {1, 2} <= spans
     assert failing == set(range(18, 26))
     e12 = G.node_index("e12")
     assert [(i.ineq, i.args, i.value)
-            for i in admissibility_check(G, e12, e12).failures()] == [
+            for i in admissibility_check(G, e12, e12).failures] == [
         (18, ("e13", 0, 0, 1, 0), -2), (18, ("e13", 0, 0, 0, 1), 2),
         (18, ("e13", 0, 1, 0, 0), 2), (18, ("e13", 1, 0, 0, 0), -2),
         (25, (1, 0), -2),

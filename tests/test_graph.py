@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 
-from tailcomb.degrees import twister
+from tailcomb.degrees import laplacian, twister
 from tailcomb.errors import GraphError
 from tailcomb.graph import CurveGraph, canon_key, members, precedes, validate
 from tailcomb.lift import build_c2
@@ -98,6 +98,63 @@ def test_terminal_set_examples(G3):
 def test_loops_never_terminal(G1):
     assert G1.term_mask(G1.full_mask) == 0
     assert G1.k(0) == 0
+
+
+def term_mask_scan(G, mask):
+    """Oracle of `CurveGraph.term_mask`: a scan of every node."""
+    t = 0
+    for i, nd in enumerate(G.nodes):
+        if ((mask >> nd.a) & 1) != ((mask >> nd.b) & 1):
+            t |= 1 << i
+    return t
+
+
+def joining_scan(G, i, j):
+    """Oracle of `CurveGraph.joining`: a scan of every node."""
+    m = 0
+    for t, nd in enumerate(G.nodes):
+        if not nd.is_loop and {nd.a, nd.b} == {i, j}:
+            m |= 1 << t
+    return m
+
+
+def laplacian_scan(G):
+    """Oracle of `degrees.laplacian`: one pass over the non-loop nodes."""
+    lap = [[0] * G.p for _ in range(G.p)]
+    for nd in G.nodes:
+        if not nd.is_loop:
+            lap[nd.a][nd.a] += 1
+            lap[nd.b][nd.b] += 1
+            lap[nd.a][nd.b] -= 1
+            lap[nd.b][nd.a] -= 1
+    return tuple(tuple(row) for row in lap)
+
+
+def assert_incidence_matches_scans(G, masks):
+    for i in range(G.p):
+        for j in range(G.p):
+            assert G.joining(i, j) == joining_scan(G, i, j)
+    for mask in masks:
+        assert G.term_mask(mask) == term_mask_scan(G, mask)
+    assert laplacian(G) == laplacian_scan(G)
+
+
+def test_incidence_matches_scans_fixtures_and_corpus(G1, G2, G3, G4):
+    # every subcurve of the base graph; on its subdivision, the 1-, 2- and
+    # 3-tails and random masks
+    rng = random.Random(5)
+    for G in (G1, G2, G3, G4, *oracle_corpus()):
+        assert_incidence_matches_scans(G, range(1 << G.p))
+        lg = build_c2(G).graph
+        masks = [m for s in (1, 2, 3) for m in lg.k_tails(s)]
+        masks += [rng.getrandbits(lg.p) for _ in range(50)]
+        assert_incidence_matches_scans(lg, masks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_incidence_matches_scans_property(G):
+    assert_incidence_matches_scans(G, range(1 << G.p))
 
 
 # -- tails ----------------------------------------------------------------------

@@ -292,6 +292,8 @@ def test_cli_tails_k_zero_is_named(capsys):
 
 _NOT_UTF8 = b'{"components": ["C\xff"]}'
 _TOO_DEEP = "[" * 200_000
+# integer literals one digit past CPython's default int-conversion limit
+_LONG_INT = b"[1" + b"0" * 4300 + b", -1" + b"0" * 4300 + b"]"
 
 
 def _assert_usage_error(argv):
@@ -308,8 +310,8 @@ def test_cli_qs_reduce_without_representative(argv):
     _assert_usage_error(argv)
 
 
-@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode()],
-                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode(), _LONG_INT],
+                         ids=["not-utf8", "too-deep", "long-int"])
 @pytest.mark.parametrize("argv", [
     ["validate", "PATH"],
     ["resolve", "G2", "--plan", "PATH"],
@@ -396,8 +398,25 @@ def test_cli_graph_duplicate_key(text, tmp_path):
         read_json(str(path))
 
 
-@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode()],
-                         ids=["not-utf8", "too-deep"])
+# "\ud800" is valid JSON, but a lone surrogate has no UTF-8 form, so text
+# output would end in an encoding error part way through
+@pytest.mark.parametrize("text", [
+    r'{"components": ["C1", "\ud800"], "marked": "C1",'
+    r' "nodes": [{"id": "a", "ends": ["C1", "\ud800"]}]}',
+    r'{"components": ["C1", "C2"], "marked": "C1",'
+    r' "nodes": [{"id": "\ud800", "ends": ["C1", "C2"]}]}',
+], ids=["component-name", "node-id"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["tails"], ["export-dot"], ["export-dot", "--c2"],
+], ids=["validate", "tails", "export-dot", "export-dot-c2"])
+def test_cli_graph_lone_surrogate(argv, text, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    _assert_usage_error([argv[0], str(path), *argv[1:]])
+
+
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode(), _LONG_INT],
+                         ids=["not-utf8", "too-deep", "long-int"])
 def test_load_malformed_below_json(content, tmp_path):
     path = tmp_path / "graph.json"
     path.write_bytes(content)

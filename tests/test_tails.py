@@ -7,8 +7,7 @@ from tailcomb.blowup import distinguished_points, pair_matchings
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph, Node, precedes
 from tailcomb.lift import build_c2
-from tailcomb.tails import (family_terminals, joining_nodes_mask, nested, symm_diff,
-                            tail_family)
+from tailcomb.tails import family_terminals, nested, symm_diff, tail_family
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc, tset
 
@@ -80,7 +79,7 @@ def test_d_count(G3):
 def test_symm_diff_level1_example(G4):
     r = symm_diff(G4, 1, 0, 1, 0)
     assert fam_sets(G4, r.family) == [{"C2"}]
-    assert G4.term_mask(r.family[0]) == joining_nodes_mask(G4, 0, 1)
+    assert G4.term_mask(r.family[0]) == G4.joining(0, 1)
     assert r.condition == "condition-i"
 
 

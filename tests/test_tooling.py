@@ -28,6 +28,8 @@ def test_tracer_finds_every_target():
         "tails.nested": (tails, "nested"),
         "lift.eq34_level2": (lift, "eq34_level2"),
         "lift.hat_families": (lift, "hat_families"),
+        "lift.one_tail_diagnostic": (lift, "one_tail_diagnostic"),
+        "degrees.twister": (degrees, "twister"),
         "blowup.admissibility_check": (blowup, "admissibility_check"),
         "degrees.lemma35_difference": (degrees, "lemma35_difference"),
     }
