@@ -317,6 +317,8 @@ def lemma35_difference(G: CurveGraph, i: int, j: int, k: int) -> int:
     constant) satisfies f = indicator(Y) - const, contains component i and
     avoids component j whenever nonempty.  Returns the subcurve mask.
     """
+    if not all(0 <= c < G.p for c in (i, j, k)):
+        raise PreconditionError("component index out of range")
     if i == j:
         raise PreconditionError("needs distinct components i, j")
     if not G.joining(i, j):

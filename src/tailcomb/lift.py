@@ -8,9 +8,13 @@ s-tails and bridges (`_lifted_k_tails`).  `tails()` and `k_tails(k > 3)` on
 the subdivision still use the bond search of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
-synchronization all live here.  Synchronization compares levels 2 and 3
-and is memoized per graph and point; its report keeps each level's hat
-members and base multiset, which the eq. (34) node count reads.  The
+synchronization all live here.  Synchronization compares levels 2 and 3.
+It is built for every point of a graph in one pass (`_sync_reports`): hat
+candidates are picked by bitset AND over the subdivision's pool indices,
+points that select the same candidates share one grown chain, and points
+with the same side labels share their base multisets.  Each report keeps
+each level's hat members and base multiset, which the eq. (34) node count
+reads; `hat_families` stays the one-point query.  The
 level-1 structure is a separate diagnostic (`one_tail_diagnostic`), which
 returns its findings, none when the level-1 families pass.
 
@@ -27,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import DistinguishedPoint
+from .blowup import DistinguishedPoint, choices, distinguished_points
 from .errors import InvariantViolation, PreconditionError
 from .graph import (CurveGraph, Node, canon_key, dot_edges, dot_quote, members,
                     per_graph, precedes)
-from .tails import NestedFamily, _candidates, nested
+from .tails import NestedFamily, _candidates, _grow, _pool_index, nested
 
 
 class LiftedGraph:
@@ -289,25 +293,95 @@ class SyncReport:
         }
 
 
-@per_graph
 def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     """Compare hat families against the base multisets at levels 2 and 3.
 
     A level synchronizes when the contraction images of the hat family equal
     the base multiset with multiplicity and no member is purely exceptional.
     Level 1 always synchronizes, so it is not compared; its structure is
-    checked by `one_tail_diagnostic`.  Memoized per graph and point, so an
-    equal point built elsewhere is not re-evaluated.
+    checked by `one_tail_diagnostic`.  The report is read from the graph's
+    `_sync_reports`, so an equal point built elsewhere is not re-evaluated;
+    a point that is not one of G's raises PreconditionError.
+    """
+    report = _sync_reports(G).get(point)
+    if report is None:
+        raise PreconditionError("not a distinguished point of this graph")
+    if isinstance(report, InvariantViolation):
+        raise report
+    return report
+
+
+@per_graph
+def _sync_reports(G: CurveGraph) -> dict:
+    """The synchronization report of every point of `choices(G)`, in one pass.
+
+    The hat candidates of a point are a bitset AND over the subdivision's
+    pool indices (`tails._pool_index`), as `tails._candidates` selects them,
+    so points whose anchors select the same candidates share one grown
+    chain, and points with the same labels share their base multisets.  A
+    point whose families break an invariant maps to that violation, which
+    `is_synchronized` raises for it alone.
     """
     LG = build_c2(G)
-    levels = []
-    for s, fam in zip((2, 3), hat_families(G, point)):
-        mus = [LG.mu_image(y) for y in fam.members]
-        images = tuple(sorted((img for img, _ in mus), key=canon_key))
-        base = base_level_multiset(G, point, s)
-        ok = images == base and not any(pure for _, pure in mus)
-        levels.append(LevelSync(s, ok, images, base, fam.members))
-    return SyncReport(point, tuple(levels))
+    p, nodes = G.p, G.nodes
+    pool2, hold2, _ = _pool_index(LG.graph, 2)
+    pool3, hold3, term3 = _pool_index(LG.graph, 3)
+    hats2: dict = {}  # level-2 selection -> hat entry and the level-3 block
+    hats3: dict = {}  # level-3 selection -> hat entry
+    bases: dict = {}  # labels -> the level-2 and level-3 base multisets
+    reports: dict = {}
+    for ch in choices(G):
+        # E(r, g) = p + 2r, plus 1 off the first side (`LiftedGraph.exceptional`)
+        v1, side1 = p + 2 * ch.r1, nodes[ch.r1].a
+        v2, side2 = p + 2 * ch.r2, nodes[ch.r2].a
+        for pt in distinguished_points(G, ch):
+            e1 = v1 + (pt.g1 != side1)
+            e2 = v2 + (pt.g2 != side2)
+            anchors = (1 << e1) | (1 << e2)
+            try:
+                sel = hold2[e1] & hold2[e2]
+                hat2 = hats2.get(sel)
+                if hat2 is None:
+                    hat2 = hats2[sel] = _hat_entry(LG, 2, pool2, sel, anchors, term3)
+                sel = hold3[e1] & hold3[e2] & ~hat2[3]
+                hat3 = hats3.get(sel)
+                if hat3 is None:
+                    hat3 = hats3[sel] = _hat_entry(LG, 3, pool3, sel, anchors, term3)
+                labels = (pt.g1, pt.g1p, pt.g2, pt.g2p)
+                base = bases.get(labels)
+                if base is None:
+                    base = bases[labels] = (base_level_multiset(G, pt, 2),
+                                            base_level_multiset(G, pt, 3))
+            except InvariantViolation as exc:
+                reports[pt] = exc
+                continue
+            fam2, images2, pure2, _ = hat2
+            fam3, images3, pure3, _ = hat3
+            base2, base3 = base
+            reports[pt] = SyncReport(pt, (
+                LevelSync(2, images2 == base2 and not pure2, images2, base2, fam2),
+                LevelSync(3, images3 == base3 and not pure3, images3, base3, fam3),
+            ))
+    return reports
+
+
+def _hat_entry(LG: LiftedGraph, s: int, pool, sel: int, anchors: int,
+               term3) -> tuple:
+    """A level-s hat family grown from the pool members in sel: its members,
+    their contraction images in canonical order, whether one is purely
+    exceptional, and the level-3 pool members its terminal nodes block.
+
+    Each member contains the one before, so their images are nested and
+    family order is already canonical order.
+    """
+    lg = LG.graph
+    fam = _grow(lg, s, [pool[i] for i in members(sel)], anchors)
+    mus = [LG.mu_image(y) for y in fam]
+    blocked = 0
+    for y in fam:
+        for t in members(lg.term_mask(y)):
+            blocked |= term3[t]
+    return fam, tuple(img for img, _ in mus), any(pure for _, pure in mus), blocked
 
 
 # -- level-1 diagnostic -------------------------------------------------------
@@ -379,7 +453,7 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
     For every base node, the number of base level-2 family members having it
     terminal must equal the total over its three lifted edges of hat family
     members having that edge terminal.  Both families are read from the
-    point's memoized `is_synchronized` report; one pass over each counts per
+    point's `is_synchronized` report; one pass over each counts per
     base node (lifted edges 3t..3t+2 lie over node t).  Returns the
     violations in node order.
     """

@@ -20,7 +20,7 @@ from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, validate
 from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
-from .tails import (_candidates, _free_k_tails, _level_families, family_terminals,
+from .tails import (_candidates, _level_families, _pool_index, family_terminals,
                     nested, symm_diff, tail_family)
 
 
@@ -37,7 +37,7 @@ def suite_closure(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
     marked_bit = 1 << G.marked
-    two = [z for z, _ in _free_k_tails(G, 2)]
+    two = [z for z, _ in _pool_index(G, 2)[0]]
     for a in range(len(two)):
         for b in range(a, len(two)):
             z, zp = two[a], two[b]
@@ -70,7 +70,7 @@ def suite_closure(G: CurveGraph, rng, profile):
                 bad.append(
                     {"check": "lemma-2.5", "anchors": _sub(G, anchors), "z": _sub(G, z)}
                 )
-        for z, tz in _free_k_tails(G, 3):
+        for z, tz in _pool_index(G, 3)[0]:
             if z & anchors != anchors:
                 continue
             checks += 1
@@ -302,6 +302,14 @@ def suite_prop62(G: CurveGraph, rng, profile):
 
 
 def suite_thm63(G: CurveGraph, rng, profile):
+    """Both points of a choice are quasistable exactly when both are
+    synchronized.
+
+    Under the reconstructed profile both points of a choice have the same
+    condition pairs, {(x, y'), (x', y)}, so they always share their
+    quasistable verdict and the mixed branch (one point quasistable, the
+    other not) cannot occur there.
+    """
     checks = 0
     bad = []
     for ch in bw.choices(G):

@@ -4,9 +4,11 @@ One engine serves both the dual graph and its subdivision: a family lives on
 a CurveGraph, is anchored at an arbitrary nonempty vertex set, and is grown
 by iterated minimum extraction over the s-tails from `CurveGraph.k_tails`:
 the full enumeration on a base graph, a closed form derived from the base
-graph's s-tails on the subdivision (see `tailcomb.lift`).  The closure
-lemmas that guarantee a unique minimum at each step are enforced as runtime
-assertions rather than trusted.
+graph's s-tails on the subdivision (see `tailcomb.lift`).  A family's
+candidates are a bitset over those s-tails, an AND of per-vertex bitsets
+kept once per graph (`_pool_index`).  The closure lemmas that guarantee a
+unique minimum at each step are enforced as runtime assertions rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
         raise PreconditionError("anchors outside the component range")
     if (anchors >> G.marked) & 1:
         return NestedFamily(())
-    cands = _candidates(G, s, anchors)
+    return NestedFamily(_grow(G, s, _candidates(G, s, anchors), anchors))
+
+
+def _grow(G: CurveGraph, s: int, cands: list[tuple[int, int]],
+          anchors: int) -> tuple[int, ...]:
+    """The members of the level-s family drawn from the candidates (each
+    paired with its terminal mask), in growth order; the anchors only name
+    the family in a violation."""
     chain: list[int] = []
     prev = tprev = 0
     while True:
@@ -75,22 +84,26 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
             chain=[G.names_of(z) for z in chain],
             candidates=[G.names_of(z) for z, _ in cands],
         )
-    return NestedFamily(tuple(chain))
+    return tuple(chain)
 
 
 def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
     """The s-tails a level-s family at the anchors is drawn from, each
-    paired with its terminal mask.
+    paired with its terminal mask, in pool order.
 
     They contain the anchors and avoid the marked component; at level 3
     their terminal nodes also avoid those of the level-2 family at the same
-    anchors.
+    anchors.  The selection is a bitset over the pool: the AND of the
+    anchors' hold sets, less the term sets of the blocked nodes.
     """
-    cands = [(z, tz) for z, tz in _free_k_tails(G, s) if z & anchors == anchors]
+    pool, hold, term = _pool_index(G, s)
+    sel = (1 << len(pool)) - 1
+    for v in members(anchors):
+        sel &= hold[v]
     if s == 3:
-        blocked = family_terminals(G, 2, anchors)
-        cands = [(z, tz) for z, tz in cands if not tz & blocked]
-    return cands
+        for t in members(family_terminals(G, 2, anchors)):
+            sel &= ~term[t]
+    return [pool[i] for i in members(sel)]
 
 
 def family_terminals(G: CurveGraph, s: int, anchors: int) -> int:
@@ -103,11 +116,23 @@ def family_terminals(G: CurveGraph, s: int, anchors: int) -> int:
 
 
 @per_graph
-def _free_k_tails(G: CurveGraph, s: int) -> tuple[tuple[int, int], ...]:
-    """The s-tails avoiding the marked component, with their terminal
-    masks, read once per graph for every family grown on it."""
+def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
+    """The pool every level-s family on G is drawn from, read once per
+    graph: the s-tails avoiding the marked component, each with its
+    terminal mask, and two families of bitsets over pool indices: per
+    vertex, the members holding it; per node, the members it is terminal
+    for."""
     marked_bit = 1 << G.marked
-    return tuple((z, G.term_mask(z)) for z in G.k_tails(s) if not z & marked_bit)
+    pool = tuple((z, G.term_mask(z)) for z in G.k_tails(s) if not z & marked_bit)
+    hold = [0] * G.p
+    term = [0] * len(G.nodes)
+    for i, (z, tz) in enumerate(pool):
+        bit = 1 << i
+        for v in members(z):
+            hold[v] |= bit
+        for t in members(tz):
+            term[t] |= bit
+    return pool, tuple(hold), tuple(term)
 
 
 def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
@@ -140,12 +165,14 @@ class SymmDiffReport:
 def symm_diff(G: CurveGraph, s: int, i: int, j: int, k: int) -> SymmDiffReport:
     """Symmetric difference of the level-s families for (i, k) and (j, k).
 
-    Requires i != j with at least one node joining them.  For s == 1 the
-    pairwise family is read as the union of the two single-component level-1
-    families.  The report carries the structural classification and, at
-    level 2, the two difference nodes oriented so the first lies on a node
-    joining i and j.
+    Requires component indices in range and i != j with at least one node
+    joining them.  For s == 1 the pairwise family is read as the union of
+    the two single-component level-1 families.  The report carries the
+    structural classification and, at level 2, the two difference nodes
+    oriented so the first lies on a node joining i and j.
     """
+    if not all(0 <= c < G.p for c in (i, j, k)):
+        raise PreconditionError("component index out of range")
     if i == j:
         raise PreconditionError("symmetric difference needs distinct i, j")
     ij_nodes = G.joining(i, j)

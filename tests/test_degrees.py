@@ -174,6 +174,15 @@ def test_lemma35_examples(G2, G3, G4):
     assert tset(G2, lemma35_difference(G2, 1, 0, 1)) == {"C2"}
 
 
+def test_lemma35_range_checks_every_index(G3):
+    for pos in range(3):
+        for bad in (-1, G3.p):
+            args = [0, 1, 2]
+            args[pos] = bad
+            with pytest.raises(PreconditionError, match="out of range"):
+                lemma35_difference(G3, *args)
+
+
 def test_lemma35_swapped_orientation(G4):
     # Swapping i and j flips the level set to the complementary side.
     y = lemma35_difference(G4, 0, 1, 1)

@@ -12,9 +12,11 @@ from tailcomb.blowup import (
     pair_matchings,
 )
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import CurveGraph, Node, members, precedes, validate
+from tailcomb.graph import CurveGraph, Node, canon_key, members, precedes, validate
 from tailcomb.lift import (
+    LevelSync,
     LiftedGraph,
+    SyncReport,
     _distinct,
     _side_without,
     base_level_multiset,
@@ -153,6 +155,17 @@ def test_sync_g3_aligned_pair(G3):
     for pt in distinguished_points(G3, ch):
         assert is_quasistable_point(G3, pt, RECONSTRUCTED).ok
         assert is_synchronized(G3, pt).synchronized
+
+
+def test_is_synchronized_rejects_a_foreign_point(G2, G3):
+    pt = distinguished_points(G3, make_choice(G3, 0, 1, [(1, 2), (0, 0)]))[0]
+    assert is_synchronized(G3, pt).synchronized
+    # C3 is no side of e12, and G2's points name sides of G2's nodes
+    foreign = [pt._replace(g1=G3.index("C3"))]
+    foreign += distinguished_points(G2, make_choice(G2, 0, 1, [(1, 1), (0, 0)]))
+    for bad in foreign:
+        with pytest.raises(PreconditionError, match="not a distinguished point"):
+            is_synchronized(G3, bad)
 
 
 def test_thm63_pairwise_on_fixtures(G2, G3):
@@ -346,10 +359,25 @@ def all_points(G):
             yield from distinguished_points(G, ch)
 
 
+def sync_oracle(G, point):
+    """`is_synchronized` for one point on its own: its two hat families
+    against the base multisets of its triple, level by level."""
+    LG = build_c2(G)
+    levels = []
+    for s, fam in zip((2, 3), hat_families(G, point)):
+        mus = [LG.mu_image(y) for y in fam.members]
+        images = tuple(sorted((img for img, _ in mus), key=canon_key))
+        base = base_level_multiset(G, point, s)
+        ok = images == base and not any(pure for _, pure in mus)
+        levels.append(LevelSync(s, ok, images, base, fam.members))
+    return SyncReport(point, tuple(levels))
+
+
 def assert_point_layers_match_oracles(G, rng):
     """Index layout, `mu_image` on the lifted tails, the hat family members
-    and random masks, and `eq34_level2` at every distinguished point;
-    returns the number of nonempty eq-34 results compared."""
+    and random masks, and `is_synchronized` and `eq34_level2` at every
+    distinguished point; returns the number of nonempty eq-34 results
+    compared."""
     assert_index_layout(G)
     LG = build_c2(G)
     lg = LG.graph
@@ -359,6 +387,7 @@ def assert_point_layers_match_oracles(G, rng):
     for pt in all_points(G):
         t2, t3 = hat_families(G, pt)
         masks += t2.members + t3.members
+        assert outcome(is_synchronized, G, pt) == outcome(sync_oracle, G, pt)
         got = outcome(eq34_level2, G, pt)
         assert got == outcome(eq34_oracle, G, pt)
         nonempty += bool(got)
@@ -380,6 +409,32 @@ def test_point_layers_match_oracles_corpus():
     nonempty = sum(assert_point_layers_match_oracles(G, rng)
                    for G in oracle_corpus())
     assert nonempty > 0  # unsynchronized points give nonempty violation lists
+
+
+def test_sync_violations_stay_with_their_points(monkeypatch, G3):
+    # Hide from G3's subdivision the 2-tail over C2 + C3 that holds every
+    # exceptional vertex of f and g: the four points anchored at f and g
+    # then find no unique minimal candidate, and only those four fail, each
+    # naming its own anchors, as their per-point evaluation does.
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)  # a fresh memo
+    lg = build_c2(G).graph
+    hidden = lg.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        return tuple(z for z in got if z != hidden) if self is lg and kk == 2 else got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    failed = set()
+    for pt in all_points(G):
+        got = outcome(is_synchronized, G, pt)
+        assert got == outcome(sync_oracle, G, pt)
+        if not isinstance(got, SyncReport):
+            assert "no unique minimal" in got[1]
+            failed.add(got[2]["anchors"])
+    assert failed == {("E(f,C2)", "E(g,C3)"), ("E(f,C3)", "E(g,C2)"),
+                      ("E(f,C2)", "E(g,C2)"), ("E(f,C3)", "E(g,C3)")}
 
 
 @settings(max_examples=60, deadline=None)

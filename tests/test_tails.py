@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -7,7 +8,8 @@ from tailcomb.blowup import distinguished_points, pair_matchings
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph, Node, precedes
 from tailcomb.lift import build_c2
-from tailcomb.tails import family_terminals, nested, symm_diff, tail_family
+from tailcomb.tails import (_candidates, _pool_index, family_terminals, nested,
+                            symm_diff, tail_family)
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc, tset
 
@@ -106,6 +108,16 @@ def test_symm_diff_preconditions(G3):
     )
     with pytest.raises(PreconditionError):
         symm_diff(path, 2, 0, 2, 1)  # C1 and C3 share no node
+
+
+def test_symm_diff_range_checks_every_index(G3):
+    # G3's C1 and C2 share a node, so only the bad index can be at fault
+    for pos in range(3):
+        for bad in (-1, G3.p):
+            args = [1, 0, 1]
+            args[pos] = bad
+            with pytest.raises(PreconditionError, match="out of range"):
+                symm_diff(G3, 1, *args)
 
 
 # -- closure lemma spot checks --------------------------------------------------------
@@ -275,6 +287,50 @@ def test_family_terminals_matches_member_or_corpus():
 @given(graphs())
 def test_nested_matches_oracle_property(G):
     assert_nested_matches_oracle(G, range(1, G.full_mask + 1))
+
+
+# -- the pool scan is the oracle of `_candidates` ------------------------------------
+
+
+def candidates_oracle(G, s, anchors):
+    """`_candidates` as a scan of the whole free pool, blocked at level 3
+    by the terminal nodes of the oracle's own level-2 family."""
+    blocked = 0
+    if s == 3:
+        for w in nested_oracle(G, 2, anchors):
+            blocked |= G.term_mask(w)
+    pool, _, _ = _pool_index(G, s)
+    return [(z, tz) for z, tz in pool
+            if z & anchors == anchors and not tz & blocked]
+
+
+def assert_candidates_match_oracle(G, rng):
+    """Equal candidates, in order, or equal errors, at levels 1..3 for every
+    anchor set of one or two vertices and 20 random ones, on G and on its
+    subdivision; returns the number of candidates compared."""
+    n = 0
+    for graph in (G, build_c2(G).graph):
+        verts = range(graph.p)
+        anchor_sets = [1 << v for v in verts]
+        anchor_sets += [(1 << a) | (1 << b) for a, b in combinations(verts, 2)]
+        anchor_sets += [rng.randrange(1, graph.full_mask + 1) for _ in range(20)]
+        for anchors in anchor_sets:
+            for s in (1, 2, 3):
+                got = outcome(_candidates, graph, s, anchors)
+                assert got == outcome(candidates_oracle, graph, s, anchors)
+                n += len(got) if isinstance(got, list) else 0
+    return n
+
+
+def test_candidates_match_oracle_fixtures(G1, G2, G3, G4):
+    rng = random.Random(0)
+    assert sum(assert_candidates_match_oracle(G, rng) for G in (G1, G2, G3, G4)) > 0
+
+
+def test_candidates_match_oracle_corpus():
+    rng = random.Random(0)
+    compared = sum(assert_candidates_match_oracle(G, rng) for G in oracle_corpus())
+    assert compared > 10_000
 
 
 def test_nested_violations_match_oracle(monkeypatch):
