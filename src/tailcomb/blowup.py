@@ -33,12 +33,12 @@ def _check_profile(profile: str) -> str:
     return profile
 
 
-@dataclass(frozen=True)
-class BlowupChoice:
+class BlowupChoice(NamedTuple):
     """An unordered pair of distinct reducible nodes with a side matching.
 
     r1 < r2 are node indices; the matching holds two (side-of-r1, side-of-r2)
-    component pairs covering all four sides.
+    component pairs covering all four sides.  A tuple, so that hashing it as
+    a dict or memo key stays in C.
     """
 
     r1: int
@@ -102,7 +102,7 @@ class DistinguishedPoint(NamedTuple):
     """
 
     choice: BlowupChoice
-    index: int  # 1 or 2, in the deterministic order below
+    index: int  # 1 or 2, in `_point_labels` order
     triple: frozenset
     g1: int
     g1p: int
@@ -125,25 +125,27 @@ class DistinguishedPoint(NamedTuple):
         }
 
 
+def _point_labels(choice: BlowupChoice) -> tuple:
+    """The labels (g1, g1', g2, g2') of the two distinguished points of a
+    choice, in point order.
+
+    For matching {(x,y), (xb,yb)} the triples are the matching plus (x,yb)
+    and the matching plus (xb,y); the extra pair is (g1, g2).
+    """
+    (x, y), (xb, yb) = choice.matched_pairs()
+    return ((x, xb, yb, y), (xb, x, y, yb))
+
+
 @per_graph
 def distinguished_points(
     G: CurveGraph, choice: BlowupChoice
 ) -> tuple[DistinguishedPoint, DistinguishedPoint]:
     """The two distinguished points of a choice, built once per graph and
-    choice for the suites, `decide_resolution` and the CLI.
-
-    For matching {(x,y), (xb,yb)} the triples are the matching plus (x,yb)
-    and the matching plus (xb,y); the extra pair determines the point.
-    """
-    (x, y), (xb, yb) = choice.matched_pairs()
-    base = set(choice.matching)
-    a1 = DistinguishedPoint(
-        choice, 1, frozenset(base | {(x, yb)}), g1=x, g1p=xb, g2=yb, g2p=y
+    choice for the suites and the CLI."""
+    return tuple(
+        DistinguishedPoint(choice, i, choice.matching | {(g1, g2)}, g1, g1p, g2, g2p)
+        for i, (g1, g1p, g2, g2p) in enumerate(_point_labels(choice), 1)
     )
-    a2 = DistinguishedPoint(
-        choice, 2, frozenset(base | {(xb, y)}), g1=xb, g1p=x, g2=y, g2p=yb
-    )
-    return (a1, a2)
 
 
 @per_graph
@@ -160,9 +162,15 @@ def choices(G: CurveGraph) -> tuple[BlowupChoice, ...]:
 
 def condition_pairs(point: DistinguishedPoint, profile: str) -> tuple:
     _check_profile(profile)
+    return _condition_pairs((point.g1, point.g1p, point.g2, point.g2p), profile)
+
+
+def _condition_pairs(labels: tuple, profile: str) -> tuple:
+    """The condition pairs of the point with labels (g1, g1', g2, g2')."""
+    g1, g1p, g2, g2p = labels
     if profile == RECONSTRUCTED:
-        return ((point.g1, point.g2), (point.g1p, point.g2p))
-    return ((point.g1, point.g2), (point.g1, point.g2p))
+        return ((g1, g2), (g1p, g2p))
+    return ((g1, g2), (g1, g2p))
 
 
 @dataclass(frozen=True)
@@ -186,29 +194,57 @@ class PointVerdict:
         return out
 
 
-@per_graph
 def is_quasistable_point(
-    G: CurveGraph, point: DistinguishedPoint, profile: str
+    G: CurveGraph, point: DistinguishedPoint, profile: str, /
 ) -> PointVerdict:
     """Whether at most one of the two nodes is terminal across each condition
     pair's level-2 and level-3 families.
 
-    Memoized per graph, point and profile (pass the profile positionally), so
-    the suites and `decide_resolution` evaluate each point once.
+    The verdict is read from the graph's `_point_verdicts` for the profile,
+    so an equal point built elsewhere gets the same verdict object; a point
+    that is not one of G's raises PreconditionError.
+    """
+    verdicts = _point_verdicts(G, profile).get(point.choice)
+    if verdicts is None or point not in distinguished_points(G, point.choice):
+        raise PreconditionError("not a distinguished point of this graph")
+    return verdicts[point.index - 1]
+
+
+@per_graph
+def _point_verdicts(G: CurveGraph, profile: str) -> dict:
+    """The verdicts of both points of every choice of `choices(G)` under the
+    profile, in one pass.
+
+    Each anchor pair's terminal nodes are fetched once; every passing point
+    shares one verdict, and the contributing tails are gathered only for a
+    failing one.
     """
     _check_profile(profile)
-    r1, r2 = point.choice.r1, point.choice.r2
-    bits = (1 << r1) | (1 << r2)
-    for (a, b) in condition_pairs(point, profile):
-        anchors = (1 << a) | (1 << b)
-        if _family_terminals(G, anchors) & bits == bits:
-            fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
-            contributing = tuple(
-                (r, tuple(w for w in fam if G.term_mask(w) & (1 << r)))
-                for r in (r1, r2)
-            )
-            return PointVerdict(False, profile, (a, b), contributing)
-    return PointVerdict(True, profile)
+    passing = PointVerdict(True, profile)
+    terminals: dict = {}  # anchors -> `_family_terminals`
+    table = {}
+    for ch in choices(G):
+        r1, r2 = ch.r1, ch.r2
+        bits = (1 << r1) | (1 << r2)
+        verdicts = []
+        for labels in _point_labels(ch):
+            verdict = passing
+            for a, b in _condition_pairs(labels, profile):
+                anchors = (1 << a) | (1 << b)
+                covered = terminals.get(anchors)
+                if covered is None:
+                    covered = terminals[anchors] = _family_terminals(G, anchors)
+                if covered & bits == bits:
+                    fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
+                    contributing = tuple(
+                        (r, tuple(w for w in fam if G.term_mask(w) & (1 << r)))
+                        for r in (r1, r2)
+                    )
+                    verdict = PointVerdict(False, profile, (a, b), contributing)
+                    break
+            verdicts.append(verdict)
+        table[ch] = tuple(verdicts)
+    return table
 
 
 @per_graph
@@ -511,18 +547,25 @@ def decide_resolution(
     A chosen pair needs both distinguished points of its matching
     quasistable; an unchosen pair needs that for both matchings, since
     either refinement must remain available.  Same-node pairs and pairs
-    involving loops are unconditionally resolved and carry no verdict.
+    involving loops are unconditionally resolved and carry no verdict.  The
+    verdicts are read from the graph's `_point_verdicts`; a plan choice that
+    is not one of G's raises PreconditionError.
     """
-    _check_profile(profile)
+    table = _point_verdicts(G, profile)
+    every = choices(G)
     verdicts = []
-    for r1, r2 in combinations(G.reducible_nodes(), 2):
+    # each pair's two matchings sit next to each other in `choices(G)`
+    for first, second in zip(every[::2], every[1::2]):
+        r1, r2 = first.r1, first.r2
         choice = plan.get(r1, r2)
-        mats = []
-        for ch in pair_matchings(G, r1, r2) if choice is None else (choice,):
-            a1, a2 = distinguished_points(G, ch)
-            mats.append(MatchingVerdict(ch, (is_quasistable_point(G, a1, profile),
-                                             is_quasistable_point(G, a2, profile))))
-        verdicts.append(PairVerdict(r1, r2, choice is not None, tuple(mats)))
+        if choice is None:
+            mats = (MatchingVerdict(first, table[first]),
+                    MatchingVerdict(second, table[second]))
+        elif choice in (first, second):
+            mats = (MatchingVerdict(choice, table[choice]),)
+        else:
+            raise PreconditionError("the plan's choice is not one of this graph's")
+        verdicts.append(PairVerdict(r1, r2, choice is not None, mats))
     return ResolutionReport(profile, tuple(verdicts))
 
 

@@ -3,9 +3,11 @@
 Every subcommand except verify and fixture reads a graph from a JSON file
 (the built-in fixture names G1..G4 are also accepted), which `main` loads
 before the handler runs; each prints human text by default and JSON with
---json.  Exit codes: 0 success, 1 negative verdict where the verdict is the
-output (resolve, verify, twister --oracle), 2 malformed input or
-configuration (the cases the README lists).  Every exit 2 takes one path,
+--json.  Every indented JSON output (a --json payload, `plan`'s text, a
+fixture, a --dump file) is written by `graph.write_json`.  Exit codes: 0
+success, 1 negative verdict where the verdict is the output (resolve,
+verify, twister --oracle), 2 malformed input or configuration (the cases
+the README lists).  Every exit 2 takes one path,
 usage errors the argument parser catches included: one `error:` line on
 stderr and nothing on stdout.
 """
@@ -24,7 +26,7 @@ from . import degrees as dg
 from .errors import (GraphError, InvariantViolation, PreconditionError,
                      RepresentativeNotFound)
 from .fixtures import FIXTURE_NAMES, fixture
-from .graph import CurveGraph, load, read_json
+from .graph import CurveGraph, load, read_json, write_json
 from .lift import build_c2, is_synchronized, one_tail_diagnostic
 from .suites import ALL_SUITES, SuiteConfig, replay, run_suite, suite_oracle
 from .tails import nested
@@ -46,7 +48,7 @@ def _multidegree(G: CurveGraph, arg: str):
 
 def _emit(args, payload: dict, text_lines):
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(write_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -177,7 +179,7 @@ def cmd_qs_reduce(G, args):
 def cmd_plan(G, args):
     plan = bw.BlowupPlan() if args.empty else bw.plan_from_tails(G)
     _emit(args, {"plan": plan.to_spec(G)},
-          [json.dumps(plan.to_spec(G), sort_keys=True, indent=2)])
+          [write_json(plan.to_spec(G))])
     return 0
 
 
@@ -287,7 +289,7 @@ def cmd_verify(args):
             first = next(
                 v for s in report.config.suites for v in report.violations[s]
             )
-            json.dump(first, fh, sort_keys=True, indent=2)
+            fh.write(write_json(first))
         lines.append(f"first counterexample written to {args.dump}")
     _emit(args, payload, lines)
     return 0 if ok else NEGATIVE
@@ -299,7 +301,7 @@ def cmd_export_dot(G, args):
 
 
 def cmd_fixture(args):
-    print(fixture(args.name).to_json(indent=2))
+    print(write_json(fixture(args.name).to_spec()))
     return 0
 
 

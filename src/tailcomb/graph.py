@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import wraps
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .errors import GraphError, PreconditionError
@@ -432,6 +433,50 @@ def read_json(arg: str, inline: bool = False):
         raise PreconditionError(f"input is not UTF-8: {exc}") from None
     except RecursionError:
         raise PreconditionError("input JSON is nested too deeply") from None
+
+
+def write_json(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`: the one writer of every
+    indented JSON output (graph, plan, report, dump, command payload)."""
+    return _write_json(value, "\n")
+
+
+def _write_json(value, newline: str) -> str:
+    """The text of value, where newline is a line break plus the indent of
+    the line value starts on.
+
+    With an indent the stdlib encodes in pure Python, so the values outputs
+    are built from (exact str, int, bool and None, lists, tuples, and dicts
+    whose keys are all str) take this short recursion.  Anything else is
+    the stdlib's own text with every line break indented to where value
+    sits, which is exact because ASCII-escaped JSON holds no raw newline.
+    """
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner
+                + ("," + inner).join([_write_json(v, inner) for v in value])
+                + newline + "]")
+    if t is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner
+                + ("," + inner).join([encode_basestring_ascii(k) + ": "
+                                      + _write_json(value[k], inner)
+                                      for k in sorted(value)])
+                + newline + "}")
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def load(path: str) -> CurveGraph:

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement, repeat
 from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, validate
+from .graph import CurveGraph, validate, write_json
 from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
 from .tails import (_candidates, _level_families, _pool_index, family_terminals,
@@ -447,7 +447,7 @@ class VerificationReport:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+        return write_json(self.to_dict(include_timing))
 
 
 def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):

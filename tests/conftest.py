@@ -106,3 +106,27 @@ def graphs(draw):
         [Node(f"e{t}", min(a, b), max(a, b)) for t, (a, b) in enumerate(edges)],
         marked,
     )
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+# every code point, control characters and lone surrogates included
+_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+def json_values():
+    """Arbitrary values of the kinds `json.dumps` writes: null, bools, ints
+    past 64 bits, floats (-0.0, nan and infinities included), strings with
+    non-ASCII text, control characters and lone surrogates, lists, tuples,
+    and dicts whose keys are str, int, float, bool or None, mixed types
+    included (which a sorting writer rejects); dicts with str keys alone,
+    the kind every output is built from, are drawn as often as the rest."""
+    keys = _TEXT | _INTS | _FLOATS | st.booleans() | st.none()
+    return st.recursive(
+        st.none() | st.booleans() | _INTS | _FLOATS | _TEXT,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(_TEXT, inner, max_size=4)
+                       | st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=12,
+    )

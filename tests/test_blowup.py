@@ -14,8 +14,12 @@ from tailcomb.blowup import (
     BlowupChoice,
     BlowupPlan,
     IneqInstance,
+    MatchingVerdict,
+    PairVerdict,
     PointVerdict,
+    ResolutionReport,
     _node_sides,
+    _point_verdicts,
     admissibility_check,
     choices,
     condition_pairs,
@@ -161,8 +165,9 @@ def test_qs_point_g3_crossed(G3):
 
 
 def point_oracle(G, point, profile):
-    """`is_quasistable_point` with the terminal masks of every level-2 and
-    level-3 family member ORed again for each point."""
+    """The verdict of one point, judged alone: the oracle of
+    `_point_verdicts`, with the terminal masks of every level-2 and level-3
+    family member ORed again for each point."""
     r1, r2 = point.choice.r1, point.choice.r2
     bits = (1 << r1) | (1 << r2)
     for (a, b) in condition_pairs(point, profile):
@@ -180,17 +185,99 @@ def point_oracle(G, point, profile):
     return PointVerdict(True, profile)
 
 
-def test_point_verdicts_match_oracle_corpus(G2, G3):
+def table_entries(G, profile):
+    """(point, verdict) for every entry of G's verdict table, whose choices
+    are `choices(G)` in order."""
+    table = _point_verdicts(G, profile)
+    assert tuple(table) == choices(G)
+    for ch, verdicts in table.items():
+        yield from zip(distinguished_points(G, ch), verdicts)
+
+
+def test_point_verdicts_match_oracle_corpus(G1, G2, G3, G4):
     failing = 0
-    for G in (G2, G3) + oracle_corpus():
-        for r1, r2 in combinations(G.reducible_nodes(), 2):
-            for ch in pair_matchings(G, r1, r2):
-                for pt in distinguished_points(G, ch):
-                    for profile in PROFILES:
-                        verdict = is_quasistable_point(G, pt, profile)
-                        assert verdict == point_oracle(G, pt, profile)
-                        failing += not verdict.ok
+    for G in (G1, G2, G3, G4) + oracle_corpus():
+        for profile in PROFILES:
+            for pt, verdict in table_entries(G, profile):
+                assert verdict == point_oracle(G, pt, profile)
+                assert is_quasistable_point(G, pt, profile) is verdict
+                failing += not verdict.ok
     assert failing > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_point_verdicts_match_oracle_property(G):
+    for profile in PROFILES:
+        for pt, verdict in table_entries(G, profile):
+            assert verdict == point_oracle(G, pt, profile)
+
+
+def test_foreign_point_rejected(G2, G3):
+    pt = distinguished_points(G3, make_choice(G3, 0, 1, [(1, 2), (0, 0)]))[0]
+    foreign = [
+        pt._replace(g2=pt.g2p, g2p=pt.g2),  # a relabelled point
+        pt._replace(index=2),
+        # a choice of another graph, whose sides G3's nodes do not have
+        distinguished_points(G2, make_choice(G2, 0, 1, [(1, 1), (0, 0)]))[0],
+    ]
+    for point in foreign:
+        for profile in PROFILES:
+            with pytest.raises(PreconditionError, match="not a distinguished point"):
+                is_quasistable_point(G3, point, profile)
+
+
+def test_choice_is_one_value_from_every_source(G2, G3):
+    # make_choice in both node orders, pair_matchings, plan_from_tails and
+    # BlowupPlan.from_spec build equal choices with equal hashes, which
+    # find the same verdict-table entry
+    covered = 0
+    for G in (G2, G3) + oracle_corpus()[:20]:
+        plan = plan_from_tails(G)
+        read = BlowupPlan.from_spec(G, plan.to_spec(G))
+        table = _point_verdicts(G, RECONSTRUCTED)
+        for (r1, r2), ch in plan.choices.items():
+            pairs = sorted(ch.matching)
+            same = [
+                make_choice(G, r1, r2, pairs),
+                make_choice(G, r2, r1, [(y, x) for x, y in pairs]),
+                next(m for m in pair_matchings(G, r1, r2) if m.matching == ch.matching),
+                read.get(r1, r2),
+            ]
+            for other in same:
+                assert isinstance(other, tuple)
+                assert other == ch and hash(other) == hash(ch)
+                assert table[other] is table[ch]
+            covered += 1
+    assert covered > 50
+
+
+def resolution_oracle(G, plan, profile):
+    """`decide_resolution` pair by pair, each point judged by `point_oracle`."""
+    pairs = []
+    for r1, r2 in combinations(G.reducible_nodes(), 2):
+        choice = plan.get(r1, r2)
+        mats = tuple(
+            MatchingVerdict(ch, tuple(point_oracle(G, pt, profile)
+                                      for pt in distinguished_points(G, ch)))
+            for ch in (pair_matchings(G, r1, r2) if choice is None else (choice,))
+        )
+        pairs.append(PairVerdict(r1, r2, choice is not None, mats))
+    return ResolutionReport(profile, tuple(pairs))
+
+
+def test_resolution_matches_oracle_corpus(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4) + oracle_corpus():
+        for plan in (BlowupPlan(), plan_from_tails(G)):
+            for profile in PROFILES:
+                assert (decide_resolution(G, plan, profile)
+                        == resolution_oracle(G, plan, profile))
+
+
+def test_resolution_rejects_a_foreign_choice(G2, G3):
+    plan = BlowupPlan({(0, 1): make_choice(G2, 0, 1, [(1, 1), (0, 0)])})
+    with pytest.raises(PreconditionError):
+        decide_resolution(G3, plan)
 
 
 # -- plan from tails ---------------------------------------------------------------

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 
 from tailcomb.degrees import laplacian, twister
 from tailcomb.errors import GraphError
-from tailcomb.graph import CurveGraph, canon_key, members, precedes, validate
+from tailcomb.graph import (CurveGraph, canon_key, members, precedes, validate,
+                            write_json)
 from tailcomb.lift import build_c2
 from tailcomb.randgen import instance_graph
 from tailcomb.suites import lemma27
 from tailcomb.tails import nested
 
-from conftest import graphs, oracle_corpus, sc, tset
+from conftest import graphs, json_values, oracle_corpus, sc, tset
 
 
 # -- construction and validation ----------------------------------------------
@@ -75,6 +76,43 @@ def test_validate_duplicate_node_id():
 def test_json_round_trip(G3):
     again = validate(json.loads(G3.to_json()))
     assert again == G3
+
+
+def stdlib_json(value) -> str:
+    """The oracle of `write_json`: the stdlib's sorted, indented text."""
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def written(writer, value):
+    """writer(value), or the type of the error it raised."""
+    try:
+        return writer(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values())
+def test_write_json_equals_stdlib(value):
+    assert written(write_json, value) == written(stdlib_json, value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", {"a": 1, 2: 3}, [{"a": {None: 1, "b": 2}}], {"a": (1, {2})},
+], ids=["set", "bytes", "mixed-keys", "nested-mixed-keys", "nested-set"])
+def test_write_json_rejects_what_the_stdlib_rejects(value):
+    for writer in (write_json, stdlib_json):
+        with pytest.raises(TypeError):
+            writer(value)
+
+
+def test_write_json_equals_stdlib_on_outputs(G1, G2, G3, G4):
+    from tailcomb.blowup import BlowupPlan, decide_resolution, minimality_probe
+
+    for G in (G1, G2, G3, G4) + oracle_corpus()[:20]:
+        for value in (G.to_spec(), minimality_probe(G, "reconstructed").describe(G),
+                      decide_resolution(G, BlowupPlan(), "as-displayed").describe(G)):
+            assert write_json(value) == stdlib_json(value)
 
 
 def test_dot_export(G2):

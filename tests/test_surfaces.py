@@ -7,16 +7,20 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings
 
 from tailcomb import cli
+from tailcomb.blowup import BlowupPlan
+from tailcomb.degrees import multidegree
+from tailcomb.fixtures import fixture
 from tailcomb.cli import build_parser, main
 from tailcomb.errors import PreconditionError
-from tailcomb.graph import CurveGraph, Node, load, members, read_json
+from tailcomb.graph import CurveGraph, Node, load, members, read_json, validate
 from tailcomb.lift import build_c2
-from tailcomb.suites import SuiteConfig
+from tailcomb.suites import SuiteConfig, replay
 from tailcomb.tails import nested, tail_family
 
-from conftest import sc
+from conftest import json_values, sc
 
 
 def test_mask_helpers():
@@ -422,6 +426,48 @@ def test_load_malformed_below_json(content, tmp_path):
     path.write_bytes(content)
     with pytest.raises(PreconditionError):
         load(str(path))
+
+
+def _graph_round_trips(value):
+    G = validate(value)
+    assert validate(G.to_spec()) == G
+
+
+def _plan_round_trips(value):
+    G2 = fixture("G2")
+    plan = BlowupPlan.from_spec(G2, value)
+    assert BlowupPlan.from_spec(G2, plan.to_spec(G2)) == plan
+
+
+# each JSON input: the command reading it from PATH, how a drawn value is
+# placed in the file, and its reader, which a value must pass to be accepted
+_JSON_INPUTS = {
+    "graph": (["validate", "PATH"], lambda v: v, _graph_round_trips),
+    "multidegree": (["qs-check", "G2", "PATH"], lambda v: v,
+                    lambda v: multidegree(fixture("G2"), v)),
+    "plan": (["resolve", "G2", "--plan", "PATH"], lambda v: v, _plan_round_trips),
+    "plan-match": (["resolve", "G2", "--plan", "PATH"],
+                   lambda v: [{"pair": _PLAN_PAIR, "match": v}], _plan_round_trips),
+    "dump": (["verify", "--replay", "PATH"], lambda v: v, replay),
+    "dump-graph": (["verify", "--replay", "PATH"],
+                   lambda v: {"suite": "lemma-35", "graph": v}, replay),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values())
+def test_cli_json_inputs_load_or_take_the_error_path(tmp_path_factory, value):
+    # every drawn value, written as each JSON input, is either accepted by
+    # its reader or makes `main` exit 2 with one `error:` line and no stdout
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input.json"
+    for argv, place, reader in _JSON_INPUTS.values():
+        placed = place(value)
+        path.write_text(json.dumps(placed))
+        code, out, err = _call([str(path) if a == "PATH" else a for a in argv])
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            reader(read_json(str(path)))
 
 
 # each subcommand with a complete argument list, and one that leaves out a
