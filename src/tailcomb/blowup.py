@@ -54,6 +54,8 @@ class BlowupChoice(NamedTuple):
 
 
 def _node_sides(G: CurveGraph, r: int) -> tuple[int, int]:
+    if not 0 <= r < len(G.nodes):
+        raise PreconditionError("node index out of range")
     nd = G.nodes[r]
     if nd.is_loop:
         raise PreconditionError(f"node {nd.id!r} is a loop, not a reducible node")
@@ -103,11 +105,14 @@ class DistinguishedPoint(NamedTuple):
 
     choice: BlowupChoice
     index: int  # 1 or 2, in `_point_labels` order
-    triple: frozenset
     g1: int
     g1p: int
     g2: int
     g2p: int
+
+    @property
+    def triple(self) -> frozenset:
+        return self.choice.matching | {(self.g1, self.g2)}
 
     def describe(self, G: CurveGraph) -> dict:
         n = G.names
@@ -143,8 +148,8 @@ def distinguished_points(
     """The two distinguished points of a choice, built once per graph and
     choice for the suites and the CLI."""
     return tuple(
-        DistinguishedPoint(choice, i, choice.matching | {(g1, g2)}, g1, g1p, g2, g2p)
-        for i, (g1, g1p, g2, g2p) in enumerate(_point_labels(choice), 1)
+        DistinguishedPoint(choice, i, *labels)
+        for i, labels in enumerate(_point_labels(choice), 1)
     )
 
 
@@ -221,7 +226,7 @@ def _point_verdicts(G: CurveGraph, profile: str) -> dict:
     """
     _check_profile(profile)
     passing = PointVerdict(True, profile)
-    terminals: dict = {}  # anchors -> `_family_terminals`
+    terminals: dict = {}  # anchors -> nodes terminal at level 2 or 3
     table = {}
     for ch in choices(G):
         r1, r2 = ch.r1, ch.r2
@@ -233,7 +238,8 @@ def _point_verdicts(G: CurveGraph, profile: str) -> dict:
                 anchors = (1 << a) | (1 << b)
                 covered = terminals.get(anchors)
                 if covered is None:
-                    covered = terminals[anchors] = _family_terminals(G, anchors)
+                    covered = terminals[anchors] = (family_terminals(G, 2, anchors)
+                                                    | family_terminals(G, 3, anchors))
                 if covered & bits == bits:
                     fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
                     contributing = tuple(
@@ -245,13 +251,6 @@ def _point_verdicts(G: CurveGraph, profile: str) -> dict:
             verdicts.append(verdict)
         table[ch] = tuple(verdicts)
     return table
-
-
-@per_graph
-def _family_terminals(G: CurveGraph, anchors: int) -> int:
-    """The nodes terminal for some member of the level-2 or level-3 family
-    anchored at the given components."""
-    return family_terminals(G, 2, anchors) | family_terminals(G, 3, anchors)
 
 
 def _string_pair(value, what: str) -> list[str]:

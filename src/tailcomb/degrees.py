@@ -24,7 +24,7 @@ from .errors import (
     RepresentativeNotFound,
 )
 from .graph import CurveGraph, members, per_graph
-from .tails import tail_family
+from .tails import check_components, tail_family
 
 def multidegree(G: CurveGraph, data) -> tuple[int, ...]:
     """A multidegree from a mapping {component name: int} or a sequence.
@@ -302,6 +302,7 @@ def twister(G: CurveGraph) -> dict[tuple[int, int], tuple[int, ...]]:
 def abel_multidegree(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
     """Degree vector of twice the marked point minus one point on each of
     the two given components (coincidences add up)."""
+    check_components(G, g1, g2)
     d = [0] * G.p
     d[G.marked] += 2
     d[g1] -= 1
@@ -317,8 +318,7 @@ def lemma35_difference(G: CurveGraph, i: int, j: int, k: int) -> int:
     constant) satisfies f = indicator(Y) - const, contains component i and
     avoids component j whenever nonempty.  Returns the subcurve mask.
     """
-    if not all(0 <= c < G.p for c in (i, j, k)):
-        raise PreconditionError("component index out of range")
+    check_components(G, i, j, k)
     if i == j:
         raise PreconditionError("needs distinct components i, j")
     if not G.joining(i, j):

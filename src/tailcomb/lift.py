@@ -14,9 +14,9 @@ candidates are picked by bitset AND over the subdivision's pool indices,
 points that select the same candidates share one grown chain, and points
 with the same side labels share their base multisets.  Each report keeps
 each level's hat members and base multiset, which the eq. (34) node count
-reads; `hat_families` stays the one-point query.  The
-level-1 structure is a separate diagnostic (`one_tail_diagnostic`), which
-returns its findings, none when the level-1 families pass.
+and `hat_families` read.  The level-1 structure is a separate diagnostic
+(`one_tail_diagnostic`), which returns its findings, none when the level-1
+families pass.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
@@ -79,12 +79,11 @@ class LiftedGraph:
             f"no exceptional vertex over node index {node} with key {key}"
         )
 
-    def mu_image(self, mask: int) -> tuple[int, bool]:
-        """Base subcurve under the contraction, with a purely-exceptional flag:
-        strict transforms are lifted vertices 0..p-1 and exceptional ones p
-        and up, so the image is the mask's low p bits."""
-        img = mask & self.base.full_mask
-        return img, (mask != 0 and img == 0)
+    def mu_image(self, mask: int) -> int:
+        """Base subcurve under the contraction: strict transforms are lifted
+        vertices 0..p-1 and exceptional ones p and up, so the image is the
+        mask's low p bits, 0 for a purely exceptional mask."""
+        return mask & self.base.full_mask
 
     def to_dot(self) -> str:
         g = self.graph
@@ -223,8 +222,7 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
                     liftings=[lg.names_of(x) for x in (l0, l1, l2)],
                 )
     for l in (l0, l1, l2):
-        img, pure = LG.mu_image(l)
-        if img != W or pure:
+        if LG.mu_image(l) != W:
             raise InvariantViolation(
                 "canonical lifting does not contract to its subcurve",
                 subcurve=base.names_of(W),
@@ -237,12 +235,8 @@ def hat_families(
     G: CurveGraph, point: DistinguishedPoint
 ) -> tuple[NestedFamily, NestedFamily]:
     """The level-2 and level-3 families on the subdivision anchored at
-    E(R1, g1) and E(R2, g2)."""
-    LG = build_c2(G)
-    lg = LG.graph
-    a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
-    a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
-    return nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2)
+    E(R1, g1) and E(R2, g2), read from the point's `is_synchronized` report."""
+    return tuple(NestedFamily(l.hat_members) for l in is_synchronized(G, point).levels)
 
 
 def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tuple[int, ...]:
@@ -257,11 +251,12 @@ def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tup
 @dataclass(frozen=True)
 class LevelSync:
     """One level of a point's synchronization: the lifted hat members,
-    their sorted images and the base multiset they must equal."""
+    their sorted images and the base multiset they must equal, which no
+    purely exceptional member can meet (its image is 0, no base member)."""
 
     level: int
     ok: bool
-    hat_images: tuple[int, ...]  # base masks, sorted; purely exceptional kept as 0
+    hat_images: tuple[int, ...]  # base masks, sorted
     base_multiset: tuple[int, ...]
     hat_members: tuple[int, ...]  # lifted masks, in family order
 
@@ -297,7 +292,8 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     """Compare hat families against the base multisets at levels 2 and 3.
 
     A level synchronizes when the contraction images of the hat family equal
-    the base multiset with multiplicity and no member is purely exceptional.
+    the base multiset with multiplicity, which already excludes a purely
+    exceptional member: its image is 0, and base members are nonempty.
     Level 1 always synchronizes, so it is not compared; its structure is
     checked by `one_tail_diagnostic`.  The report is read from the graph's
     `_sync_reports`, so an equal point built elsewhere is not re-evaluated;
@@ -343,7 +339,7 @@ def _sync_reports(G: CurveGraph) -> dict:
                 hat2 = hats2.get(sel)
                 if hat2 is None:
                     hat2 = hats2[sel] = _hat_entry(LG, 2, pool2, sel, anchors, term3)
-                sel = hold3[e1] & hold3[e2] & ~hat2[3]
+                sel = hold3[e1] & hold3[e2] & ~hat2[2]
                 hat3 = hats3.get(sel)
                 if hat3 is None:
                     hat3 = hats3[sel] = _hat_entry(LG, 3, pool3, sel, anchors, term3)
@@ -355,12 +351,12 @@ def _sync_reports(G: CurveGraph) -> dict:
             except InvariantViolation as exc:
                 reports[pt] = exc
                 continue
-            fam2, images2, pure2, _ = hat2
-            fam3, images3, pure3, _ = hat3
+            fam2, images2, _ = hat2
+            fam3, images3, _ = hat3
             base2, base3 = base
             reports[pt] = SyncReport(pt, (
-                LevelSync(2, images2 == base2 and not pure2, images2, base2, fam2),
-                LevelSync(3, images3 == base3 and not pure3, images3, base3, fam3),
+                LevelSync(2, images2 == base2, images2, base2, fam2),
+                LevelSync(3, images3 == base3, images3, base3, fam3),
             ))
     return reports
 
@@ -368,20 +364,19 @@ def _sync_reports(G: CurveGraph) -> dict:
 def _hat_entry(LG: LiftedGraph, s: int, pool, sel: int, anchors: int,
                term3) -> tuple:
     """A level-s hat family grown from the pool members in sel: its members,
-    their contraction images in canonical order, whether one is purely
-    exceptional, and the level-3 pool members its terminal nodes block.
+    their contraction images in canonical order, and the level-3 pool
+    members its terminal nodes block.
 
     Each member contains the one before, so their images are nested and
     family order is already canonical order.
     """
     lg = LG.graph
     fam = _grow(lg, s, [pool[i] for i in members(sel)], anchors)
-    mus = [LG.mu_image(y) for y in fam]
     blocked = 0
     for y in fam:
         for t in members(lg.term_mask(y)):
             blocked |= term3[t]
-    return fam, tuple(img for img, _ in mus), any(pure for _, pure in mus), blocked
+    return fam, tuple(LG.mu_image(y) for y in fam), blocked
 
 
 # -- level-1 diagnostic -------------------------------------------------------
@@ -414,8 +409,8 @@ def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
     crossing = []
     rest = []
     for y in nested(lg, 1, 1 << LG.exceptional(r, g)).members:
-        img, pure = LG.mu_image(y)
-        if pure or not G.is_tail(img) or (img >> G.marked) & 1:
+        img = LG.mu_image(y)
+        if not G.is_tail(img) or (img >> G.marked) & 1:
             detail.append(("bad-image", nd.id, lg.names_of(y)))
             continue
         both = (img >> nd.a) & 1 and (img >> nd.b) & 1

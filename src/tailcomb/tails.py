@@ -135,6 +135,12 @@ def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
     return pool, tuple(hold), tuple(term)
 
 
+def check_components(G: CurveGraph, *indices: int) -> None:
+    """Raise PreconditionError unless every index names a component of G."""
+    if not all(0 <= c < G.p for c in indices):
+        raise PreconditionError("component index out of range")
+
+
 def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
     """The multiset of tails attached to a component pair.
 
@@ -142,8 +148,7 @@ def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
     and g1 == g2 doubles the level-1 family) with the level-2 and level-3
     families anchored at the pair.
     """
-    if not (0 <= g1 < G.p and 0 <= g2 < G.p):
-        raise PreconditionError("component index out of range")
+    check_components(G, g1, g2)
     pair_anchor = (1 << g1) | (1 << g2)
     return (
         nested(G, 1, 1 << g1).members
@@ -171,8 +176,7 @@ def symm_diff(G: CurveGraph, s: int, i: int, j: int, k: int) -> SymmDiffReport:
     structural classification and, at level 2, the two difference nodes
     oriented so the first lies on a node joining i and j.
     """
-    if not all(0 <= c < G.p for c in (i, j, k)):
-        raise PreconditionError("component index out of range")
+    check_components(G, i, j, k)
     if i == j:
         raise PreconditionError("symmetric difference needs distinct i, j")
     ij_nodes = G.joining(i, j)

@@ -62,6 +62,18 @@ def test_make_choice_rejects_bad_sides(G3):
         make_choice(G3, 0, 1, [(1, 1), (0, 0)])
 
 
+def test_node_indices_range_checked(G3):
+    # G3 has nodes 0..3; -1 must not read as the last node, 4 must not
+    # end in IndexError
+    for bad in (-1, len(G3.nodes)):
+        with pytest.raises(PreconditionError, match="node index out of range"):
+            make_choice(G3, bad, 0, [(2, 0), (1, 1)])
+        with pytest.raises(PreconditionError, match="node index out of range"):
+            pair_matchings(G3, bad, 0)
+        with pytest.raises(PreconditionError, match="node index out of range"):
+            admissibility_check(G3, bad, bad)
+
+
 def test_two_matchings(G2):
     a, b = pair_matchings(G2, 0, 1)
     assert pairs_of(G2, a.matching) == [("C1", "C1"), ("C2", "C2")]

@@ -183,6 +183,14 @@ def test_lemma35_range_checks_every_index(G3):
                 lemma35_difference(G3, *args)
 
 
+def test_abel_multidegree_range_checks_both_indices(G3):
+    # -1 must not read as the last component, G3.p must not end in IndexError
+    for bad in (-1, G3.p):
+        for args in ((bad, 1), (1, bad)):
+            with pytest.raises(PreconditionError, match="component index out of range"):
+                abel_multidegree(G3, *args)
+
+
 def test_lemma35_swapped_orientation(G4):
     # Swapping i and j flips the level set to the complementary side.
     y = lemma35_difference(G4, 0, 1, 1)

@@ -29,6 +29,7 @@ from tailcomb.lift import (
 )
 from tailcomb.randgen import instance_graph
 from tailcomb.suites import replay
+from tailcomb.tails import nested
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc
 
@@ -65,11 +66,9 @@ def test_build_c2_loop_triangle(G1):
 def test_mu_image(G2):
     LG = build_c2(G2)
     y = LG.graph.subcurve(["E(a,C1)", "E(a,C2)"])
-    img, pure = LG.mu_image(y)
-    assert img == 0 and pure
+    assert LG.mu_image(y) == 0  # purely exceptional
     y = LG.graph.subcurve(["E(a,C2)", "C2", "E(b,C2)", "E(b,C1)"])
-    img, pure = LG.mu_image(y)
-    assert img == sc(G2, "C2") and not pure
+    assert LG.mu_image(y) == sc(G2, "C2")
 
 
 # -- canonical liftings -------------------------------------------------------------
@@ -117,7 +116,7 @@ def test_hat_families_banana_aligned(G2):
     for pt in distinguished_points(G2, ch):
         t2, t3 = hat_families(G2, pt)
         assert len(t2.members) == 1
-        assert LG.mu_image(t2.members[0]) == (sc(G2, "C2"), False)
+        assert LG.mu_image(t2.members[0]) == sc(G2, "C2")
         assert t3.members == ()
 
 
@@ -164,8 +163,9 @@ def test_is_synchronized_rejects_a_foreign_point(G2, G3):
     foreign = [pt._replace(g1=G3.index("C3"))]
     foreign += distinguished_points(G2, make_choice(G2, 0, 1, [(1, 1), (0, 0)]))
     for bad in foreign:
-        with pytest.raises(PreconditionError, match="not a distinguished point"):
-            is_synchronized(G3, bad)
+        for query in (is_synchronized, hat_families):
+            with pytest.raises(PreconditionError, match="not a distinguished point"):
+                query(G3, bad)
 
 
 def test_thm63_pairwise_on_fixtures(G2, G3):
@@ -331,7 +331,17 @@ def mu_image_oracle(LG, mask):
     for v in members(mask):
         if v in comp:
             img |= 1 << comp[v]
-    return img, (mask != 0 and img == 0)
+    return img
+
+
+def hat_oracle(G, point):
+    """The level-2 and level-3 hat families of one point, grown on their own
+    by `nested` on the subdivision at E(R1, g1) and E(R2, g2)."""
+    LG = build_c2(G)
+    lg = LG.graph
+    a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
+    a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
+    return nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2)
 
 
 def eq34_oracle(G, point):
@@ -340,7 +350,7 @@ def eq34_oracle(G, point):
     touching an exceptional vertex over the node."""
     LG = build_c2(G)
     lg = LG.graph
-    t2, _ = hat_families(G, point)
+    t2, _ = hat_oracle(G, point)
     base = base_level_multiset(G, point, 2)
     bad = []
     for t, nd in enumerate(G.nodes):
@@ -361,14 +371,16 @@ def all_points(G):
 
 def sync_oracle(G, point):
     """`is_synchronized` for one point on its own: its two hat families
-    against the base multisets of its triple, level by level."""
+    against the base multisets of its triple, level by level.  A level
+    synchronizes when the images equal the base multiset and no member is
+    purely exceptional."""
     LG = build_c2(G)
     levels = []
-    for s, fam in zip((2, 3), hat_families(G, point)):
-        mus = [LG.mu_image(y) for y in fam.members]
-        images = tuple(sorted((img for img, _ in mus), key=canon_key))
+    for s, fam in zip((2, 3), hat_oracle(G, point)):
+        images = tuple(sorted((LG.mu_image(y) for y in fam.members), key=canon_key))
         base = base_level_multiset(G, point, s)
-        ok = images == base and not any(pure for _, pure in mus)
+        pure = any(y and not LG.mu_image(y) for y in fam.members)
+        ok = images == base and not pure
         levels.append(LevelSync(s, ok, images, base, fam.members))
     return SyncReport(point, tuple(levels))
 
@@ -385,8 +397,9 @@ def assert_point_layers_match_oracles(G, rng):
     masks += [0, lg.full_mask] + [rng.getrandbits(lg.p) for _ in range(50)]
     nonempty = 0
     for pt in all_points(G):
-        t2, t3 = hat_families(G, pt)
+        t2, t3 = hat_oracle(G, pt)
         masks += t2.members + t3.members
+        assert outcome(hat_families, G, pt) == outcome(hat_oracle, G, pt)
         assert outcome(is_synchronized, G, pt) == outcome(sync_oracle, G, pt)
         got = outcome(eq34_level2, G, pt)
         assert got == outcome(eq34_oracle, G, pt)

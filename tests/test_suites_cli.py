@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 
 from tailcomb import degrees, suites
+from tailcomb.blowup import PROFILES
 from tailcomb.cli import main
 from tailcomb.errors import RepresentativeNotFound
 from tailcomb.fixtures import fixture
+from tailcomb.graph import CurveGraph, Node, members
 from tailcomb.randgen import child_rng, instance_graph, random_graph
 from tailcomb.suites import (
     ALL_SUITES,
@@ -154,6 +157,42 @@ def test_run_suite_check_counts_pinned():
     ))
     assert sync.ok
     assert sync.checks == {"lemma-61": 636, "prop-62": 1218, "thm-63-pairwise": 318}
+
+
+# -- relabelling -----------------------------------------------------------------
+
+
+def relabelled(G, rng):
+    """G with its component indices permuted (names follow), its node order
+    shuffled and each node's two ends swapped at random, with the map from
+    G's component indices to the copy's."""
+    perm = list(range(G.p))
+    rng.shuffle(perm)
+    names = [""] * G.p
+    for m, name in enumerate(G.names):
+        names[perm[m]] = name
+    nodes = []
+    for nd in G.nodes:
+        ends = (perm[nd.a], perm[nd.b])
+        nodes.append(Node(nd.id, *(ends[::-1] if rng.random() < 0.5 else ends)))
+    rng.shuffle(nodes)
+    return CurveGraph(names, nodes, perm[G.marked]), perm
+
+
+def test_relabelling_keeps_tails_and_suite_counts():
+    # Relabelling is an isomorphism: the tails correspond, and every suite
+    # makes as many checks and finds as many violations on either copy.
+    rng = random.Random(7)
+    for i in range(50):
+        G = instance_graph(11, i, 6, 4, True)
+        H, perm = relabelled(G, rng)
+        moved = sorted(sum(1 << perm[m] for m in members(w)) for w in G.tails())
+        assert moved == sorted(H.tails())
+        for profile in PROFILES:
+            for name in ALL_SUITES:
+                (n, bad), (n2, bad2) = (suites._check(X, name, 1, i, profile)
+                                        for X in (G, H))
+                assert (n, len(bad)) == (n2, len(bad2)), (i, profile, name)
 
 
 # -- CLI ------------------------------------------------------------------------
