@@ -165,11 +165,6 @@ def choices(G: CurveGraph) -> tuple[BlowupChoice, ...]:
     )
 
 
-def condition_pairs(point: DistinguishedPoint, profile: str) -> tuple:
-    _check_profile(profile)
-    return _condition_pairs((point.g1, point.g1p, point.g2, point.g2p), profile)
-
-
 def _condition_pairs(labels: tuple, profile: str) -> tuple:
     """The condition pairs of the point with labels (g1, g1', g2, g2')."""
     g1, g1p, g2, g2p = labels
@@ -241,7 +236,7 @@ def _point_verdicts(G: CurveGraph, profile: str) -> dict:
                     covered = terminals[anchors] = (family_terminals(G, 2, anchors)
                                                     | family_terminals(G, 3, anchors))
                 if covered & bits == bits:
-                    fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
+                    fam = nested(G, 2, anchors) + nested(G, 3, anchors)
                     contributing = tuple(
                         (r, tuple(w for w in fam if G.term_mask(w) & (1 << r)))
                         for r in (r1, r2)
@@ -403,14 +398,15 @@ def admissibility_check(
 ) -> AdmissibilityReport:
     """Evaluate the admissibility inequalities at a node pair.
 
-    For distinct nodes a matching must be supplied (it determines which
-    divisor pairs are treated as intersecting); for r1 == r2 the diagonal
-    pairing of the node's two sides is forced.  Instances of (18), (23) and
-    (24) whose divisor pairs do not intersect are not emitted.  Every value
-    is a difference of two coefficient differences alpha_m - alpha_n, read
-    directly off the twister table's rows.  An (18) instance reads the
-    difference of two rows across a node, so the nodes are scanned for
-    failures only where that difference spans more than 1.
+    For distinct nodes one of `pair_matchings(G, r1, r2)` must be supplied
+    (it determines which divisor pairs are treated as intersecting); for
+    r1 == r2 the diagonal pairing of the node's two sides is forced.
+    Instances of (18), (23) and (24) whose divisor pairs do not intersect
+    are not emitted.  Every value is a difference of two coefficient
+    differences alpha_m - alpha_n, read directly off the twister table's
+    rows.  An (18) instance reads the difference of two rows across a node,
+    so the nodes are scanned for failures only where that difference spans
+    more than 1.
     """
     diagonal = r1 == r2
     if diagonal:
@@ -423,6 +419,8 @@ def admissibility_check(
         if (min(r1, r2), max(r1, r2)) != (choice.r1, choice.r2):
             raise PreconditionError("choice does not describe this node pair")
         r1, r2 = choice.r1, choice.r2
+        if choice not in pair_matchings(G, r1, r2):
+            raise PreconditionError("the plan's choice is not one of this graph's")
         (g1, g2), (g1p, g2p) = choice.matched_pairs()
     alpha = twister(G)
 

@@ -104,9 +104,9 @@ def cmd_nested(G, args):
     _emit(
         args,
         {"level": args.s, "anchors": list(G.names_of(anchors)),
-         "family": [list(G.names_of(w)) for w in fam.members]},
+         "family": [list(G.names_of(w)) for w in fam]},
         [f"nested level-{args.s} family at {{{','.join(G.names_of(anchors))}}}:",
-         "  " + _family_text(G, fam.members)],
+         "  " + _family_text(G, fam)],
     )
     return 0
 

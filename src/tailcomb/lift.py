@@ -1,7 +1,8 @@
 """The node subdivision of a dual graph and the synchronization predicate.
 
 Each node of the base graph is replaced by a chain of two exceptional
-vertices, producing another CurveGraph, so the whole tail machinery applies
+vertices.  `build_c2(G)` returns the subdivision, a `LiftedGraph`: a
+CurveGraph that keeps its base graph, so the whole tail machinery applies
 unchanged.  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is
 a series extension, so they follow in closed form from the base graph's
 s-tails and bridges (`_lifted_k_tails`).  `tails()` and `k_tails(k > 3)` on
@@ -35,25 +36,25 @@ from .blowup import DistinguishedPoint, choices, distinguished_points
 from .errors import InvariantViolation, PreconditionError
 from .graph import (CurveGraph, Node, canon_key, dot_edges, dot_quote, members,
                     per_graph, precedes)
-from .tails import NestedFamily, _candidates, _grow, _pool_index, nested
+from .tails import _candidates, _grow, _pool_index, nested
 
 
-class LiftedGraph:
-    """Subdivision of a base graph with the contraction bookkeeping.
+class LiftedGraph(CurveGraph):
+    """The node subdivision of a base graph, with the contraction bookkeeping.
 
     Every base node S with endpoints (u, v) becomes the chain
     C_u -- E(S,u) -- E(S,v) -- C_v (loop sides are numbered 1 and 2) with
     edges S:u, S:mid and S:v; a generated name that repeats an earlier one
     (a base component may be called E(S,u)) gets a suffix, #2 or higher.
-    The lifted graph is itself a CurveGraph marked at the strict transform
-    of the base marked component.  Its s-tails for s <= 3 are derived from
-    the base graph's rather than enumerated (index layout: module docstring).
+    The subdivision is itself a CurveGraph, marked at the strict transform
+    of the base marked component, and keeps its base graph as `base`.  Its
+    s-tails for s <= 3 are derived from the base graph's rather than
+    enumerated (index layout: module docstring).
     """
 
-    __slots__ = ("base", "graph")
+    __slots__ = ("base",)
 
     def __init__(self, base: CurveGraph):
-        self.base = base
         names = list(base.names)
         ids, ends = [], []
         for nd in base.nodes:
@@ -63,7 +64,16 @@ class LiftedGraph:
             ids += [f"{nd.id}:{labels[0]}", f"{nd.id}:mid", f"{nd.id}:{labels[1]}"]
             ends += [(nd.a, e1), (e1, e1 + 1), (e1 + 1, nd.b)]
         edges = [Node(i, a, b) for i, (a, b) in zip(_distinct(ids), ends)]
-        self.graph = _Subdivision(_distinct(names), edges, base.marked, self)
+        super().__init__(_distinct(names), edges, base.marked)
+        self.base = base
+
+    @property
+    def graph(self) -> LiftedGraph:
+        """Itself, for the `build_c2` hook of perfbench/tracer.py only."""
+        return self
+
+    def _derived_k_tails(self, kk: int) -> tuple[int, ...]:
+        return _lifted_k_tails(self, kk)
 
     def exceptional(self, node: int, key: int) -> int:
         """Lifted vertex E(node, key) = p + 2 * node, plus 1 for the second
@@ -86,15 +96,14 @@ class LiftedGraph:
         return mask & self.base.full_mask
 
     def to_dot(self) -> str:
-        g = self.graph
         lines = ["graph lifted {"]
-        for i, nm in enumerate(g.names):
+        for i, nm in enumerate(self.names):
             if i >= self.base.p:
                 shape = "square, width=0.25, height=0.25"
             else:
-                shape = "doublecircle" if i == g.marked else "circle"
+                shape = "doublecircle" if i == self.marked else "circle"
             lines.append(f"  {dot_quote(nm)} [shape={shape}];")
-        lines += dot_edges(g)
+        lines += dot_edges(self)
         lines.append("}")
         return "\n".join(lines)
 
@@ -116,20 +125,6 @@ def _distinct(names: list[str]) -> list[str]:
         seen.add(nm)
         out.append(nm)
     return out
-
-
-class _Subdivision(CurveGraph):
-    """The subdivided graph of a LiftedGraph, whose s-tails (s <= 3) are
-    derived from the base graph."""
-
-    __slots__ = ("_lift",)
-
-    def __init__(self, names, nodes, marked: int, lift: LiftedGraph):
-        super().__init__(names, nodes, marked)
-        self._lift = lift
-
-    def _derived_k_tails(self, kk: int) -> tuple[int, ...]:
-        return _lifted_k_tails(self._lift, kk)
 
 
 def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
@@ -179,7 +174,7 @@ def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
         bridges = 0
         for w in base.k_tails(1):
             bridges |= base.term_mask(w)
-        full = LG.graph.full_mask
+        full = LG.full_mask
         for t in range(len(base.nodes)):
             if (bridges >> t) & 1:
                 continue
@@ -205,6 +200,8 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
     terminal sets, provided W is connected) is asserted.
     """
     base = LG.base
+    if W & ~base.full_mask:
+        raise PreconditionError("subcurve outside the component range")
     if not base.is_proper(W):
         raise PreconditionError("canonical liftings need a proper nonempty subcurve")
     l0, steps = _lift_parts(LG, W)
@@ -212,31 +209,28 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
     for near, far in steps:
         l1 |= near
         l2 |= near | far
-    lg = LG.graph
     if base.connected(W):
         for a, b in ((l0, l1), (l1, l2)):
-            if not precedes(lg, a, b):
+            if not precedes(LG, a, b):
                 raise InvariantViolation(
                     "canonical liftings do not chain",
                     subcurve=base.names_of(W),
-                    liftings=[lg.names_of(x) for x in (l0, l1, l2)],
+                    liftings=[LG.names_of(x) for x in (l0, l1, l2)],
                 )
     for l in (l0, l1, l2):
         if LG.mu_image(l) != W:
             raise InvariantViolation(
                 "canonical lifting does not contract to its subcurve",
                 subcurve=base.names_of(W),
-                lifting=lg.names_of(l),
+                lifting=LG.names_of(l),
             )
     return (l0, l1, l2)
 
 
-def hat_families(
-    G: CurveGraph, point: DistinguishedPoint
-) -> tuple[NestedFamily, NestedFamily]:
+def hat_families(G: CurveGraph, point: DistinguishedPoint) -> tuple[tuple, tuple]:
     """The level-2 and level-3 families on the subdivision anchored at
     E(R1, g1) and E(R2, g2), read from the point's `is_synchronized` report."""
-    return tuple(NestedFamily(l.hat_members) for l in is_synchronized(G, point).levels)
+    return tuple(l.hat_members for l in is_synchronized(G, point).levels)
 
 
 def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tuple[int, ...]:
@@ -244,7 +238,7 @@ def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tup
     triple pairs, concatenated."""
     out: list[int] = []
     for (a, b) in ((point.g1, point.g2), (point.g1, point.g2p), (point.g1p, point.g2)):
-        out.extend(nested(G, s, (1 << a) | (1 << b)).members)
+        out.extend(nested(G, s, (1 << a) | (1 << b)))
     return tuple(sorted(out, key=canon_key))
 
 
@@ -320,8 +314,8 @@ def _sync_reports(G: CurveGraph) -> dict:
     """
     LG = build_c2(G)
     p, nodes = G.p, G.nodes
-    pool2, hold2, _ = _pool_index(LG.graph, 2)
-    pool3, hold3, term3 = _pool_index(LG.graph, 3)
+    pool2, hold2, _ = _pool_index(LG, 2)
+    pool3, hold3, term3 = _pool_index(LG, 3)
     hats2: dict = {}  # level-2 selection -> hat entry and the level-3 block
     hats3: dict = {}  # level-3 selection -> hat entry
     bases: dict = {}  # labels -> the level-2 and level-3 base multisets
@@ -370,11 +364,10 @@ def _hat_entry(LG: LiftedGraph, s: int, pool, sel: int, anchors: int,
     Each member contains the one before, so their images are nested and
     family order is already canonical order.
     """
-    lg = LG.graph
-    fam = _grow(lg, s, [pool[i] for i in members(sel)], anchors)
+    fam = _grow(LG, s, [pool[i] for i in members(sel)], anchors)
     blocked = 0
     for y in fam:
-        for t in members(lg.term_mask(y)):
+        for t in members(LG.term_mask(y)):
             blocked |= term3[t]
     return fam, tuple(LG.mu_image(y) for y in fam), blocked
 
@@ -403,15 +396,14 @@ def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
     """What the level-1 diagnostic finds wrong with the family anchored at
     E(r, g); memoized, since every point with that anchor shares it."""
     LG = build_c2(G)
-    lg = LG.graph
     nd = G.nodes[r]
     detail = []
     crossing = []
     rest = []
-    for y in nested(lg, 1, 1 << LG.exceptional(r, g)).members:
+    for y in nested(LG, 1, 1 << LG.exceptional(r, g)):
         img = LG.mu_image(y)
         if not G.is_tail(img) or (img >> G.marked) & 1:
-            detail.append(("bad-image", nd.id, lg.names_of(y)))
+            detail.append(("bad-image", nd.id, LG.names_of(y)))
             continue
         both = (img >> nd.a) & 1 and (img >> nd.b) & 1
         (crossing if both else rest).append(y)
@@ -452,7 +444,7 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
     base node (lifted edges 3t..3t+2 lie over node t).  Returns the
     violations in node order.
     """
-    lg = build_c2(G).graph
+    LG = build_c2(G)
     level2 = is_synchronized(G, point).levels[0]
     lhs = [0] * len(G.nodes)
     rhs = [0] * len(G.nodes)
@@ -460,7 +452,7 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
         for t in members(G.term_mask(w)):
             lhs[t] += 1
     for y in level2.hat_members:
-        for e in members(lg.term_mask(y)):
+        for e in members(LG.term_mask(y)):
             rhs[e // 3] += 1
     return tuple(
         (nd.id, lhs[t], rhs[t]) for t, nd in enumerate(G.nodes) if lhs[t] != rhs[t]

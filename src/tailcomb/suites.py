@@ -51,7 +51,7 @@ def suite_closure(G: CurveGraph, rng, profile):
         anchors = (1 << g1) | (1 << g2)
         if anchors & marked_bit:
             continue
-        fam2 = nested(G, 2, anchors).members
+        fam2 = nested(G, 2, anchors)
         cands3 = [z for z, _ in _candidates(G, 3, anchors)]
         closed = set(cands3)
         for a in range(len(cands3)):
@@ -63,7 +63,7 @@ def suite_closure(G: CurveGraph, rng, profile):
                         {"check": "lemma-2.3", "anchors": _sub(G, anchors),
                          "z": _sub(G, z), "zp": _sub(G, zp)}
                     )
-        fam3 = nested(G, 3, anchors).members
+        fam3 = nested(G, 3, anchors)
         for z, tz in _candidates(G, 2, anchors):
             checks += 1
             if not any(w & z == w and G.term_mask(w) & tz for w in fam2):
@@ -157,8 +157,8 @@ def suite_prop31(G: CurveGraph, rng, profile):
                 # Containment across the level-1 families holds between the
                 # adjacent pair's own families; tails anchored at the third
                 # component k need not nest against them.
-                fa = set(nested(G, 1, 1 << i).members)
-                fb = set(nested(G, 1, 1 << j).members)
+                fa = set(nested(G, 1, 1 << i))
+                fb = set(nested(G, 1, 1 << j))
             else:
                 fa, fb = _level_families(G, s, i, j, k)
             checks += 1

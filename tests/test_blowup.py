@@ -22,7 +22,6 @@ from tailcomb.blowup import (
     _point_verdicts,
     admissibility_check,
     choices,
-    condition_pairs,
     decide_resolution,
     distinguished_points,
     is_quasistable_point,
@@ -33,7 +32,7 @@ from tailcomb.blowup import (
 )
 from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
-from tailcomb.graph import CurveGraph
+from tailcomb.graph import CurveGraph, Node
 from tailcomb.lift import is_synchronized
 from tailcomb.randgen import instance_graph
 from tailcomb.tails import nested
@@ -176,6 +175,15 @@ def test_qs_point_g3_crossed(G3):
         assert not is_quasistable_point(G3, pt, RECONSTRUCTED).ok
 
 
+def condition_pairs(point, profile):
+    """The condition pairs of a point, written out for each profile:
+    (g1, g2) and (g1', g2') reconstructed, (g1, g2) and (g1, g2') as
+    displayed."""
+    g1, g1p, g2, g2p = point.g1, point.g1p, point.g2, point.g2p
+    return {RECONSTRUCTED: ((g1, g2), (g1p, g2p)),
+            AS_DISPLAYED: ((g1, g2), (g1, g2p))}[profile]
+
+
 def point_oracle(G, point, profile):
     """The verdict of one point, judged alone: the oracle of
     `_point_verdicts`, with the terminal masks of every level-2 and level-3
@@ -184,7 +192,7 @@ def point_oracle(G, point, profile):
     bits = (1 << r1) | (1 << r2)
     for (a, b) in condition_pairs(point, profile):
         anchors = (1 << a) | (1 << b)
-        fam = nested(G, 2, anchors).members + nested(G, 3, anchors).members
+        fam = nested(G, 2, anchors) + nested(G, 3, anchors)
         covered = 0
         for w in fam:
             covered |= G.term_mask(w) & bits
@@ -434,6 +442,23 @@ def test_admissibility_needs_matching(G2):
         admissibility_check(G2, 0, 1)
 
 
+def test_admissibility_rejects_a_foreign_choice(G3):
+    # a matching of another graph at the same node indices: it names a
+    # fourth component, which G3 lacks, and once ended in a KeyError
+    H = CurveGraph(["C1", "C2", "C3", "C4"],
+                   [Node("x", 0, 3), Node("y", 0, 1), Node("z", 1, 2)], 0)
+    with pytest.raises(PreconditionError, match="not one of this graph's"):
+        admissibility_check(G3, 0, 1, pair_matchings(H, 0, 1)[0])
+
+
+def test_admissibility_rejects_another_pairs_matching(G3):
+    # G3's matching at nodes (0, 2), relabelled as nodes (0, 1): it once
+    # returned a report for sides the pair does not have
+    m = pair_matchings(G3, 0, 2)[0].matching
+    with pytest.raises(PreconditionError, match="not one of this graph's"):
+        admissibility_check(G3, 0, 1, BlowupChoice(0, 1, m))
+
+
 def admissibility_oracle(G, r1, r2, choice=None):
     """`admissibility_check` with every value a difference of two
     `delta` calls and the intersection gate tested per instance."""
@@ -675,7 +700,6 @@ def test_no_blocked_pairs_reconstructed_fuzz():
 def test_matching_points_share_condition_pairs_fuzz():
     # under the default profile the two points of one matching carry the
     # same condition-pair set, hence the same quasistability status
-    from tailcomb.blowup import condition_pairs
     from tailcomb.randgen import instance_graph
     from itertools import combinations
 

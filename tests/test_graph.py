@@ -183,10 +183,10 @@ def test_incidence_matches_scans_fixtures_and_corpus(G1, G2, G3, G4):
     rng = random.Random(5)
     for G in (G1, G2, G3, G4, *oracle_corpus()):
         assert_incidence_matches_scans(G, range(1 << G.p))
-        lg = build_c2(G).graph
-        masks = [m for s in (1, 2, 3) for m in lg.k_tails(s)]
-        masks += [rng.getrandbits(lg.p) for _ in range(50)]
-        assert_incidence_matches_scans(lg, masks)
+        LG = build_c2(G)
+        masks = [m for s in (1, 2, 3) for m in LG.k_tails(s)]
+        masks += [rng.getrandbits(LG.p) for _ in range(50)]
+        assert_incidence_matches_scans(LG, masks)
 
 
 @settings(max_examples=120, deadline=None)

@@ -35,7 +35,7 @@ from conftest import d_count, graphs, oracle_corpus, outcome, sc
 
 
 def lnames(LG, mask):
-    return set(LG.graph.names_of(mask))
+    return set(LG.names_of(mask))
 
 
 # -- subdivision structure ---------------------------------------------------------
@@ -44,30 +44,30 @@ def lnames(LG, mask):
 def test_build_c2_counts(G1, G2, G3, G4):
     for G in (G1, G2, G3, G4):
         LG = build_c2(G)
-        assert LG.graph.p == G.p + 2 * len(G.nodes)
-        assert len(LG.graph.nodes) == 3 * len(G.nodes)
-        assert LG.graph.names[LG.graph.marked] == G.names[G.marked]
+        assert LG.p == G.p + 2 * len(G.nodes)
+        assert len(LG.nodes) == 3 * len(G.nodes)
+        assert LG.names[LG.marked] == G.names[G.marked]
 
 
 def test_build_c2_path(G4):
     LG = build_c2(G4)
-    assert LG.graph.names == ("C1", "C2", "E(e,C1)", "E(e,C2)")
-    ids = {nd.id for nd in LG.graph.nodes}
+    assert LG.names == ("C1", "C2", "E(e,C1)", "E(e,C2)")
+    ids = {nd.id for nd in LG.nodes}
     assert ids == {"e:C1", "e:mid", "e:C2"}
 
 
 def test_build_c2_loop_triangle(G1):
     LG = build_c2(G1)
-    assert LG.graph.p == 3
-    assert LG.graph.connected(LG.graph.full_mask)
-    assert set(LG.graph.names) == {"C1", "E(loop,1)", "E(loop,2)"}
+    assert LG.p == 3
+    assert LG.connected(LG.full_mask)
+    assert set(LG.names) == {"C1", "E(loop,1)", "E(loop,2)"}
 
 
 def test_mu_image(G2):
     LG = build_c2(G2)
-    y = LG.graph.subcurve(["E(a,C1)", "E(a,C2)"])
+    y = LG.subcurve(["E(a,C1)", "E(a,C2)"])
     assert LG.mu_image(y) == 0  # purely exceptional
-    y = LG.graph.subcurve(["E(a,C2)", "C2", "E(b,C2)", "E(b,C1)"])
+    y = LG.subcurve(["E(a,C2)", "C2", "E(b,C2)", "E(b,C1)"])
     assert LG.mu_image(y) == sc(G2, "C2")
 
 
@@ -88,7 +88,7 @@ def test_canonical_liftings_banana(G2):
     assert lnames(LG, l1) - lnames(LG, l0) == {"E(a,C2)", "E(b,C2)"}
     assert lnames(LG, l2) - lnames(LG, l1) == {"E(a,C1)", "E(b,C1)"}
     for a, b in ((l0, l1), (l1, l2)):
-        assert precedes(LG.graph, a, b)
+        assert precedes(LG, a, b)
 
 
 def test_canonical_liftings_interior_nodes(G3):
@@ -107,6 +107,15 @@ def test_canonical_liftings_reject_improper(G4):
         canonical_liftings(LG, G4.full_mask)
 
 
+def test_canonical_liftings_reject_masks_outside_the_components(G4):
+    # a bit past the base components (4, 7) once indexed past the adjacency
+    # table, and a negative mask (-1) never ran out of members
+    LG = build_c2(G4)
+    for W in (4, 7, -1):
+        with pytest.raises(PreconditionError, match="outside the component range"):
+            canonical_liftings(LG, W)
+
+
 # -- hat families and synchronization ----------------------------------------------
 
 
@@ -115,9 +124,9 @@ def test_hat_families_banana_aligned(G2):
     ch = make_choice(G2, 0, 1, [(1, 1), (0, 0)])
     for pt in distinguished_points(G2, ch):
         t2, t3 = hat_families(G2, pt)
-        assert len(t2.members) == 1
-        assert LG.mu_image(t2.members[0]) == sc(G2, "C2")
-        assert t3.members == ()
+        assert len(t2) == 1
+        assert LG.mu_image(t2[0]) == sc(G2, "C2")
+        assert t3 == ()
 
 
 def test_hat_families_banana_crossed(G2):
@@ -126,7 +135,7 @@ def test_hat_families_banana_crossed(G2):
     by_anchor = {}
     for pt in distinguished_points(G2, ch):
         t2, _ = hat_families(G2, pt)
-        by_anchor[G2.names[pt.g1]] = [lnames(LG, y) for y in t2.members]
+        by_anchor[G2.names[pt.g1]] = [lnames(LG, y) for y in t2]
     # the point anchored at the C2-side exceptional vertices grows a
     # two-member chain: the short middle arc, then everything but the mark
     assert by_anchor["C2"] == [
@@ -240,8 +249,8 @@ def corpus():
 def enumerated_subdivision(G):
     """The subdivision of G and a plain copy whose k-tails bucket its
     enumerated tails."""
-    lg = LiftedGraph(G).graph
-    return lg, CurveGraph(lg.names, lg.nodes, lg.marked)
+    LG = LiftedGraph(G)
+    return LG, CurveGraph(LG.names, LG.nodes, LG.marked)
 
 
 def assert_derived_tails(G):
@@ -311,22 +320,21 @@ def assert_index_layout(G):
     """Strict transforms keep the base indices, the exceptional vertices come
     after them, and lifted edges 3t..3t+2 are the chain over node t."""
     LG = build_c2(G)
-    lg = LG.graph
-    assert lg.names[: G.p] == G.names and lg.marked == G.marked
-    assert lg.p == G.p + 2 * len(G.nodes)
+    assert LG.names[: G.p] == G.names and LG.marked == G.marked
+    assert LG.p == G.p + 2 * len(G.nodes)
     exc = [e for t in range(len(G.nodes)) for e in exceptional_pair(LG, t)]
-    assert sorted(exc) == list(range(G.p, lg.p))
+    assert sorted(exc) == list(range(G.p, LG.p))
     for t, nd in enumerate(G.nodes):
         e1, e2 = exceptional_pair(LG, t)
         assert G.p <= e1 and G.p <= e2
-        ends = [{c.a, c.b} for c in lg.nodes[3 * t: 3 * t + 3]]
+        ends = [{c.a, c.b} for c in LG.nodes[3 * t: 3 * t + 3]]
         assert ends == [{nd.a, e1}, {e1, e2}, {e2, nd.b}]
 
 
 def mu_image_oracle(LG, mask):
     """The contraction as a loop over the members of the lifted mask; the
     strict transform of a base component is the lifted vertex of its name."""
-    comp = {LG.graph.index(name): m for m, name in enumerate(LG.base.names)}
+    comp = {LG.index(name): m for m, name in enumerate(LG.base.names)}
     img = 0
     for v in members(mask):
         if v in comp:
@@ -338,10 +346,9 @@ def hat_oracle(G, point):
     """The level-2 and level-3 hat families of one point, grown on their own
     by `nested` on the subdivision at E(R1, g1) and E(R2, g2)."""
     LG = build_c2(G)
-    lg = LG.graph
     a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
     a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
-    return nested(lg, 2, a1 | a2), nested(lg, 3, a1 | a2)
+    return nested(LG, 2, a1 | a2), nested(LG, 3, a1 | a2)
 
 
 def eq34_oracle(G, point):
@@ -349,15 +356,14 @@ def eq34_oracle(G, point):
     against the sum of `d_count` over the hat family at each lifted edge
     touching an exceptional vertex over the node."""
     LG = build_c2(G)
-    lg = LG.graph
     t2, _ = hat_oracle(G, point)
     base = base_level_multiset(G, point, 2)
     bad = []
     for t, nd in enumerate(G.nodes):
         exc = set(exceptional_pair(LG, t))
-        chain = [e for e, c in enumerate(lg.nodes) if {c.a, c.b} & exc]
+        chain = [e for e, c in enumerate(LG.nodes) if {c.a, c.b} & exc]
         lhs = d_count(G, base, 1 << t)
-        rhs = sum(d_count(lg, t2.members, 1 << e) for e in chain)
+        rhs = sum(d_count(LG, t2, 1 << e) for e in chain)
         if lhs != rhs:
             bad.append((nd.id, lhs, rhs))
     return tuple(bad)
@@ -377,11 +383,11 @@ def sync_oracle(G, point):
     LG = build_c2(G)
     levels = []
     for s, fam in zip((2, 3), hat_oracle(G, point)):
-        images = tuple(sorted((LG.mu_image(y) for y in fam.members), key=canon_key))
+        images = tuple(sorted((LG.mu_image(y) for y in fam), key=canon_key))
         base = base_level_multiset(G, point, s)
-        pure = any(y and not LG.mu_image(y) for y in fam.members)
+        pure = any(y and not LG.mu_image(y) for y in fam)
         ok = images == base and not pure
-        levels.append(LevelSync(s, ok, images, base, fam.members))
+        levels.append(LevelSync(s, ok, images, base, fam))
     return SyncReport(point, tuple(levels))
 
 
@@ -392,13 +398,12 @@ def assert_point_layers_match_oracles(G, rng):
     compared."""
     assert_index_layout(G)
     LG = build_c2(G)
-    lg = LG.graph
-    masks = [m for s in (1, 2, 3) for m in lg.k_tails(s)]
-    masks += [0, lg.full_mask] + [rng.getrandbits(lg.p) for _ in range(50)]
+    masks = [m for s in (1, 2, 3) for m in LG.k_tails(s)]
+    masks += [0, LG.full_mask] + [rng.getrandbits(LG.p) for _ in range(50)]
     nonempty = 0
     for pt in all_points(G):
         t2, t3 = hat_oracle(G, pt)
-        masks += t2.members + t3.members
+        masks += t2 + t3
         assert outcome(hat_families, G, pt) == outcome(hat_oracle, G, pt)
         assert outcome(is_synchronized, G, pt) == outcome(sync_oracle, G, pt)
         got = outcome(eq34_level2, G, pt)
@@ -430,13 +435,13 @@ def test_sync_violations_stay_with_their_points(monkeypatch, G3):
     # then find no unique minimal candidate, and only those four fail, each
     # naming its own anchors, as their per-point evaluation does.
     G = CurveGraph(G3.names, G3.nodes, G3.marked)  # a fresh memo
-    lg = build_c2(G).graph
-    hidden = lg.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
+    LG = build_c2(G)
+    hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
     k_tails = CurveGraph.k_tails
 
     def corrupted(self, kk):
         got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is lg and kk == 2 else got
+        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
 
     monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
     failed = set()
@@ -479,15 +484,15 @@ def test_distinct_renames_only_repeats():
 
 def test_subdivision_names_unique_when_a_component_collides():
     G = validate(NAMED_LIKE_A_LIFT)
-    lg = build_c2(G).graph
-    assert lg.names[:3] == G.names
-    assert lg.names[3:] == ("E(a,C1)#2", "E(a,E(a,C1))", "E(b,C1)", "E(b,C3)",
+    LG = build_c2(G)
+    assert LG.names[:3] == G.names
+    assert LG.names[3:] == ("E(a,C1)#2", "E(a,E(a,C1))", "E(b,C1)", "E(b,C3)",
                             "E(c,E(a,C1))", "E(c,C3)")
 
 
 def test_subdivision_node_ids_unique_when_a_side_is_called_mid():
     G = CurveGraph(["C1", "mid"], [Node("a", 0, 1)], 0)
-    assert [nd.id for nd in build_c2(G).graph.nodes] == ["a:C1", "a:mid", "a:mid#2"]
+    assert [nd.id for nd in build_c2(G).nodes] == ["a:C1", "a:mid", "a:mid#2"]
 
 
 def test_prop62_replays_green_on_a_graph_named_like_a_lift():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tailcomb import degrees, suites
-from tailcomb.blowup import PROFILES
+from tailcomb.blowup import PROFILES, minimality_probe
 from tailcomb.cli import main
 from tailcomb.errors import RepresentativeNotFound
 from tailcomb.fixtures import fixture
@@ -193,6 +193,31 @@ def test_relabelling_keeps_tails_and_suite_counts():
                 (n, bad), (n2, bad2) = (suites._check(X, name, 1, i, profile)
                                         for X in (G, H))
                 assert (n, len(bad)) == (n2, len(bad2)), (i, profile, name)
+
+
+def minimality_kinds(G, profile):
+    """Each pair's minimality kind, keyed by the pair's node ids."""
+    return {(G.nodes[r1].id, G.nodes[r2].id): kind
+            for (r1, r2), kind, _ in minimality_probe(G, profile).classification}
+
+
+def test_deleting_loops_keeps_tails_twister_and_minimality():
+    # A loop is never terminal, so deleting every loop changes no tail, no
+    # twister row and no pair's minimality kind (its node indices shift, its
+    # ids do not).
+    with_loops = 0
+    for i in range(400):
+        G = instance_graph(4, i, 7, 5, True)
+        kept = [nd for nd in G.nodes if not nd.is_loop]
+        if len(kept) == len(G.nodes):
+            continue
+        with_loops += 1
+        H = CurveGraph(G.names, kept, G.marked)
+        assert H.tails() == G.tails(), i
+        assert degrees.twister(H) == degrees.twister(G), i
+        for profile in PROFILES:
+            assert minimality_kinds(H, profile) == minimality_kinds(G, profile), (i, profile)
+    assert with_loops == 204
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_graph_repr(G2):
 
 def test_nested_family_protocol(G3):
     fam = nested(G3, 2, sc(G3, "C2", "C3"))
-    assert fam.members == (sc(G3, "C2", "C3"),)
+    assert fam == (sc(G3, "C2", "C3"),)
 
 
 def test_nested_anchor_range(G3):
@@ -557,6 +557,6 @@ def test_readme_library_example_runs():
         exec(block, scope)
     G = scope["G"]
     assert out.getvalue() == "True\n"
-    assert [set(G.names_of(w)) for w in scope["family"].members] == [{"C2", "C3"}]
+    assert [set(G.names_of(w)) for w in scope["family"]] == [{"C2", "C3"}]
     assert scope["alpha"] == (0, 1, 1)
     assert (scope["c"], scope["d"]) == ((0, 1, 1), (0, 0, 0))

@@ -22,15 +22,14 @@ def fam_sets(G, fam):
 
 
 def test_nested_examples(G3, G4):
-    assert fam_sets(G3, nested(G3, 2, sc(G3, "C2", "C3")).members) == [{"C2", "C3"}]
-    assert fam_sets(G4, nested(G4, 1, sc(G4, "C2")).members) == [{"C2"}]
-    assert nested(G4, 1, sc(G4, "C1")).members == ()  # marked anchor
-    assert nested(G3, 3, sc(G3, "C2")).members == ()  # blocked by the 2-family
+    assert fam_sets(G3, nested(G3, 2, sc(G3, "C2", "C3"))) == [{"C2", "C3"}]
+    assert fam_sets(G4, nested(G4, 1, sc(G4, "C2"))) == [{"C2"}]
+    assert nested(G4, 1, sc(G4, "C1")) == ()  # marked anchor
+    assert nested(G3, 3, sc(G3, "C2")) == ()  # blocked by the 2-family
 
 
 def test_nested_chain_invariant(G3):
-    fam = nested(G3, 2, sc(G3, "C2"))
-    ms = fam.members
+    ms = nested(G3, 2, sc(G3, "C2"))
     for a, b in zip(ms, ms[1:]):
         assert precedes(G3, a, b)
 
@@ -47,7 +46,7 @@ def test_nested_errors_are_not_memoized(G3):
     for _ in range(3):
         with pytest.raises(PreconditionError):
             nested(G, 2, 1 << 5)
-    assert nested(G, 2, sc(G, "C2", "C3")).members == (sc(G, "C2", "C3"),)
+    assert nested(G, 2, sc(G, "C2", "C3")) == (sc(G, "C2", "C3"),)
 
 
 # -- pair families ----------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_terminal_support_lemma(G3):
     # Every qualifying 2-tail admits a terminal member of the nested family
     # inside it.
     anchors = sc(G3, "C2")
-    fam = nested(G3, 2, anchors).members
+    fam = nested(G3, 2, anchors)
     for z in G3.k_tails(2):
         if z & anchors == anchors and not (z >> G3.marked) & 1:
             assert any(
@@ -160,7 +159,7 @@ def test_caching_is_transparent():
     assert a.tails() == b.tails()
     for s in (1, 2, 3):
         for anchors in range(1, a.full_mask + 1):
-            assert nested(a, s, anchors).members == nested(b, s, anchors).members
+            assert nested(a, s, anchors) == nested(b, s, anchors)
     # warm caches and ask again
     assert a.tails() == b.tails()
     assert tail_family(a, 1, 2) == tail_family(b, 1, 2)
@@ -214,10 +213,6 @@ def nested_oracle(G, s, anchors):
     return tuple(chain)
 
 
-def nested_members(G, s, anchors):
-    return nested(G, s, anchors).members
-
-
 def hat_anchors(G):
     """The anchors the point layers grow families from on the subdivision:
     each exceptional vertex (level 1) and each distinguished point's pair."""
@@ -237,12 +232,11 @@ def assert_nested_matches_oracle(G, base_anchors):
     """Equal members, in order, or equal errors, at every level on the base
     graph and at the hat anchors on its subdivision; returns the number of
     members compared."""
-    lg = build_c2(G).graph
     n = 0
-    for graph, anchor_sets in ((G, base_anchors), (lg, hat_anchors(G))):
+    for graph, anchor_sets in ((G, base_anchors), (build_c2(G), hat_anchors(G))):
         for anchors in anchor_sets:
             for s in (1, 2, 3):
-                got = outcome(nested_members, graph, s, anchors)
+                got = outcome(nested, graph, s, anchors)
                 assert got == outcome(nested_oracle, graph, s, anchors)
                 n += len(got) if isinstance(got, tuple) else 0
     return n
@@ -267,7 +261,7 @@ def test_nested_matches_oracle_corpus():
 def member_terminals(G, s, anchors):
     """The OR of the terminal masks of the level-s family's members."""
     covered = 0
-    for w in nested(G, s, anchors).members:
+    for w in nested(G, s, anchors):
         covered |= G.term_mask(w)
     return covered
 
@@ -309,7 +303,7 @@ def assert_candidates_match_oracle(G, rng):
     anchor set of one or two vertices and 20 random ones, on G and on its
     subdivision; returns the number of candidates compared."""
     n = 0
-    for graph in (G, build_c2(G).graph):
+    for graph in (G, build_c2(G)):
         verts = range(graph.p)
         anchor_sets = [1 << v for v in verts]
         anchor_sets += [(1 << a) | (1 << b) for a, b in combinations(verts, 2)]

@@ -1,5 +1,6 @@
 """Guards on the benchmark tooling under perfbench/, which these tests only read."""
 
+import ast
 import importlib
 import importlib.util
 import io
@@ -93,3 +94,25 @@ def test_traced_operations_run_and_fill_the_counters():
         assert getattr(homes[home], attr) is orig
     assert suites.SUITES == registry
     assert cli.suite_oracle is registry["thm-24-oracle"]
+
+
+def test_tracer_properties_are_identities_and_unread_by_the_package():
+    # `LiftedGraph.graph` and `NestedFamily.members` return the object
+    # itself and exist only for the tracer's hooks: the package reads no
+    # attribute `members`, and no attribute `graph` but the CLI's
+    # `args.graph`, so both go once the hooks read the values directly.
+    for name in ("G1", "G2", "G3", "G4"):
+        G = tailcomb.fixture(name)
+        assert lift.build_c2(G).graph is lift.build_c2(G)
+        for s in (1, 2, 3):
+            for anchors in range(1, G.full_mask + 1):
+                fam = tails.nested(G, s, anchors)
+                assert fam.members is fam
+    reads = []
+    for path in sorted((TRACER_PATH.parents[1] / "src" / "tailcomb").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("members", "graph"):
+                    reads.append((path.stem, getattr(top, "name", None),
+                                  ast.unparse(node)))
+    assert reads == [("cli", "main", "args.graph")]
