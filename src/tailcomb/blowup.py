@@ -11,8 +11,6 @@ demonstrate the discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from operator import sub
 from typing import NamedTuple
@@ -63,23 +61,26 @@ def _node_sides(G: CurveGraph, r: int) -> tuple[int, int]:
 
 
 def make_choice(G: CurveGraph, r1: int, r2: int, matching) -> BlowupChoice:
-    """Normalize and validate a blowup choice (pair order, side coverage)."""
+    """The member of `pair_matchings(G, r1, r2)` whose matching equals the
+    given (side-of-r1, side-of-r2) pairs; a side that is not an int (a bool
+    is not one) raises PreconditionError, and nothing is coerced."""
     if r1 == r2:
         raise PreconditionError("a blowup choice needs two distinct nodes")
+    both = pair_matchings(G, r1, r2)
+    pairs = frozenset(map(tuple, matching))
     if r1 > r2:
         r1, r2 = r2, r1
-        matching = [(y, x) for (x, y) in matching]
-    s1 = set(_node_sides(G, r1))
-    s2 = set(_node_sides(G, r2))
-    pairs = frozenset((int(x), int(y)) for x, y in matching)
-    if len(pairs) != 2:
-        raise PreconditionError("a matching consists of two side pairs")
-    if {x for x, _ in pairs} != s1 or {y for _, y in pairs} != s2:
-        raise PreconditionError(
-            f"matching {sorted(pairs)} does not cover the sides of "
-            f"{G.nodes[r1].id!r} and {G.nodes[r2].id!r}"
-        )
-    return BlowupChoice(r1, r2, pairs)
+        pairs = frozenset(pair[::-1] for pair in pairs)
+    for side in (x for pair in pairs for x in pair):
+        if isinstance(side, bool) or not isinstance(side, int):
+            raise PreconditionError(f"matching side {side!r} is not a component index")
+    for choice in both:
+        if choice.matching == pairs:
+            return choice
+    raise PreconditionError(
+        f"matching {sorted(pairs)} does not cover the sides of "
+        f"{G.nodes[r1].id!r} and {G.nodes[r2].id!r}"
+    )
 
 
 def pair_matchings(G: CurveGraph, r1: int, r2: int) -> tuple[BlowupChoice, BlowupChoice]:
@@ -173,8 +174,7 @@ def _condition_pairs(labels: tuple, profile: str) -> tuple:
     return ((g1, g2), (g1, g2p))
 
 
-@dataclass(frozen=True)
-class PointVerdict:
+class PointVerdict(NamedTuple):
     ok: bool
     profile: str
     # On failure: the condition pair and, per offending node, the tails
@@ -360,14 +360,14 @@ class IneqInstance(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """The admissibility instances at a node pair.
 
     `count` (the number of instances) and `failures` (the failing ones, in
     instance order) are computed by the check.  `instances`, every instance
-    in order, is built on first access from what the check kept: (18) node
-    by node, each node once per gated side quadruple, then (19)-(25).
+    in order, is built on each read from what the check kept: (18) node by
+    node, each node once per gated side quadruple, then (19)-(25).  Only
+    `instances` reads `across`, `quads` and `rest`.
     """
 
     r1: int
@@ -376,20 +376,20 @@ class AdmissibilityReport:
     failures: tuple[IneqInstance, ...]
     # (18)'s nodes as (id, m, n), its quadruples with the difference of
     # their two twister rows, and (19)-(25) as (ineq, args, value)
-    _across: tuple
-    _quads: tuple
-    _rest: tuple
+    across: tuple
+    quads: tuple
+    rest: tuple
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    @cached_property
+    @property
     def instances(self) -> tuple[IneqInstance, ...]:
         out = [IneqInstance(18, (node, *quad), diff[m] - diff[n],
                             abs(diff[m] - diff[n]) <= 1)
-               for node, m, n in self._across for quad, diff in self._quads]
-        out += [IneqInstance(i, q, v, abs(v) <= 1) for i, q, v in self._rest]
+               for node, m, n in self.across for quad, diff in self.quads]
+        out += [IneqInstance(i, q, v, abs(v) <= 1) for i, q, v in self.rest]
         return tuple(out)
 
 
@@ -400,7 +400,8 @@ def admissibility_check(
 
     For distinct nodes one of `pair_matchings(G, r1, r2)` must be supplied
     (it determines which divisor pairs are treated as intersecting); for
-    r1 == r2 the diagonal pairing of the node's two sides is forced.
+    r1 == r2 the diagonal pairing of the node's two sides is forced, and a
+    supplied choice raises PreconditionError.
     Instances of (18), (23) and (24) whose divisor pairs do not intersect
     are not emitted.  Every value is a difference of two coefficient
     differences alpha_m - alpha_n, read directly off the twister table's
@@ -413,6 +414,8 @@ def admissibility_check(
         # The diagonal blowup pairs each side with the other one.
         g1, g1p = _node_sides(G, r1)
         g2, g2p = g1p, g1
+        if choice is not None:
+            raise PreconditionError("a node paired with itself takes no matching")
     else:
         if choice is None:
             raise PreconditionError("distinct nodes need a matching")
@@ -478,8 +481,7 @@ def admissibility_check(
 # -- resolution -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchingVerdict:
+class MatchingVerdict(NamedTuple):
     choice: BlowupChoice
     points: tuple[PointVerdict, PointVerdict]
 
@@ -488,8 +490,7 @@ class MatchingVerdict:
         return self.points[0].ok and self.points[1].ok
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     r1: int
     r2: int
     chosen: bool
@@ -500,8 +501,7 @@ class PairVerdict:
         return all(m.ok for m in self.matchings)
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     profile: str
     pairs: tuple[PairVerdict, ...]
 
@@ -575,8 +575,7 @@ BLOCKED_PAIR = "blocked"
 _KINDS = (BLOCKED_PAIR, FORCED_PAIR, FREE_PAIR)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     profile: str
     classification: tuple  # ((r1, r2), kind, passing choices) per pair
     minimal_plan: BlowupPlan | None

@@ -13,7 +13,6 @@ point (kept in the tests as the oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -89,8 +88,7 @@ def format_half(b2: int) -> str:
     return str(b2 // 2) if b2 % 2 == 0 else f"{b2}/2"
 
 
-@dataclass(frozen=True)
-class QSResult:
+class QSResult(NamedTuple):
     ok: bool
     witness_subcurve: int | None = None
     witness_beta2: int | None = None

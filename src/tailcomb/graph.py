@@ -19,10 +19,9 @@ through `_derived_k_tails` (the node subdivision does), while `tails()` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import wraps
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import GraphError, PreconditionError
 
@@ -72,8 +71,7 @@ def per_graph(fn):
     return cached
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One node of the curve: an edge joining two (possibly equal) components."""
 
     id: str
@@ -315,12 +313,20 @@ class CurveGraph:
         kw.setdefault("sort_keys", True)
         return json.dumps(self.to_spec(), **kw)
 
+    def _dot_style(self) -> tuple[str, list[str]]:
+        """The DOT graph name and each vertex's shape."""
+        return "curve", ["doublecircle" if i == self.marked else "circle"
+                         for i in range(self.p)]
+
     def to_dot(self) -> str:
-        lines = ["graph curve {"]
-        for i, nm in enumerate(self.names):
-            shape = "doublecircle" if i == self.marked else "circle"
-            lines.append(f"  {dot_quote(nm)} [shape={shape}];")
-        lines += dot_edges(self)
+        """One DOT line per vertex, with its shape, and one edge line per
+        node, labelled with the node id."""
+        q, names = dot_quote, self.names
+        name, shapes = self._dot_style()
+        lines = [f"graph {name} {{"]
+        lines += [f"  {q(nm)} [shape={shape}];" for nm, shape in zip(names, shapes)]
+        lines += [f"  {q(names[nd.a])} -- {q(names[nd.b])} [label={q(nd.id)}];"
+                  for nd in self.nodes]
         lines.append("}")
         return "\n".join(lines)
 
@@ -328,13 +334,6 @@ class CurveGraph:
 def dot_quote(name: str) -> str:
     """A name as a DOT quoted string, with backslash and double quote escaped."""
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def dot_edges(G: CurveGraph) -> list[str]:
-    """One DOT edge line per node, labelled with the node id."""
-    q = dot_quote
-    return [f"  {q(G.names[nd.a])} -- {q(G.names[nd.b])} [label={q(nd.id)}];"
-            for nd in G.nodes]
 
 
 def _string(value, what: str) -> str:

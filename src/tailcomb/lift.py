@@ -30,12 +30,11 @@ terminal edge e lies over base node e // 3 (`eq34_level2`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blowup import DistinguishedPoint, choices, distinguished_points
 from .errors import InvariantViolation, PreconditionError
-from .graph import (CurveGraph, Node, canon_key, dot_edges, dot_quote, members,
-                    per_graph, precedes)
+from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
 from .tails import _candidates, _grow, _pool_index, nested
 
 
@@ -95,17 +94,10 @@ class LiftedGraph(CurveGraph):
         mask's low p bits, 0 for a purely exceptional mask."""
         return mask & self.base.full_mask
 
-    def to_dot(self) -> str:
-        lines = ["graph lifted {"]
-        for i, nm in enumerate(self.names):
-            if i >= self.base.p:
-                shape = "square, width=0.25, height=0.25"
-            else:
-                shape = "doublecircle" if i == self.marked else "circle"
-            lines.append(f"  {dot_quote(nm)} [shape={shape}];")
-        lines += dot_edges(self)
-        lines.append("}")
-        return "\n".join(lines)
+    def _dot_style(self) -> tuple[str, list[str]]:
+        _, shapes = super()._dot_style()
+        p = self.base.p
+        return "lifted", shapes[:p] + ["square, width=0.25, height=0.25"] * (self.p - p)
 
 
 def _distinct(names: list[str]) -> list[str]:
@@ -242,8 +234,7 @@ def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tup
     return tuple(sorted(out, key=canon_key))
 
 
-@dataclass(frozen=True)
-class LevelSync:
+class LevelSync(NamedTuple):
     """One level of a point's synchronization: the lifted hat members,
     their sorted images and the base multiset they must equal, which no
     purely exceptional member can meet (its image is 0, no base member)."""
@@ -255,8 +246,7 @@ class LevelSync:
     hat_members: tuple[int, ...]  # lifted masks, in family order
 
 
-@dataclass(frozen=True)
-class SyncReport:
+class SyncReport(NamedTuple):
     """Levels 2 and 3 of a point's synchronization; level 1 always holds."""
 
     point: DistinguishedPoint

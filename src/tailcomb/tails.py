@@ -14,7 +14,7 @@ trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, canon_key, members, per_graph
@@ -165,8 +165,7 @@ def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SymmDiffReport:
+class SymmDiffReport(NamedTuple):
     """Symmetric difference of two same-level families sharing a component."""
 
     family: tuple[int, ...]

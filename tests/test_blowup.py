@@ -30,6 +30,7 @@ from tailcomb.blowup import (
     pair_matchings,
     plan_from_tails,
 )
+from tailcomb.cli import main
 from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph, Node
@@ -59,6 +60,26 @@ def test_make_choice_rejects_bad_sides(G3):
     # C2 is not a side of e13, so the second coordinates cannot cover it
     with pytest.raises(PreconditionError):
         make_choice(G3, 0, 1, [(1, 1), (0, 0)])
+
+
+@pytest.mark.parametrize("matching", [[("1", "2"), (0, 0)], [(1.0, 2.0), (0, 0)],
+                                      [(True, 2), (0, 0)], [("x", 2), (0, 0)]])
+def test_make_choice_never_coerces_a_side(G3, matching):
+    # the first three once read as G3's choice [(1, 2), (0, 0)] at
+    # (e12, e13), their sides cast to int, and the last ended in a bare
+    # ValueError; a side is a component index, and a bool is not one
+    with pytest.raises(PreconditionError, match="is not a component index"):
+        make_choice(G3, 0, 1, matching)
+
+
+def test_make_choice_misshapen_matching_does_not_cover(G3):
+    # only a member of `pair_matchings` is a choice, so a missing, third,
+    # repeated or three-sided pair fails the same way as a wrong side, in
+    # either node order
+    for bad in ([(1, 2), (0, 0), (1, 0)], [(1, 2), (1, 2)], [(1, 2)], [(1, 2, 0), (0, 0)]):
+        for r1, r2, match in ((0, 1, bad), (1, 0, [pair[::-1] for pair in bad])):
+            with pytest.raises(PreconditionError, match="does not cover the sides"):
+                make_choice(G3, r1, r2, match)
 
 
 def test_node_indices_range_checked(G3):
@@ -100,6 +121,44 @@ def test_distinguished_points_g3(G3):
         (("C1", "C1"), ("C1", "C3"), ("C2", "C3")),
         (("C1", "C1"), ("C2", "C1"), ("C2", "C3")),
     }
+
+
+def point_order_oracle(choice):
+    """The triples of a choice's points 1 and 2, as `_point_labels` states
+    them: with (x, y) < (x', y') the matched pairs, point 1 is the matching
+    plus (x, y') and point 2 is the matching plus (x', y)."""
+    (x, y), (xp, yp) = sorted(choice.matching)
+    return choice.matching | {(x, yp)}, choice.matching | {(xp, y)}
+
+
+def test_point_order_is_pinned(G1, G2, G3, G4, tmp_path, capsys):
+    # which point is number 1 shows in `distinguished` and `sync --point`
+    # output; reading the matching in set order instead of sorted order
+    # keeps every other test green but reorders the points of about half
+    # of these choices
+    corpus = list(zip(("G1", "G2", "G3", "G4"), (G1, G2, G3, G4)))
+    for i in range(40):
+        G = instance_graph(5, i, 6, 4, True)
+        path = tmp_path / f"g{i}.json"
+        path.write_text(G.to_json())
+        corpus.append((str(path), G))
+    checked = 0
+    for arg, G in corpus:
+        for ch in choices(G):
+            want = point_order_oracle(ch)
+            pts = distinguished_points(G, ch)
+            assert [pt.index for pt in pts] == [1, 2]
+            assert tuple(pt.triple for pt in pts) == want
+            pair = ",".join(G.nodes[r].id for r in (ch.r1, ch.r2))
+            match = ",".join(":".join(m) for m in ch.match_names(G))
+            assert main(["distinguished", arg, "--json",
+                         "--pair", pair, "--match", match]) == 0
+            points = json.loads(capsys.readouterr().out)["points"]
+            assert [p["point"] for p in points] == [1, 2]
+            assert [p["triple"] for p in points] == [
+                sorted([G.names[x], G.names[y]] for x, y in t) for t in want]
+            checked += 1
+    assert checked > 700
 
 
 # -- quasistable points -----------------------------------------------------------
@@ -459,6 +518,15 @@ def test_admissibility_rejects_another_pairs_matching(G3):
         admissibility_check(G3, 0, 1, BlowupChoice(0, 1, m))
 
 
+def test_admissibility_rejects_a_choice_on_the_diagonal(G3):
+    # a pair's matching passed with one node twice once returned that
+    # node's diagonal report
+    ch = pair_matchings(G3, 0, 1)[0]
+    for r in G3.reducible_nodes():
+        with pytest.raises(PreconditionError, match="takes no matching"):
+            admissibility_check(G3, r, r, ch)
+
+
 def admissibility_oracle(G, r1, r2, choice=None):
     """`admissibility_check` with every value a difference of two
     `delta` calls and the intersection gate tested per instance."""
@@ -586,7 +654,7 @@ def test_admissibility_failures_match_oracle(G3):
     for args in calls:
         rep = admissibility_check(G, *args)
         assert_report_is(rep, admissibility_oracle(G, *args))
-        spans |= {max(diff) - min(diff) for _, diff in rep._quads}
+        spans |= {max(diff) - min(diff) for _, diff in rep.quads}
         failing |= {i.ineq for i in rep.failures}
     assert {1, 2} <= spans
     assert failing == set(range(18, 26))

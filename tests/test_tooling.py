@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import io
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -116,3 +118,26 @@ def test_tracer_properties_are_identities_and_unread_by_the_package():
                     reads.append((path.stem, getattr(top, "name", None),
                                   ast.unparse(node)))
     assert reads == [("cli", "main", "args.graph")]
+
+
+def test_import_loads_no_dataclasses_and_only_suites_declares_one():
+    # Immutable results are NamedTuples, so a fresh `import tailcomb`,
+    # which every benchmark set-up pays, loads neither `dataclasses` nor
+    # the `inspect` it pulls in; only the runner's two mutable records in
+    # `suites` (not imported by the package) stay dataclasses.
+    src = TRACER_PATH.parents[1] / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import tailcomb; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-S", "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+    decorated = []
+    for path in sorted((src / "tailcomb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+                    if name.split(".")[-1] == "dataclass":
+                        decorated.append((path.stem, node.name))
+    assert decorated == [("suites", "SuiteConfig"), ("suites", "VerificationReport")]
