@@ -34,21 +34,18 @@ def _check_profile(profile: str) -> str:
 class BlowupChoice(NamedTuple):
     """An unordered pair of distinct reducible nodes with a side matching.
 
-    r1 < r2 are node indices; the matching holds two (side-of-r1, side-of-r2)
-    component pairs covering all four sides.  A tuple, so that hashing it as
-    a dict or memo key stays in C.
+    r1 < r2 are node indices; the matching is its two (side-of-r1, side-of-r2)
+    component pairs covering all four sides, sorted.  Only `pair_matchings`
+    builds one.  A tuple, so that hashing it as a dict or memo key stays in C.
     """
 
     r1: int
     r2: int
-    matching: frozenset
-
-    def matched_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return tuple(sorted(self.matching))
+    matching: tuple[tuple[int, int], tuple[int, int]]
 
     def match_names(self, G: CurveGraph) -> list[list[str]]:
         """The matching as written in JSON: its side pairs by component name."""
-        return [[G.names[x], G.names[y]] for x, y in self.matched_pairs()]
+        return [[G.names[x], G.names[y]] for x, y in self.matching]
 
 
 def _node_sides(G: CurveGraph, r: int) -> tuple[int, int]:
@@ -62,36 +59,39 @@ def _node_sides(G: CurveGraph, r: int) -> tuple[int, int]:
 
 def make_choice(G: CurveGraph, r1: int, r2: int, matching) -> BlowupChoice:
     """The member of `pair_matchings(G, r1, r2)` whose matching equals the
-    given (side-of-r1, side-of-r2) pairs; a side that is not an int (a bool
-    is not one) raises PreconditionError, and nothing is coerced."""
+    given (side-of-r1, side-of-r2) pairs; anything but an iterable of pairs
+    of G's component indices (a bool is not one) raises PreconditionError."""
     if r1 == r2:
         raise PreconditionError("a blowup choice needs two distinct nodes")
-    both = pair_matchings(G, r1, r2)
-    pairs = frozenset(map(tuple, matching))
-    if r1 > r2:
-        r1, r2 = r2, r1
-        pairs = frozenset(pair[::-1] for pair in pairs)
-    for side in (x for pair in pairs for x in pair):
-        if isinstance(side, bool) or not isinstance(side, int):
+    try:
+        given = [tuple(pair) for pair in matching]
+    except TypeError:
+        raise PreconditionError(f"matching {matching!r} is not a list of side pairs") from None
+    for side in (x for pair in given for x in pair):
+        if isinstance(side, bool) or not isinstance(side, int) or not 0 <= side < G.p:
             raise PreconditionError(f"matching side {side!r} is not a component index")
-    for choice in both:
+    pairs = tuple(sorted(given if r1 < r2 else (pair[::-1] for pair in given)))
+    for choice in pair_matchings(G, r1, r2):
         if choice.matching == pairs:
             return choice
     raise PreconditionError(
-        f"matching {sorted(pairs)} does not cover the sides of "
-        f"{G.nodes[r1].id!r} and {G.nodes[r2].id!r}"
+        f"matching {[[G.names[x] for x in pair] for pair in given]} does not "
+        f"cover the sides of {G.nodes[r1].id!r} and {G.nodes[r2].id!r}"
     )
 
 
 def pair_matchings(G: CurveGraph, r1: int, r2: int) -> tuple[BlowupChoice, BlowupChoice]:
-    """The two possible choices at a pair of distinct reducible nodes."""
+    """The two possible choices at a pair of distinct reducible nodes, the
+    one pairing the nodes' first ends first; the one `BlowupChoice` builder."""
     if r1 > r2:
         r1, r2 = r2, r1
     x, xb = _node_sides(G, r1)
     y, yb = _node_sides(G, r2)
+    if x > xb:  # a node's ends differ, so this puts both matchings in order
+        x, xb, y, yb = xb, x, yb, y
     return (
-        BlowupChoice(r1, r2, frozenset(((x, y), (xb, yb)))),
-        BlowupChoice(r1, r2, frozenset(((x, yb), (xb, y)))),
+        BlowupChoice(r1, r2, ((x, y), (xb, yb))),
+        BlowupChoice(r1, r2, ((x, yb), (xb, y))),
     )
 
 
@@ -113,7 +113,7 @@ class DistinguishedPoint(NamedTuple):
 
     @property
     def triple(self) -> frozenset:
-        return self.choice.matching | {(self.g1, self.g2)}
+        return frozenset((*self.choice.matching, (self.g1, self.g2)))
 
     def describe(self, G: CurveGraph) -> dict:
         n = G.names
@@ -135,10 +135,10 @@ def _point_labels(choice: BlowupChoice) -> tuple:
     """The labels (g1, g1', g2, g2') of the two distinguished points of a
     choice, in point order.
 
-    For matching {(x,y), (xb,yb)} the triples are the matching plus (x,yb)
+    For matching ((x,y), (xb,yb)) the triples are the matching plus (x,yb)
     and the matching plus (xb,y); the extra pair is (g1, g2).
     """
-    (x, y), (xb, yb) = choice.matched_pairs()
+    (x, y), (xb, yb) = choice.matching
     return ((x, xb, yb, y), (xb, x, y, yb))
 
 
@@ -304,13 +304,12 @@ class BlowupPlan:
         return plan
 
 
-def _tail_matching(G: CurveGraph, r1: int, r2: int, w: int) -> frozenset:
-    """The matching a tail with terminal nodes r1 and r2 induces: the two
-    sides on the tail go together, and so do the two off it."""
-    n1, n2 = G.nodes[r1], G.nodes[r2]
-    x, xo = (n1.a, n1.b) if (w >> n1.a) & 1 else (n1.b, n1.a)
-    y, yo = (n2.a, n2.b) if (w >> n2.a) & 1 else (n2.b, n2.a)
-    return frozenset(((x, y), (xo, yo)))
+def _tail_matching(G: CurveGraph, r1: int, r2: int, w: int) -> int:
+    """The index in `pair_matchings(G, r1, r2)` of the matching a tail with
+    terminal nodes r1 and r2 induces: the two sides on the tail go together,
+    and so do the two off it.  Index 0 pairs the first ends, so it is the
+    answer exactly when the tail holds both first ends or neither."""
+    return ((w >> G.nodes[r1].a) ^ (w >> G.nodes[r2].a)) & 1
 
 
 def plan_from_tails(G: CurveGraph) -> BlowupPlan:
@@ -318,19 +317,19 @@ def plan_from_tails(G: CurveGraph) -> BlowupPlan:
     matching (the combinatorial shadow of blowing up all 2- and 3-tail
     squares).
 
-    One pass over the 2- and 3-tails pairs the sides at each pair of their
-    terminal nodes.  All tails covering a pair must agree, which realizes
-    the order-independence of the tail-product blowup sequence as a runtime
-    assertion; on a conflict the lowest pair is reported with its first two
-    disagreeing tails in canonical order.
+    One pass over the 2- and 3-tails records, at each pair of their
+    terminal nodes, the `_tail_matching` index.  All tails covering a pair
+    must agree, which realizes the order-independence of the tail-product
+    blowup sequence as a runtime assertion; on a conflict the lowest pair is
+    reported with its first two disagreeing tails in canonical order.
     """
     tails = G.k_tails(2) + G.k_tails(3)
-    induced: dict[tuple[int, int], frozenset] = {}
+    induced: dict[tuple[int, int], int] = {}
     conflicts = set()
     for w in tails:
         for r1, r2 in combinations(members(G.term_mask(w)), 2):
-            matching = _tail_matching(G, r1, r2, w)
-            if induced.setdefault((r1, r2), matching) != matching:
+            i = _tail_matching(G, r1, r2, w)
+            if induced.setdefault((r1, r2), i) != i:
                 conflicts.add((r1, r2))
     if conflicts:
         r1, r2 = min(conflicts)
@@ -346,7 +345,7 @@ def plan_from_tails(G: CurveGraph) -> BlowupPlan:
             tails=[list(G.names_of(covering[0])), list(G.names_of(other))],
         )
     return BlowupPlan(
-        {pair: BlowupChoice(*pair, m) for pair, m in sorted(induced.items())}
+        {pair: pair_matchings(G, *pair)[i] for pair, i in sorted(induced.items())}
     )
 
 
@@ -424,7 +423,7 @@ def admissibility_check(
         r1, r2 = choice.r1, choice.r2
         if choice not in pair_matchings(G, r1, r2):
             raise PreconditionError("the plan's choice is not one of this graph's")
-        (g1, g2), (g1p, g2p) = choice.matched_pairs()
+        (g1, g2), (g1p, g2p) = choice.matching
     alpha = twister(G)
 
     def crossed(a, ap, b, bp):

@@ -309,9 +309,8 @@ class CurveGraph:
             ],
         }
 
-    def to_json(self, **kw) -> str:
-        kw.setdefault("sort_keys", True)
-        return json.dumps(self.to_spec(), **kw)
+    def to_json(self) -> str:
+        return json.dumps(self.to_spec(), sort_keys=True)
 
     def _dot_style(self) -> tuple[str, list[str]]:
         """The DOT graph name and each vertex's shape."""

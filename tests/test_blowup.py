@@ -82,6 +82,27 @@ def test_make_choice_misshapen_matching_does_not_cover(G3):
                 make_choice(G3, r1, r2, match)
 
 
+@pytest.mark.parametrize("matching", [[1, 2], None, [(0, 1), 5]])
+def test_make_choice_rejects_a_matching_that_is_not_pairs(G3, matching):
+    # each once ended in a bare TypeError
+    with pytest.raises(PreconditionError, match="is not a list of side pairs"):
+        make_choice(G3, 0, 1, matching)
+
+
+@pytest.mark.parametrize("matching", [[(7, 2), (0, 0)], [(1, 2), (0, -1)], [(3, 2), (0, 0)]])
+def test_make_choice_side_out_of_range_is_not_a_component(G3, matching):
+    # G3 has components 0..2; each once read "does not cover the sides"
+    with pytest.raises(PreconditionError, match="is not a component index"):
+        make_choice(G3, 0, 1, matching)
+
+
+def test_uncovered_matching_is_named_as_given(capsys):
+    # the error once named the sides by index and in the node order (a, b)
+    assert main(["distinguished", "G2", "--pair", "b,a", "--match", "C2:C1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: matching [['C2', 'C1']] does not cover the sides of 'b' and 'a'\n")
+
+
 def test_node_indices_range_checked(G3):
     # G3 has nodes 0..3; -1 must not read as the last node, 4 must not
     # end in IndexError
@@ -128,7 +149,8 @@ def point_order_oracle(choice):
     them: with (x, y) < (x', y') the matched pairs, point 1 is the matching
     plus (x, y') and point 2 is the matching plus (x', y)."""
     (x, y), (xp, yp) = sorted(choice.matching)
-    return choice.matching | {(x, yp)}, choice.matching | {(xp, y)}
+    matched = frozenset(choice.matching)
+    return matched | {(x, yp)}, matched | {(xp, y)}
 
 
 def test_point_order_is_pinned(G1, G2, G3, G4, tmp_path, capsys):
@@ -331,6 +353,24 @@ def test_choice_is_one_value_from_every_source(G2, G3):
     assert covered > 50
 
 
+def test_every_source_stores_the_matching_sorted(G2, G3):
+    # `choices`, `make_choice` in both node orders, `plan_from_tails` and
+    # `BlowupPlan.from_spec` all hand out a member of `pair_matchings`
+    seen = 0
+    for G in (G2, G3) + oracle_corpus()[:20]:
+        plan = plan_from_tails(G)
+        made = [make_choice(G, *rs, pairs)
+                for ch in choices(G)
+                for rs, pairs in (((ch.r1, ch.r2), ch.matching),
+                                  ((ch.r2, ch.r1), [(y, x) for x, y in ch.matching]))]
+        for ch in (*choices(G), *made, *plan.choices.values(),
+                   *BlowupPlan.from_spec(G, plan.to_spec(G)).choices.values()):
+            assert type(ch.matching) is tuple
+            assert ch.matching == tuple(sorted(ch.matching))
+            seen += 1
+    assert seen > 500
+
+
 def resolution_oracle(G, plan, profile):
     """`decide_resolution` pair by pair, each point judged by `point_oracle`."""
     pairs = []
@@ -378,7 +418,7 @@ def choice_from_tails(G, r1, r2):
         y = n2.a if (w >> n2.a) & 1 else n2.b
         xo = n1.a if n1.b == x else n1.b
         yo = n2.a if n2.b == y else n2.b
-        cand = BlowupChoice(r1, r2, frozenset(((x, y), (xo, yo))))
+        cand = BlowupChoice(r1, r2, tuple(sorted(((x, y), (xo, yo)))))
         if induced is None:
             induced, witness = cand, w
         elif cand.matching != induced.matching:
@@ -535,14 +575,16 @@ def admissibility_oracle(G, r1, r2, choice=None):
         g1, g1p = _node_sides(G, r1)
         g2, g2p = g1p, g1
         matched = frozenset(((g1, g2), (g1p, g2p)))
+        if choice is not None:
+            raise PreconditionError("a node paired with itself takes no matching")
     else:
         if choice is None:
             raise PreconditionError("distinct nodes need a matching")
         if (min(r1, r2), max(r1, r2)) != (choice.r1, choice.r2):
             raise PreconditionError("choice does not describe this node pair")
         r1, r2 = choice.r1, choice.r2
-        (g1, g2), (g1p, g2p) = choice.matched_pairs()
-        matched = choice.matching
+        (g1, g2), (g1p, g2p) = sorted(choice.matching)
+        matched = frozenset(choice.matching)
     triples = (matched | {(g1, g2p)}, matched | {(g1p, g2)})
 
     def gate(pa, pb):
@@ -599,10 +641,13 @@ def assert_report_is(rep, expected):
 def assert_admissibility_matches_oracle(G):
     """Equal reports or equal errors: at every node (loops raise), at every
     pair of reducible nodes under both matchings, without a matching, and
-    with a matching of another pair; returns the number of instances
-    compared."""
+    with a matching of another pair, and at every node with a pair's
+    matching; returns the number of instances compared."""
     calls = [(r, r) for r in range(len(G.nodes))]
     red = G.reducible_nodes()
+    if len(red) >= 2:
+        ch = pair_matchings(G, red[0], red[1])[0]
+        calls += [(r, r, ch) for r in range(len(G.nodes))]
     for r1, r2 in combinations(red, 2):
         calls.append((r2, r1))
         calls += [(r1, r2, ch) for ch in pair_matchings(G, r1, r2)]

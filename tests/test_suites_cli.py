@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import graphs
 from tailcomb import degrees, suites
-from tailcomb.blowup import PROFILES, minimality_probe
+from tailcomb.blowup import PROFILES, minimality_probe, plan_from_tails
 from tailcomb.cli import main
 from tailcomb.errors import RepresentativeNotFound
 from tailcomb.fixtures import fixture
@@ -201,6 +203,52 @@ def minimality_kinds(G, profile):
             for (r1, r2), kind, _ in minimality_probe(G, profile).classification}
 
 
+def tail_plan_by_name(G):
+    """`plan_from_tails(G)` keyed by the pair of node ids in id order, each
+    choice as its side pairs by component name, read in that order."""
+    out = {}
+    for (r1, r2), ch in plan_from_tails(G).choices.items():
+        ids, match = (G.nodes[r1].id, G.nodes[r2].id), ch.match_names(G)
+        if ids[0] > ids[1]:
+            ids, match = ids[::-1], [pair[::-1] for pair in match]
+        out[ids] = sorted(match)
+    return out
+
+
+def assert_relabelling_keeps_values(G, H, perm):
+    """Relation 1 on values: with perm the map from G's component indices to
+    H's, the twister rows, each pair's minimality kind (keyed by its node ids,
+    in either order) under both profiles, and the tail plan correspond."""
+    moved = sorted(sum(1 << perm[m] for m in members(w)) for w in G.tails())
+    assert moved == sorted(H.tails())
+    alpha, beta = degrees.twister(G), degrees.twister(H)
+    for (g1, g2), row in alpha.items():
+        assert [beta[(perm[g1], perm[g2])][perm[m]] for m in range(G.p)] == list(row)
+    for profile in PROFILES:
+        kinds = [{frozenset(ids): kind for ids, kind in minimality_kinds(X, profile).items()}
+                 for X in (G, H)]
+        assert kinds[0] == kinds[1], profile
+    assert tail_plan_by_name(G) == tail_plan_by_name(H)
+
+
+def test_relabelling_keeps_twister_minimality_and_tail_plan():
+    rng = random.Random(7)
+    for i in range(50):
+        G = instance_graph(11, i, 6, 4, True)
+        assert_relabelling_keeps_values(G, *relabelled(G, rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_relabelling_property(G, rng):
+    H, perm = relabelled(G, rng)
+    assert_relabelling_keeps_values(G, H, perm)
+    for profile in PROFILES:
+        for name in ALL_SUITES:
+            (n, bad), (n2, bad2) = (suites._check(X, name, 1, 0, profile) for X in (G, H))
+            assert (n, len(bad)) == (n2, len(bad2)), (profile, name)
+
+
 def test_deleting_loops_keeps_tails_twister_and_minimality():
     # A loop is never terminal, so deleting every loop changes no tail, no
     # twister row and no pair's minimality kind (its node indices shift, its
@@ -218,6 +266,23 @@ def test_deleting_loops_keeps_tails_twister_and_minimality():
         for profile in PROFILES:
             assert minimality_kinds(H, profile) == minimality_kinds(G, profile), (i, profile)
     assert with_loops == 204
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_loop_deletion_property(G, ends, rng):
+    # Relation 2 on a drawn graph given at least one more loop, each at a
+    # random place in the node order.
+    nodes = list(G.nodes)
+    for t, m in enumerate(ends):
+        nodes.insert(rng.randrange(len(nodes) + 1), Node(f"l{t}", m % G.p, m % G.p))
+    L = CurveGraph(G.names, nodes, G.marked)
+    H = CurveGraph(G.names, [nd for nd in nodes if not nd.is_loop], G.marked)
+    assert H.tails() == L.tails()
+    assert degrees.twister(H) == degrees.twister(L)
+    for profile in PROFILES:
+        assert minimality_kinds(H, profile) == minimality_kinds(L, profile), profile
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -141,3 +141,20 @@ def test_import_loads_no_dataclasses_and_only_suites_declares_one():
                     if name.split(".")[-1] == "dataclass":
                         decorated.append((path.stem, node.name))
     assert decorated == [("suites", "SuiteConfig"), ("suites", "VerificationReport")]
+
+
+def test_only_pair_matchings_builds_a_choice():
+    # A choice's matching is stored sorted because only `pair_matchings`
+    # builds one; every other source selects one of its two members, and
+    # nothing re-sorts a matching on read.
+    builders, reads = [], []
+    for path in sorted((TRACER_PATH.parents[1] / "src" / "tailcomb").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] == "BlowupChoice"):
+                    builders.append((path.stem, getattr(top, "name", None)))
+                if "matched_pairs" in (getattr(node, "attr", None), getattr(node, "name", None)):
+                    reads.append((path.stem, getattr(top, "name", None)))
+    assert builders == [("blowup", "pair_matchings")] * 2
+    assert reads == []
