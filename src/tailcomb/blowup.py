@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import GraphError, InvariantViolation, PreconditionError
 from .graph import CurveGraph, canon_key, members, per_graph
-from .tails import family_terminals, nested
+from .tails import _pool_index, family_terminals, nested
 from .degrees import twister
 
 RECONSTRUCTED = "reconstructed"
@@ -308,7 +308,8 @@ def _tail_matching(G: CurveGraph, r1: int, r2: int, w: int) -> int:
     """The index in `pair_matchings(G, r1, r2)` of the matching a tail with
     terminal nodes r1 and r2 induces: the two sides on the tail go together,
     and so do the two off it.  Index 0 pairs the first ends, so it is the
-    answer exactly when the tail holds both first ends or neither."""
+    answer exactly when the tail holds both first ends or neither, so a
+    tail and its complement induce the same matching."""
     return ((w >> G.nodes[r1].a) ^ (w >> G.nodes[r2].a)) & 1
 
 
@@ -317,21 +318,22 @@ def plan_from_tails(G: CurveGraph) -> BlowupPlan:
     matching (the combinatorial shadow of blowing up all 2- and 3-tail
     squares).
 
-    One pass over the 2- and 3-tails records, at each pair of their
-    terminal nodes, the `_tail_matching` index.  All tails covering a pair
-    must agree, which realizes the order-independence of the tail-product
-    blowup sequence as a runtime assertion; on a conflict the lowest pair is
-    reported with its first two disagreeing tails in canonical order.
+    One pass over the unmarked 2- and 3-tails of the pool records, at each
+    pair of their terminal nodes, the `_tail_matching` index, which their
+    complements share.  All tails covering a pair must agree, which realizes
+    the order-independence of the tail-product blowup sequence as a runtime
+    assertion; on a conflict the lowest pair is reported with its first two
+    disagreeing 2- or 3-tails in canonical order.
     """
-    tails = G.k_tails(2) + G.k_tails(3)
     induced: dict[tuple[int, int], int] = {}
     conflicts = set()
-    for w in tails:
-        for r1, r2 in combinations(members(G.term_mask(w)), 2):
+    for w, tw in _pool_index(G, 2)[0] + _pool_index(G, 3)[0]:
+        for r1, r2 in combinations(members(tw), 2):
             i = _tail_matching(G, r1, r2, w)
             if induced.setdefault((r1, r2), i) != i:
                 conflicts.add((r1, r2))
     if conflicts:
+        tails = G.k_tails(2) + G.k_tails(3)
         r1, r2 = min(conflicts)
         bits = (1 << r1) | (1 << r2)
         covering = sorted(

@@ -57,6 +57,17 @@ def _degree(v) -> int:
     return v
 
 
+def _degree_zero(G: CurveGraph, d) -> tuple[int, ...]:
+    """d checked as `multidegree` checks a sequence (a mapping is not read),
+    with total 0."""
+    if not isinstance(d, (list, tuple)):
+        raise PreconditionError("multidegree must be a list or tuple")
+    d = multidegree(G, d)
+    if sum(d) != 0:
+        raise PreconditionError(f"total degree must be 0, got {sum(d)}")
+    return d
+
+
 def multidegree_map(G: CurveGraph, d) -> dict[str, int]:
     return {G.names[m]: d[m] for m in range(G.p)}
 
@@ -101,8 +112,7 @@ def is_quasistable(G: CurveGraph, d) -> QSResult:
     A subcurve containing the marked component must have beta strictly
     positive and at most k; one avoiding it, nonnegative and strictly below k.
     """
-    if sum(d) != 0:
-        raise PreconditionError(f"total degree must be 0, got {sum(d)}")
+    _degree_zero(G, d)
     marked = G.marked
     for y in G.tails():
         b2 = beta2(G, d, y)
@@ -165,9 +175,7 @@ def quasistable_representative(
     from 2 until a hit appears.  Exactly one hit may exist, and the whole
     box is always scanned so uniqueness is checked, not assumed.
     """
-    d0 = tuple(d0)
-    if sum(d0) != 0:
-        raise PreconditionError(f"total degree must be 0, got {sum(d0)}")
+    d0 = _degree_zero(G, d0)
     if bound is not None and bound <= 0:
         raise PreconditionError("bound must be positive")
     bounds = [bound] if bound is not None else [2, 4, 8, 16, 32, 64, 128, 256]

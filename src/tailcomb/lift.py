@@ -4,9 +4,9 @@ Each node of the base graph is replaced by a chain of two exceptional
 vertices.  `build_c2(G)` returns the subdivision, a `LiftedGraph`: a
 CurveGraph that keeps its base graph, so the whole tail machinery applies
 unchanged.  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is
-a series extension, so they follow in closed form from the base graph's
-s-tails and bridges (`_lifted_k_tails`).  `tails()` and `k_tails(k > 3)` on
-the subdivision still use the bond search of `CurveGraph`.  Canonical
+a series extension, so they follow in closed form from the unmarked s-tails
+and bridges in the base graph's pool (`_lifted_k_tails`); `tails()` and
+`k_tails(k > 3)` still use the bond search of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
 synchronization all live here.  Synchronization compares levels 2 and 3.
@@ -17,7 +17,7 @@ with the same side labels share their base multisets.  Each report keeps
 each level's hat members and base multiset, which the eq. (34) node count
 and `hat_families` read.  The level-1 structure is a separate diagnostic
 (`one_tail_diagnostic`), which returns its findings, none when the level-1
-families pass.
+families pass; its expectations come from the base graph's 1-tail pool.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .blowup import DistinguishedPoint, choices, distinguished_points
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
-from .tails import _candidates, _grow, _pool_index, nested
+from .tails import _grow, _pool_index, nested
 
 
 class LiftedGraph(CurveGraph):
@@ -149,33 +149,31 @@ def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
 
     A lifted tail that meets a strict transform and misses another contracts
     to a base s-tail W; it is the core of W plus, at each terminal node, no
-    exceptional vertex, the near one, or both, so W has 3^s liftings.  The
-    remaining tails are purely exceptional or complements of such: {E1},
-    {E2} and {E1, E2} over every node that is not a bridge (loops
-    included), each with two terminal edges.
+    exceptional vertex, the near one, or both, so W has 3^s liftings.  Only
+    the unmarked half of the base pool (`tails._pool_index`) is lifted: where
+    W's lifting adds none, the near vertex or both, its complement holds
+    both, the far one or none, so the liftings of W's complement are the
+    complements of W's.  The rest are {E1}, {E2} and {E1, E2} over every
+    node that is not a bridge (loops included), and their complements.
     """
     base = LG.base
-    out = []
-    for w in base.k_tails(s):
+    half = []
+    for w, _ in _pool_index(base, s)[0]:
         core, steps = _lift_parts(LG, w)
         lifts = [core]
         for near, far in steps:
             lifts = [y | add for y in lifts for add in (0, near, near | far)]
-        out.extend(lifts)
+        half += lifts
     if s == 2:
         bridges = 0
-        for w in base.k_tails(1):
-            bridges |= base.term_mask(w)
-        full = LG.full_mask
+        for _, tw in _pool_index(base, 1)[0]:
+            bridges |= tw
         for t in range(len(base.nodes)):
-            if (bridges >> t) & 1:
-                continue
-            e1 = 1 << (base.p + 2 * t)
-            e2 = e1 << 1
-            for y in (e1, e2, e1 | e2):
-                out.append(y)
-                out.append(full ^ y)
-    return tuple(sorted(out, key=canon_key))
+            if not (bridges >> t) & 1:
+                e1 = 1 << (base.p + 2 * t)
+                half += (e1, e1 << 1, e1 | e1 << 1)
+    full = LG.full_mask
+    return tuple(sorted(half + [full ^ y for y in half], key=canon_key))
 
 
 @per_graph
@@ -375,8 +373,11 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> tuple:
     each base 1-tail containing both of its sides; and the leftover members
     match the separating-node pattern.  The level-1 base multiset has two
     possible readings (four or six family terms), so it is deliberately not
-    gated.
+    gated.  A point that is not one of G's raises PreconditionError, tested
+    as `is_synchronized` tests it.
     """
+    if point not in _sync_reports(G):
+        raise PreconditionError("not a distinguished point of this graph")
     return (_one_tail_side(G, point.choice.r1, point.g1)
             + _one_tail_side(G, point.choice.r2, point.g2))
 
@@ -384,7 +385,13 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> tuple:
 @per_graph
 def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
     """What the level-1 diagnostic finds wrong with the family anchored at
-    E(r, g); memoized, since every point with that anchor shares it."""
+    E(r, g); memoized, since every point with that anchor shares it.
+
+    One pass over the 1-tail pool (`tails._pool_index`) gives the expected
+    members: the canonical liftings of each pool tail holding both ends of
+    r and, if r is a bridge, L1 and L2 of its unmarked side W (the pool
+    tail whose terminal mask is r), or L2 alone when W misses g.
+    """
     LG = build_c2(G)
     nd = G.nodes[r]
     detail = []
@@ -397,31 +404,20 @@ def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
             continue
         both = (img >> nd.a) & 1 and (img >> nd.b) & 1
         (crossing if both else rest).append(y)
+    ends = (1 << nd.a) | (1 << nd.b)
     expected = set()
-    for w, _ in _candidates(G, 1, (1 << nd.a) | (1 << nd.b)):
-        expected.update(canonical_liftings(LG, w))
+    exp_rest: set[int] = set()
+    for w, tw in _pool_index(G, 1)[0]:
+        if w & ends == ends:
+            expected.update(canonical_liftings(LG, w))
+        elif tw == 1 << r:
+            _, l1, l2 = canonical_liftings(LG, w)
+            exp_rest = {l1, l2} if (w >> g) & 1 else {l2}
     if set(crossing) != expected:
         detail.append(("crossing-mismatch", nd.id))
-    # Non-crossing members exist exactly over a separating node.
-    exp_rest: set[int] = set()
-    side = _side_without(G, nd.a, r)
-    if not (side >> nd.b) & 1:
-        v = side if not (side >> G.marked) & 1 else G.full_mask ^ side
-        l0, l1, l2 = canonical_liftings(LG, v)
-        exp_rest = {l1, l2} if (v >> g) & 1 else {l2}
     if set(rest) != exp_rest:
         detail.append(("separating-mismatch", nd.id))
     return tuple(detail)
-
-
-def _side_without(G: CurveGraph, start: int, node: int) -> int:
-    """Vertex set reachable from start without using the given node: the
-    whole graph unless the node is a bridge, else the side of its 1-tail
-    that holds start."""
-    for w in G.k_tails(1):
-        if G.term_mask(w) == 1 << node:
-            return w if (w >> start) & 1 else G.full_mask ^ w
-    return G.full_mask
 
 
 def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:

@@ -128,7 +128,9 @@ def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
     graph: the s-tails avoiding the marked component, each with its
     terminal mask, and two families of bitsets over pool indices: per
     vertex, the members holding it; per node, the members it is terminal
-    for."""
+    for.  It holds one side of every s-tail pair, which share their terminal
+    nodes; its readers are the families, the synchronization table, the
+    subdivision's closed form, the level-1 diagnostic and the tail plan."""
     marked_bit = 1 << G.marked
     pool = tuple((z, G.term_mask(z)) for z in G.k_tails(s) if not z & marked_bit)
     hold = [0] * G.p

@@ -91,6 +91,21 @@ def test_is_quasistable_requires_degree_zero(G2):
         is_quasistable(G2, (1, 0))
 
 
+@pytest.mark.parametrize("fn", [is_quasistable, quasistable_representative])
+@pytest.mark.parametrize("d, message", [
+    ((1, -1, 0, 0), "multidegree has 4 entries for 3 components"),
+    ((2, -1, -1, 0), "multidegree has 4 entries for 3 components"),
+    ((1, -1), "multidegree has 2 entries for 3 components"),
+    ((0.5, -0.5, 0), "multidegree entry 0.5 is not an integer"),
+    ((True, -1, 0), "multidegree entry True is not an integer"),
+    ({"C1": 0, "C2": 0, "C3": 0}, "multidegree must be a list or tuple"),
+    ((1, 0, 0), "total degree must be 0, got 1"),
+])
+def test_quasistability_entry_points_check_their_input(G3, fn, d, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        fn(G3, d)
+
+
 # -- representative oracle ----------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from tailcomb.lift import (
     LiftedGraph,
     SyncReport,
     _distinct,
-    _side_without,
     base_level_multiset,
     build_c2,
     canonical_liftings,
@@ -29,7 +28,7 @@ from tailcomb.lift import (
 )
 from tailcomb.randgen import instance_graph
 from tailcomb.suites import replay
-from tailcomb.tails import nested
+from tailcomb.tails import _candidates, nested
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc
 
@@ -217,11 +216,10 @@ def test_diagnostic_separating_node():
         [Node("a", 0, 1), Node("b", 1, 2), Node("c", 1, 2)],
         0,
     )
-    from tailcomb.blowup import pair_matchings
-
-    for ch in pair_matchings(G, 1, 2):
-        for pt in distinguished_points(G, ch):
-            assert one_tail_diagnostic(G, pt) == ()
+    points = list(all_points(G))
+    assert len(points) == 12  # the pairs (a, b) and (a, c) anchor on the bridge
+    for pt in points:
+        assert one_tail_diagnostic(G, pt) == ()
 
 
 def test_eq34_on_synchronized_points(G2, G3):
@@ -300,11 +298,42 @@ def component_without_scan(G, start, skip_node):
     return seen
 
 
-def test_side_without_matches_scan(G1, G2, G3, G4, corpus):
-    for G in [G1, G2, G3, G4] + corpus:
-        for t, nd in enumerate(G.nodes):
-            for start in (nd.a, nd.b):
-                assert _side_without(G, start, t) == component_without_scan(G, start, t)
+def one_tail_oracle(G, point):
+    """`one_tail_diagnostic` with each side's expectations found as they
+    were before the pool pass: the crossing members from `_candidates` at
+    both ends of the node, and the separating side by search."""
+    return (one_tail_side_oracle(G, point.choice.r1, point.g1)
+            + one_tail_side_oracle(G, point.choice.r2, point.g2))
+
+
+def one_tail_side_oracle(G, r, g):
+    LG = build_c2(G)
+    nd = G.nodes[r]
+    detail = []
+    crossing = []
+    rest = []
+    for y in nested(LG, 1, 1 << LG.exceptional(r, g)):
+        img = LG.mu_image(y)
+        if not G.is_tail(img) or (img >> G.marked) & 1:
+            detail.append(("bad-image", nd.id, LG.names_of(y)))
+            continue
+        both = (img >> nd.a) & 1 and (img >> nd.b) & 1
+        (crossing if both else rest).append(y)
+    expected = set()
+    for w, _ in _candidates(G, 1, (1 << nd.a) | (1 << nd.b)):
+        expected.update(canonical_liftings(LG, w))
+    if set(crossing) != expected:
+        detail.append(("crossing-mismatch", nd.id))
+    # Non-crossing members exist exactly over a separating node.
+    exp_rest = set()
+    side = component_without_scan(G, nd.a, r)
+    if not (side >> nd.b) & 1:
+        v = side if not (side >> G.marked) & 1 else G.full_mask ^ side
+        _, l1, l2 = canonical_liftings(LG, v)
+        exp_rest = {l1, l2} if (v >> g) & 1 else {l2}
+    if set(rest) != exp_rest:
+        detail.append(("separating-mismatch", nd.id))
+    return tuple(detail)
 
 
 # -- the index layout and the per-node oracles of the point layers ----------------------
@@ -393,9 +422,9 @@ def sync_oracle(G, point):
 
 def assert_point_layers_match_oracles(G, rng):
     """Index layout, `mu_image` on the lifted tails, the hat family members
-    and random masks, and `is_synchronized` and `eq34_level2` at every
-    distinguished point; returns the number of nonempty eq-34 results
-    compared."""
+    and random masks, and `is_synchronized`, `eq34_level2` and
+    `one_tail_diagnostic` at every distinguished point; returns the number
+    of nonempty eq-34 results compared."""
     assert_index_layout(G)
     LG = build_c2(G)
     masks = [m for s in (1, 2, 3) for m in LG.k_tails(s)]
@@ -409,6 +438,7 @@ def assert_point_layers_match_oracles(G, rng):
         got = outcome(eq34_level2, G, pt)
         assert got == outcome(eq34_oracle, G, pt)
         nonempty += bool(got)
+        assert outcome(one_tail_diagnostic, G, pt) == outcome(one_tail_oracle, G, pt)
     for m in masks:
         assert LG.mu_image(m) == mu_image_oracle(LG, m)
     return nonempty
@@ -453,6 +483,43 @@ def test_sync_violations_stay_with_their_points(monkeypatch, G3):
             failed.add(got[2]["anchors"])
     assert failed == {("E(f,C2)", "E(g,C3)"), ("E(f,C3)", "E(g,C2)"),
                       ("E(f,C2)", "E(g,C2)"), ("E(f,C3)", "E(g,C3)")}
+
+
+def test_one_tail_violations_match_oracle(monkeypatch):
+    # Hide from the subdivision the lifted 1-tail L2 of the bridge a's
+    # unmarked side C2 + C3 (it holds both exceptional vertices of a): every
+    # family anchored over a then misses a separating member, and every
+    # family over b or c a crossing one, so every point has findings, and
+    # the diagnostic and its oracle report the same ones.
+    G = CurveGraph(["C1", "C2", "C3"],
+                   [Node("a", 0, 1), Node("b", 1, 2), Node("c", 1, 2)], 0)
+    LG = build_c2(G)
+    hidden = canonical_liftings(LG, G.subcurve(["C2", "C3"]))[2]
+    assert hidden in LG.k_tails(1)
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        return tuple(z for z in got if z != hidden) if self is LG and kk == 1 else got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    points = list(all_points(G))
+    assert len(points) == 12
+    for pt in points:
+        got = one_tail_diagnostic(G, pt)
+        assert got and got == one_tail_oracle(G, pt)
+        over = {G.nodes[pt.choice.r1].id, G.nodes[pt.choice.r2].id}
+        assert {d[0] for d in got} == (
+            {"separating-mismatch", "crossing-mismatch"} if "a" in over
+            else {"crossing-mismatch"})
+
+
+def test_one_tail_diagnostic_rejects_foreign_points(G2, G3):
+    pt = next(all_points(G3))
+    swapped = pt._replace(g1=pt.g1p, g1p=pt.g1)
+    for point in (swapped, next(all_points(G2))):
+        with pytest.raises(PreconditionError, match="not a distinguished point"):
+            one_tail_diagnostic(G3, point)
 
 
 @settings(max_examples=60, deadline=None)

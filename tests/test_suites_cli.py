@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import graphs
 from tailcomb import degrees, suites
-from tailcomb.blowup import PROFILES, minimality_probe, plan_from_tails
+from tailcomb.blowup import (PROFILES, choices, distinguished_points, is_quasistable_point,
+                             minimality_probe, plan_from_tails)
 from tailcomb.cli import main
 from tailcomb.errors import RepresentativeNotFound
 from tailcomb.fixtures import fixture
 from tailcomb.graph import CurveGraph, Node, members
+from tailcomb.lift import is_synchronized, one_tail_diagnostic
 from tailcomb.randgen import child_rng, instance_graph, random_graph
 from tailcomb.suites import (
     ALL_SUITES,
@@ -203,22 +205,40 @@ def minimality_kinds(G, profile):
             for (r1, r2), kind, _ in minimality_probe(G, profile).classification}
 
 
+def choice_by_name(G, ch):
+    """A choice as the pair of its node ids in id order and its side pairs
+    by component name, read in that order."""
+    ids, match = (G.nodes[ch.r1].id, G.nodes[ch.r2].id), ch.match_names(G)
+    if ids[0] > ids[1]:
+        ids, match = ids[::-1], [pair[::-1] for pair in match]
+    return ids, tuple(sorted(map(tuple, match)))
+
+
 def tail_plan_by_name(G):
     """`plan_from_tails(G)` keyed by the pair of node ids in id order, each
-    choice as its side pairs by component name, read in that order."""
+    choice as its side pairs by component name (`choice_by_name`)."""
+    return dict(choice_by_name(G, ch) for ch in plan_from_tails(G).choices.values())
+
+
+def point_values_by_name(G):
+    """Per choice, keyed by `choice_by_name`, the multisets over its two
+    points of the quasistability verdict under each profile, of
+    synchronization and of the level-1 diagnostic's pass; multisets, since
+    the two points of a choice may swap under relabelling."""
     out = {}
-    for (r1, r2), ch in plan_from_tails(G).choices.items():
-        ids, match = (G.nodes[r1].id, G.nodes[r2].id), ch.match_names(G)
-        if ids[0] > ids[1]:
-            ids, match = ids[::-1], [pair[::-1] for pair in match]
-        out[ids] = sorted(match)
+    for ch in choices(G):
+        values = [(*(is_quasistable_point(G, pt, prof).ok for prof in PROFILES),
+                   is_synchronized(G, pt).synchronized, not one_tail_diagnostic(G, pt))
+                  for pt in distinguished_points(G, ch)]
+        out[choice_by_name(G, ch)] = [sorted(col) for col in zip(*values)]
     return out
 
 
 def assert_relabelling_keeps_values(G, H, perm):
     """Relation 1 on values: with perm the map from G's component indices to
     H's, the twister rows, each pair's minimality kind (keyed by its node ids,
-    in either order) under both profiles, and the tail plan correspond."""
+    in either order) under both profiles, the tail plan and each choice's
+    point values (`point_values_by_name`) correspond."""
     moved = sorted(sum(1 << perm[m] for m in members(w)) for w in G.tails())
     assert moved == sorted(H.tails())
     alpha, beta = degrees.twister(G), degrees.twister(H)
@@ -229,6 +249,7 @@ def assert_relabelling_keeps_values(G, H, perm):
                  for X in (G, H)]
         assert kinds[0] == kinds[1], profile
     assert tail_plan_by_name(G) == tail_plan_by_name(H)
+    assert point_values_by_name(G) == point_values_by_name(H)
 
 
 def test_relabelling_keeps_twister_minimality_and_tail_plan():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -158,3 +159,22 @@ def test_only_pair_matchings_builds_a_choice():
                     reads.append((path.stem, getattr(top, "name", None)))
     assert builders == [("blowup", "pair_matchings")] * 2
     assert reads == []
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # `--jobs` workers fork with the parent's hash secret, so only fresh
+    # interpreters show whether a report reads a str-hash order; reports
+    # compared byte for byte across changes must not.
+    src = TRACER_PATH.parents[1] / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from tailcomb import cli; from tailcomb.suites import SuiteConfig, run_suite; "
+             "print(run_suite(SuiteConfig(seed=3, instances=20, profile='as-displayed'))"
+             ".to_json(include_timing=False)); "
+             "cli.main(['minimal', 'G3', '--json'])")
+    outputs = [
+        subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
+                       text=True, check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert '"checks"' in outputs[0] and '"minimal_plan"' in outputs[0]
+    assert outputs[0] == outputs[1]
