@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from functools import cache
 
 from . import blowup as bw
@@ -251,8 +250,8 @@ def cmd_minimal(G, args):
 
 def cmd_verify(args):
     # the run flags default to SUPPRESS, so `args` holds only those given
-    given = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)
-             if f.name in args}
+    given = {name: getattr(args, name) for name in SuiteConfig.__slots__
+             if name in args}
     if args.replay or args.discrepancy:
         # a replay takes its run from the dump; the demonstration takes a seed
         ignored = [_RUN_FLAG.get(k, "--" + k.replace("_", "-")) for k in given

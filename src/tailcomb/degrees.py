@@ -173,11 +173,15 @@ def quasistable_representative(
     tail-count normalization of the twister table.  With an explicit bound
     the box [-bound, bound]^p is scanned once; otherwise the bound doubles
     from 2 until a hit appears.  Exactly one hit may exist, and the whole
-    box is always scanned so uniqueness is checked, not assumed.
+    box is always scanned so uniqueness is checked, not assumed.  A bound
+    that is not a positive int (a bool included) is a PreconditionError.
     """
     d0 = _degree_zero(G, d0)
-    if bound is not None and bound <= 0:
-        raise PreconditionError("bound must be positive")
+    if bound is not None:
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise PreconditionError(f"bound must be an integer, got {bound!r}")
+        if bound <= 0:
+            raise PreconditionError("bound must be positive")
     bounds = [bound] if bound is not None else [2, 4, 8, 16, 32, 64, 128, 256]
     hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for b in bounds:
@@ -220,10 +224,12 @@ def _scan_box(G, d0, b):
     for (k, _), gt, r in zip(box.tails, g, box.entry):
         if gt - b * r >= k or gt + b * r < -k:
             return []
-    levels = [tuple((t, w, k, b * r) for t, w, k, r in lvl) for lvl in box.levels]
     n = len(positions)
-    hits = []
     c = [0] * G.p
+    if not n:
+        return [(tuple(c), d0)]
+    levels = [tuple((t, w, k, b * r) for t, w, k, r in lvl) for lvl in box.levels]
+    hits = []
 
     def rec(i):
         lo, hi = -b, b
@@ -261,10 +267,10 @@ def _scan_box(G, d0, b):
             g[t] -= hi * w
         c[m] = 0
 
-    if n:
+    try:
         rec(0)
-    else:
-        hits.append((tuple(c), d0))
+    finally:
+        del rec  # rec's closure refers to rec: that cycle would keep G alive
     return hits
 
 

@@ -10,10 +10,13 @@ values are immutable after construction.  Derived data (tails, nested
 families, the twister table, the node subdivision) is computed once per
 graph by functions decorated with `per_graph`, which keep it, terminal masks
 included, in the graph's single memo: the only store written after
-construction.  Tails come from a binary-partition (bond)
-search; a graph with a closed form for its s-tails, s <= 3, supplies it
-through `_derived_k_tails` (the node subdivision does), while `tails()` and
-`k_tails(k > 3)` always enumerate.
+construction.  That ownership is one-way: nothing in a memo refers back to
+its graph strongly (the node subdivision refers to its base weakly), so a
+graph and its derived data are freed by reference counting once its last
+user drops it, with no wait for the cyclic collector.  Tails come from a
+binary-partition (bond) search; a graph with a closed form for its s-tails,
+s <= 3, supplies it through `_derived_k_tails` (the node subdivision does),
+while `tails()` and `k_tails(k > 3)` always enumerate.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class CurveGraph:
         "_inc",
         "_hash",
         "_memo",
+        "__weakref__",
     )
 
     def __init__(self, names: Iterable[str], nodes: Iterable[Node], marked: int):

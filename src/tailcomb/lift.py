@@ -2,9 +2,11 @@
 
 Each node of the base graph is replaced by a chain of two exceptional
 vertices.  `build_c2(G)` returns the subdivision, a `LiftedGraph`: a
-CurveGraph that keeps its base graph, so the whole tail machinery applies
-unchanged.  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is
-a series extension, so they follow in closed form from the unmarked s-tails
+CurveGraph, so the whole tail machinery applies unchanged, that refers to
+its base graph weakly as `base` (G's memo holds the subdivision, and a
+strong reference back would make a cycle that only the cyclic collector
+frees).  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is a
+series extension, so they follow in closed form from the unmarked s-tails
 and bridges in the base graph's pool (`_lifted_k_tails`); `tails()` and
 `k_tails(k > 3)` still use the bond search of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
@@ -31,6 +33,7 @@ terminal edge e lies over base node e // 3 (`eq34_level2`).
 from __future__ import annotations
 
 from typing import NamedTuple
+from weakref import ref
 
 from .blowup import DistinguishedPoint, choices, distinguished_points
 from .errors import InvariantViolation, PreconditionError
@@ -46,12 +49,13 @@ class LiftedGraph(CurveGraph):
     edges S:u, S:mid and S:v; a generated name that repeats an earlier one
     (a base component may be called E(S,u)) gets a suffix, #2 or higher.
     The subdivision is itself a CurveGraph, marked at the strict transform
-    of the base marked component, and keeps its base graph as `base`.  Its
-    s-tails for s <= 3 are derived from the base graph's rather than
-    enumerated (index layout: module docstring).
+    of the base marked component, and refers to its base graph weakly as
+    `base`: the base's memo holds the subdivision, so the base alone decides
+    how long both live.  Its s-tails for s <= 3 are derived from the base
+    graph's rather than enumerated (index layout: module docstring).
     """
 
-    __slots__ = ("base",)
+    __slots__ = ("_base",)
 
     def __init__(self, base: CurveGraph):
         names = list(base.names)
@@ -64,7 +68,15 @@ class LiftedGraph(CurveGraph):
             ends += [(nd.a, e1), (e1, e1 + 1), (e1 + 1, nd.b)]
         edges = [Node(i, a, b) for i, (a, b) in zip(_distinct(ids), ends)]
         super().__init__(_distinct(names), edges, base.marked)
-        self.base = base
+        self._base = ref(base)
+
+    @property
+    def base(self) -> CurveGraph:
+        """The base graph; PreconditionError once it has been freed."""
+        base = self._base()
+        if base is None:
+            raise PreconditionError("the base graph of this subdivision is gone")
+        return base
 
     @property
     def graph(self) -> LiftedGraph:
@@ -78,12 +90,12 @@ class LiftedGraph(CurveGraph):
         """Lifted vertex E(node, key) = p + 2 * node, plus 1 for the second
         key; key is the side component for a non-loop node and the slot 1
         or 2 for a loop."""
-        nodes = self.base.nodes
-        if 0 <= node < len(nodes):
-            nd = nodes[node]
+        base = self.base
+        if 0 <= node < len(base.nodes):
+            nd = base.nodes[node]
             keys = (1, 2) if nd.is_loop else (nd.a, nd.b)
             if key in keys:
-                return self.base.p + 2 * node + keys.index(key)
+                return base.p + 2 * node + keys.index(key)
         raise PreconditionError(
             f"no exceptional vertex over node index {node} with key {key}"
         )
@@ -128,9 +140,10 @@ def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
     W side and on the other side.
     """
     core = W  # strict transforms keep their base indices
-    p = LG.base.p
+    base = LG.base
+    p = base.p
     steps = []
-    for t, nd in enumerate(LG.base.nodes):
+    for t, nd in enumerate(base.nodes):
         ea = 1 << (p + 2 * t)  # E(t, a), slot 1 of a loop
         eb = ea << 1
         ina = (W >> nd.a) & 1
@@ -285,7 +298,8 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     if report is None:
         raise PreconditionError("not a distinguished point of this graph")
     if isinstance(report, InvariantViolation):
-        raise report
+        # a fresh copy: raising the stored one would grow its traceback
+        raise type(report)(report.args[0], **report.witnesses)
     return report
 
 
@@ -297,8 +311,9 @@ def _sync_reports(G: CurveGraph) -> dict:
     pool indices (`tails._pool_index`), as `tails._candidates` selects them,
     so points whose anchors select the same candidates share one grown
     chain, and points with the same labels share their base multisets.  A
-    point whose families break an invariant maps to that violation, which
-    `is_synchronized` raises for it alone.
+    point whose families break an invariant maps to that violation, kept
+    without its traceback (whose frames hold G), and `is_synchronized`
+    raises a fresh copy of it for that point alone.
     """
     LG = build_c2(G)
     p, nodes = G.p, G.nodes
@@ -331,7 +346,7 @@ def _sync_reports(G: CurveGraph) -> dict:
                     base = bases[labels] = (base_level_multiset(G, pt, 2),
                                             base_level_multiset(G, pt, 3))
             except InvariantViolation as exc:
-                reports[pt] = exc
+                reports[pt] = exc.with_traceback(None)
                 continue
             fam2, images2, _ = hat2
             fam3, images3, _ = hat3

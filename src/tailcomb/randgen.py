@@ -2,19 +2,29 @@
 
 Child seeds are derived by hashing, so the stream at any index is portable
 and independent of platform entropy; a graph is a uniform random spanning
-tree plus extra edges (parallel edges, and loops when allowed).
+tree plus extra edges (parallel edges, and loops when allowed).  The SHA-256
+comes from CPython's built-in module when there is one, as `random` takes
+its SHA-512: `hashlib` maps OpenSSL, which costs more to load than the
+digests here cost to compute, and the digest is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 from .graph import CurveGraph, Node
 
 
 def child_rng(seed: int, tag: int | str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
+    digest = sha256(f"{seed}:{tag}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement, repeat
 
 from . import blowup as bw
@@ -394,40 +392,64 @@ ALL_SUITES = tuple(SUITES)
 # -- runner ------------------------------------------------------------------
 
 
-@dataclass
 class SuiteConfig:
-    seed: int = 1
-    instances: int = 50
-    max_components: int = 6
-    max_extra_edges: int = 4
-    allow_loops: bool = True
-    profile: str = bw.RECONSTRUCTED
-    suites: tuple[str, ...] = ALL_SUITES
-    jobs: int = 1
+    """The settings of one run, validated on construction; configs with
+    equal settings are equal.  `__slots__` names the settings."""
 
-    def __post_init__(self):
-        self.suites = tuple(self.suites)
-        bad = [s for s in self.suites if s not in SUITES]
+    __slots__ = ("seed", "instances", "max_components", "max_extra_edges",
+                 "allow_loops", "profile", "suites", "jobs")
+
+    def __init__(self, seed: int = 1, instances: int = 50, max_components: int = 6,
+                 max_extra_edges: int = 4, allow_loops: bool = True,
+                 profile: str = bw.RECONSTRUCTED,
+                 suites: tuple[str, ...] = ALL_SUITES, jobs: int = 1):
+        suites = tuple(suites)
+        bad = [s for s in suites if s not in SUITES]
         if bad:
             raise PreconditionError(f"unknown suites: {bad}")
-        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        repeated = sorted({s for s in suites if suites.count(s) > 1})
         if repeated:
             raise PreconditionError(f"suites named more than once: {repeated}")
-        if self.profile not in bw.PROFILES:
-            raise PreconditionError(f"unknown profile {self.profile!r}")
-        if (self.instances < 0 or self.max_components < 1
-                or self.max_extra_edges < 0 or self.jobs < 1):
+        if profile not in bw.PROFILES:
+            raise PreconditionError(f"unknown profile {profile!r}")
+        if instances < 0 or max_components < 1 or max_extra_edges < 0 or jobs < 1:
             raise PreconditionError(
                 "instances, max_components, max_extra_edges, jobs out of range"
             )
+        self.seed = seed
+        self.instances = instances
+        self.max_components = max_components
+        self.max_extra_edges = max_extra_edges
+        self.allow_loops = allow_loops
+        self.profile = profile
+        self.suites = suites
+        self.jobs = jobs
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not SuiteConfig:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
+        return f"SuiteConfig({fields})"
 
 
-@dataclass
 class VerificationReport:
-    config: SuiteConfig
-    checks: dict  # suite name -> number of checks
-    violations: dict  # suite name -> list of reproducers
-    wall_time: float = 0.0
+    """The checks and violations of one run, per suite; `wall_time` is set
+    once the run ends."""
+
+    __slots__ = ("config", "checks", "violations", "wall_time")
+
+    def __init__(self, config: SuiteConfig, checks: dict, violations: dict,
+                 wall_time: float = 0.0):
+        self.config = config
+        self.checks = checks  # suite name -> number of checks
+        self.violations = violations  # suite name -> list of reproducers
+        self.wall_time = wall_time
 
     @property
     def ok(self) -> bool:
@@ -435,7 +457,7 @@ class VerificationReport:
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
-            "config": asdict(self.config),
+            "config": self.config.to_dict(),
             "suites": {
                 s: {"checks": self.checks[s], "violations": self.violations[s]}
                 for s in self.config.suites
@@ -500,6 +522,9 @@ def _run(config: SuiteConfig, work: list) -> VerificationReport:
                                 {s: [] for s in config.suites})
     jobs = min(config.jobs, len(work))
     if jobs > 1:
+        # imported here: the pool's modules cost a serial run memory it never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         indices, graphs = zip(*work)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_instance, repeat(config), indices, graphs))

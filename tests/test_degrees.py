@@ -115,6 +115,15 @@ def test_oracle_examples(G1, G2, G3):
     assert quasistable_representative(G1, (0,)) == ((0,), (0,))
 
 
+def test_oracle_bound_must_be_a_positive_int(G3):
+    for bad in (1.5, 2.0, "2", True, False):
+        with pytest.raises(PreconditionError, match="bound must be an integer, got"):
+            quasistable_representative(G3, (2, -1, -1), bad)
+    for bad in (0, -3):
+        with pytest.raises(PreconditionError, match="^bound must be positive$"):
+            quasistable_representative(G3, (2, -1, -1), bad)
+
+
 def test_oracle_not_found_within_bound(G2):
     with pytest.raises(RepresentativeNotFound):
         quasistable_representative(G2, (6, -6), bound=1)

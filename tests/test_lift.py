@@ -11,13 +11,14 @@ from tailcomb.blowup import (
     make_choice,
     pair_matchings,
 )
-from tailcomb.errors import PreconditionError
+from tailcomb.errors import InvariantViolation, PreconditionError
 from tailcomb.graph import CurveGraph, Node, canon_key, members, precedes, validate
 from tailcomb.lift import (
     LevelSync,
     LiftedGraph,
     SyncReport,
     _distinct,
+    _sync_reports,
     base_level_multiset,
     build_c2,
     canonical_liftings,
@@ -483,6 +484,51 @@ def test_sync_violations_stay_with_their_points(monkeypatch, G3):
             failed.add(got[2]["anchors"])
     assert failed == {("E(f,C2)", "E(g,C3)"), ("E(f,C3)", "E(g,C2)"),
                       ("E(f,C2)", "E(g,C2)"), ("E(f,C3)", "E(g,C3)")}
+
+
+def test_a_stored_sync_violation_is_raised_afresh(monkeypatch, G3):
+    # The four failing points of the test above: each keeps its violation
+    # without a traceback (whose frames would hold G), and every call
+    # raises a fresh copy of it, so raising never grows the stored one.
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)  # a fresh memo
+    LG = build_c2(G)
+    hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    failing = [pt for pt in all_points(G)
+               if isinstance(_sync_reports(G)[pt], InvariantViolation)]
+    assert len(failing) == 4
+    for pt in failing:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(InvariantViolation) as info:
+                is_synchronized(G, pt)
+            raised.append(info.value)
+        first, second = raised
+        stored = _sync_reports(G)[pt]
+        assert first is not second and stored is not first and stored is not second
+        assert type(first) is type(second) is type(stored)
+        assert first.args == second.args == stored.args
+        assert first.witnesses == second.witnesses == stored.witnesses
+        assert stored.__traceback__ is None
+
+
+def test_subdivision_refers_to_its_base_weakly():
+    # G's memo holds its subdivision, which reads G through a weak
+    # reference, so dropping G frees it; the orphaned subdivision says so.
+    G = CurveGraph(["C1", "C2"], [Node("e", 0, 1)], 0)
+    LG = build_c2(G)
+    assert LG.base is G and LG.exceptional(0, 1) == 3
+    del G
+    for read in (lambda: LG.base, lambda: LG.exceptional(0, 1)):
+        with pytest.raises(PreconditionError,
+                           match="^the base graph of this subdivision is gone$"):
+            read()
 
 
 def test_one_tail_violations_match_oracle(monkeypatch):

@@ -121,27 +121,20 @@ def test_tracer_properties_are_identities_and_unread_by_the_package():
     assert reads == [("cli", "main", "args.graph")]
 
 
-def test_import_loads_no_dataclasses_and_only_suites_declares_one():
-    # Immutable results are NamedTuples, so a fresh `import tailcomb`,
-    # which every benchmark set-up pays, loads neither `dataclasses` nor
-    # the `inspect` it pulls in; only the runner's two mutable records in
-    # `suites` (not imported by the package) stay dataclasses.
+def test_serial_run_loads_no_pool_openssl_or_dataclasses():
+    # What every benchmark process imports, the CLI and the runner, loads
+    # neither the process pool (imported only when jobs > 1), nor
+    # `hashlib`'s OpenSSL (`randgen` takes CPython's built-in SHA-256), nor
+    # `dataclasses` and the `inspect` it pulls in (results are NamedTuples,
+    # and the runner's two mutable records are plain slotted classes).
     src = TRACER_PATH.parents[1] / "src"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-             "import tailcomb; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+             "import tailcomb.cli, tailcomb.suites; "
+             "print(sorted({'_hashlib', 'concurrent.futures.process', 'multiprocessing',"
+             " 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     run = subprocess.run([sys.executable, "-S", "-c", probe, str(src)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
-    decorated = []
-    for path in sorted((src / "tailcomb").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef):
-                for dec in node.decorator_list:
-                    name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
-                    if name.split(".")[-1] == "dataclass":
-                        decorated.append((path.stem, node.name))
-    assert decorated == [("suites", "SuiteConfig"), ("suites", "VerificationReport")]
 
 
 def test_only_pair_matchings_builds_a_choice():
