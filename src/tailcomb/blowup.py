@@ -148,10 +148,8 @@ def distinguished_points(
 ) -> tuple[DistinguishedPoint, DistinguishedPoint]:
     """The two distinguished points of a choice, built once per graph and
     choice for the suites and the CLI."""
-    return tuple(
-        DistinguishedPoint(choice, i, *labels)
-        for i, labels in enumerate(_point_labels(choice), 1)
-    )
+    first, second = _point_labels(choice)
+    return (DistinguishedPoint(choice, 1, *first), DistinguishedPoint(choice, 2, *second))
 
 
 @per_graph

@@ -15,11 +15,18 @@ synchronization all live here.  Synchronization compares levels 2 and 3.
 It is built for every point of a graph in one pass (`_sync_reports`): hat
 candidates are picked by bitset AND over the subdivision's pool indices,
 points that select the same candidates share one grown chain, and points
-with the same side labels share their base multisets.  Each report keeps
-each level's hat members and base multiset, which the eq. (34) node count
-and `hat_families` read.  The level-1 structure is a separate diagnostic
-(`one_tail_diagnostic`), which returns its findings, none when the level-1
-families pass; its expectations come from the base graph's 1-tail pool.
+with the same side labels share their base multisets, merged from base
+families fetched and keyed once per graph.  The same pass counts the
+eq. (34) terminal nodes once per base multiset, from the base pool's
+terminal masks, and once per level-2 hat family, from its members'
+candidate pairs.  A point's entry (`_SyncEntry`) holds its verdict, its
+eq. (34) violations and its shared hat and base entries; `_sync_entry` is
+its one accessor, for the suites, `is_synchronized` and `eq34_level2`.  A
+point's report, with each level's hat members and base multiset (which
+`hat_families` reads), is built from its entry on request.  The level-1
+structure is a separate diagnostic (`one_tail_diagnostic`), which returns
+its findings, none when the level-1 families pass; its expectations come
+from the base graph's 1-tail pool.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
@@ -27,7 +34,7 @@ p + 2t and p + 2t + 1 are the exceptional vertices over base node t (sides
 a, b or loop slots 1, 2), and lifted edges 3t..3t+2 form the chain over
 node t.  This arithmetic is the only record of the layout: the contraction
 image of a lifted subcurve is its low p bits (`mu_image`), and a lifted
-terminal edge e lies over base node e // 3 (`eq34_level2`).
+terminal edge e lies over base node e // 3 (`_node_counts`).
 """
 
 from __future__ import annotations
@@ -236,15 +243,6 @@ def hat_families(G: CurveGraph, point: DistinguishedPoint) -> tuple[tuple, tuple
     return tuple(l.hat_members for l in is_synchronized(G, point).levels)
 
 
-def base_level_multiset(G: CurveGraph, point: DistinguishedPoint, s: int) -> tuple[int, ...]:
-    """The base multiset at one level: the three families of the point's
-    triple pairs, concatenated."""
-    out: list[int] = []
-    for (a, b) in ((point.g1, point.g2), (point.g1, point.g2p), (point.g1p, point.g2)):
-        out.extend(nested(G, s, (1 << a) | (1 << b)))
-    return tuple(sorted(out, key=canon_key))
-
-
 class LevelSync(NamedTuple):
     """One level of a point's synchronization: the lifted hat members,
     their sorted images and the base multiset they must equal, which no
@@ -290,40 +288,92 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     the base multiset with multiplicity, which already excludes a purely
     exceptional member: its image is 0, and base members are nonempty.
     Level 1 always synchronizes, so it is not compared; its structure is
-    checked by `one_tail_diagnostic`.  The report is read from the graph's
-    `_sync_reports`, so an equal point built elsewhere is not re-evaluated;
-    a point that is not one of G's raises PreconditionError.
+    checked by `one_tail_diagnostic`.  The report is built from the point's
+    entry in the graph's `_sync_reports` on the first request and memoized
+    per point, so an equal point built elsewhere gets the same report; a
+    point that is not one of G's raises PreconditionError.
     """
-    report = _sync_reports(G).get(point)
-    if report is None:
+    return _sync_report(G, point)
+
+
+@per_graph
+def _sync_report(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
+    """The report of `is_synchronized`, built from the point's entry.  The
+    suites read only the entry's verdict, so no report is built for them:
+    building one per point in the pass took about a tenth of the time of
+    the synchronization suites."""
+    entry = _sync_entry(_sync_reports(G), point)
+    fam2, images2, _, _ = entry.hat2
+    fam3, images3 = entry.hat3
+    base2, base3, _ = entry.base
+    return SyncReport(point, (
+        LevelSync(2, images2 == base2, images2, base2, fam2),
+        LevelSync(3, images3 == base3, images3, base3, fam3),
+    ))
+
+
+class _SyncEntry(NamedTuple):
+    """A point's entry of `_sync_reports`: its verdict and eq. (34)
+    violations, and the hat and base entries, shared with other points,
+    that its report is built from."""
+
+    synchronized: bool
+    eq34: tuple  # the eq. (34) violations, as `eq34_level2` returns them
+    hat2: tuple  # level-2 members, images, node counts, blocked 3-tails
+    hat3: tuple  # level-3 members, images
+    base: tuple  # level-2 and level-3 base multisets, level-2 node counts
+
+
+def _sync_entry(reports: dict, point: DistinguishedPoint) -> _SyncEntry:
+    """The point's entry in a graph's `_sync_reports`, as the suites,
+    `is_synchronized` and `eq34_level2` read it.
+
+    A point that is not one of the graph's raises PreconditionError; a
+    point whose entry is a stored violation raises a fresh copy of it
+    (raising the stored one would grow its traceback).
+    """
+    entry = reports.get(point)
+    if entry is None:
         raise PreconditionError("not a distinguished point of this graph")
-    if isinstance(report, InvariantViolation):
-        # a fresh copy: raising the stored one would grow its traceback
-        raise type(report)(report.args[0], **report.witnesses)
-    return report
+    if isinstance(entry, InvariantViolation):
+        raise type(entry)(entry.args[0], **entry.witnesses)
+    return entry
 
 
 @per_graph
 def _sync_reports(G: CurveGraph) -> dict:
-    """The synchronization report of every point of `choices(G)`, in one pass.
+    """The synchronization of every point of `choices(G)`, in one pass: a
+    dict, in point order, from each point to its `_SyncEntry`.
 
     The hat candidates of a point are a bitset AND over the subdivision's
     pool indices (`tails._pool_index`), as `tails._candidates` selects them,
-    so points whose anchors select the same candidates share one grown
-    chain, and points with the same labels share their base multisets.  A
-    point whose families break an invariant maps to that violation, kept
-    without its traceback (whose frames hold G), and `is_synchronized`
-    raises a fresh copy of it for that point alone.
+    so points whose anchors select the same candidates share one hat entry:
+    the grown chain, its images (the low p bits, `mu_image`; the members
+    are nested, so the images are in canonical order) and, at level 2, its
+    node counts and the level-3 pool members it blocks.  Points with the
+    same labels share one base entry: both base multisets and the level-2
+    node counts.  Each value is computed once per hat or base entry, each
+    base family fetched and keyed by `canon_key` once per graph; a point's
+    own work is two comparisons and its eq. (34) violations when the two
+    count vectors differ.  A point whose families break an invariant maps
+    to that violation, kept without its traceback (whose frames hold G),
+    and `_sync_entry` raises a fresh copy of it for that point alone.
     """
+    reports: dict = {}
+    chs = choices(G)
+    if not chs:
+        return reports
     LG = build_c2(G)
-    p, nodes = G.p, G.nodes
+    p, nodes, full = G.p, G.nodes, G.full_mask
     pool2, hold2, _ = _pool_index(LG, 2)
     pool3, hold3, term3 = _pool_index(LG, 3)
-    hats2: dict = {}  # level-2 selection -> hat entry and the level-3 block
+    terms2 = dict(_pool_index(G, 2)[0])  # base 2-tail -> its terminal mask
+    hats2: dict = {}  # level-2 selection -> hat entry
     hats3: dict = {}  # level-3 selection -> hat entry
-    bases: dict = {}  # labels -> the level-2 and level-3 base multisets
-    reports: dict = {}
-    for ch in choices(G):
+    bases: dict = {}  # labels -> base entry
+    fams: dict = {2: {}, 3: {}}  # level -> anchors -> the base family
+    keys: dict = {}  # base family member -> its canon_key
+    for ch in chs:
         # E(r, g) = p + 2r, plus 1 off the first side (`LiftedGraph.exceptional`)
         v1, side1 = p + 2 * ch.r1, nodes[ch.r1].a
         v2, side2 = p + 2 * ch.r2, nodes[ch.r2].a
@@ -335,44 +385,76 @@ def _sync_reports(G: CurveGraph) -> dict:
                 sel = hold2[e1] & hold2[e2]
                 hat2 = hats2.get(sel)
                 if hat2 is None:
-                    hat2 = hats2[sel] = _hat_entry(LG, 2, pool2, sel, anchors, term3)
-                sel = hold3[e1] & hold3[e2] & ~hat2[2]
+                    fam, terms = _grow(LG, 2, [pool2[i] for i in members(sel)], anchors)
+                    edges = blocked = 0
+                    for ty in terms:
+                        edges |= ty
+                    for e in members(edges):
+                        blocked |= term3[e]
+                    hat2 = hats2[sel] = (tuple(fam), tuple([y & full for y in fam]),
+                                         _node_counts(terms, len(nodes), 3), blocked)
+                sel = hold3[e1] & hold3[e2] & ~hat2[3]
                 hat3 = hats3.get(sel)
                 if hat3 is None:
-                    hat3 = hats3[sel] = _hat_entry(LG, 3, pool3, sel, anchors, term3)
-                labels = (pt.g1, pt.g1p, pt.g2, pt.g2p)
+                    fam, _ = _grow(LG, 3, [pool3[i] for i in members(sel)], anchors)
+                    hat3 = hats3[sel] = (tuple(fam), tuple([y & full for y in fam]))
+                labels = pt[2:]  # (g1, g1', g2, g2')
                 base = bases.get(labels)
                 if base is None:
-                    base = bases[labels] = (base_level_multiset(G, pt, 2),
-                                            base_level_multiset(G, pt, 3))
+                    base2, base3 = _base_multisets(G, labels, fams, keys)
+                    base = bases[labels] = (base2, base3, _node_counts(
+                        [terms2[w] for w in base2], len(nodes), 1))
             except InvariantViolation as exc:
                 reports[pt] = exc.with_traceback(None)
                 continue
-            fam2, images2, _ = hat2
-            fam3, images3, _ = hat3
-            base2, base3 = base
-            reports[pt] = SyncReport(pt, (
-                LevelSync(2, images2 == base2, images2, base2, fam2),
-                LevelSync(3, images3 == base3, images3, base3, fam3),
-            ))
+            counts2, base_counts = hat2[2], base[2]
+            reports[pt] = _SyncEntry(
+                hat2[1] == base[0] and hat3[1] == base[1],
+                () if base_counts == counts2 else tuple(
+                    (nd.id, lhs, rhs)
+                    for nd, lhs, rhs in zip(nodes, base_counts, counts2) if lhs != rhs
+                ),
+                hat2, hat3, base,
+            )
     return reports
 
 
-def _hat_entry(LG: LiftedGraph, s: int, pool, sel: int, anchors: int,
-               term3) -> tuple:
-    """A level-s hat family grown from the pool members in sel: its members,
-    their contraction images in canonical order, and the level-3 pool
-    members its terminal nodes block.
+def _node_counts(terms, n: int, per: int) -> list[int]:
+    """For each of n base nodes, how many of the terminal masks hold it;
+    with per = 3 the masks are over lifted edges, and edge e lies over base
+    node e // 3.  The vector stays a list: as tuples, the thousands a table
+    holds would be parked in CPython's tuple free lists once the graph is
+    freed, which raised peak memory by about 0.12 MB."""
+    counts = [0] * n
+    for t in terms:
+        while t:
+            low = t & -t
+            counts[(low.bit_length() - 1) // per] += 1
+            t ^= low
+    return counts
 
-    Each member contains the one before, so their images are nested and
-    family order is already canonical order.
-    """
-    fam = _grow(LG, s, [pool[i] for i in members(sel)], anchors)
-    blocked = 0
-    for y in fam:
-        for t in members(LG.term_mask(y)):
-            blocked |= term3[t]
-    return fam, tuple(LG.mu_image(y) for y in fam), blocked
+
+def _base_multisets(G: CurveGraph, labels: tuple, fams: dict, keys: dict) -> tuple:
+    """The level-2 and level-3 base multisets of the points with labels
+    (g1, g1', g2, g2'): the families of the triple pairs (g1, g2), (g1, g2')
+    and (g1', g2), merged in canonical order.  Each family is fetched once
+    into fams and its members keyed once into keys."""
+    g1, g1p, g2, g2p = labels
+    pairs = ((1 << g1) | (1 << g2), (1 << g1) | (1 << g2p), (1 << g1p) | (1 << g2))
+    out = []
+    for s in (2, 3):
+        found = fams[s]
+        merged: list[int] = []
+        for anchors in pairs:
+            fam = found.get(anchors)
+            if fam is None:
+                fam = found[anchors] = nested(G, s, anchors)
+                for w in fam:
+                    if w not in keys:
+                        keys[w] = canon_key(w)
+            merged += fam
+        out.append(tuple(sorted(merged, key=keys.__getitem__)))
+    return out
 
 
 # -- level-1 diagnostic -------------------------------------------------------
@@ -440,21 +522,10 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
 
     For every base node, the number of base level-2 family members having it
     terminal must equal the total over its three lifted edges of hat family
-    members having that edge terminal.  Both families are read from the
-    point's `is_synchronized` report; one pass over each counts per
-    base node (lifted edges 3t..3t+2 lie over node t).  Returns the
-    violations in node order.
+    members having that edge terminal.  The violations, in node order, are
+    read from the point's entry in the graph's `_sync_reports`, which
+    compares the count vector of its base entry with that of its level-2
+    hat entry (lifted edges 3t..3t+2 lie over node t); a point is rejected
+    as `is_synchronized` rejects it.
     """
-    LG = build_c2(G)
-    level2 = is_synchronized(G, point).levels[0]
-    lhs = [0] * len(G.nodes)
-    rhs = [0] * len(G.nodes)
-    for w in level2.base_multiset:
-        for t in members(G.term_mask(w)):
-            lhs[t] += 1
-    for y in level2.hat_members:
-        for e in members(LG.term_mask(y)):
-            rhs[e // 3] += 1
-    return tuple(
-        (nd.id, lhs[t], rhs[t]) for t, nd in enumerate(G.nodes) if lhs[t] != rhs[t]
-    )
+    return _sync_entry(_sync_reports(G), point).eq34

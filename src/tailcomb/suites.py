@@ -16,7 +16,8 @@ from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, validate, write_json
-from .lift import eq34_level2, is_synchronized, one_tail_diagnostic
+from .lift import (_one_tail_side, _sync_entry, _sync_reports, is_synchronized,
+                   one_tail_diagnostic)
 from .randgen import child_rng, instance_graph
 from .tails import (_candidates, _level_families, _pool_index, family_terminals,
                     nested, symm_diff, tail_family)
@@ -264,10 +265,11 @@ def suite_admissibility(G: CurveGraph, rng, profile):
 def suite_lemma61(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
+    _sync_reports(G)  # filled first, as `one_tail_diagnostic` checks a point against it
     for ch in bw.choices(G):
         for pt in bw.distinguished_points(G, ch):
             checks += 1
-            detail = one_tail_diagnostic(G, pt)
+            detail = _one_tail_side(G, ch.r1, pt.g1) + _one_tail_side(G, ch.r2, pt.g2)
             if detail:
                 bad.append({"check": "lemma-6.1", "point": pt.describe(G),
                             "detail": [list(d) for d in detail]})
@@ -279,23 +281,23 @@ def suite_prop62(G: CurveGraph, rng, profile):
     identity on every synchronized point."""
     checks = 0
     bad = []
+    verdicts = bw._point_verdicts(G, profile)
+    reports = _sync_reports(G)
     for ch in bw.choices(G):
-        for pt in bw.distinguished_points(G, ch):
+        for pt, qs in zip(bw.distinguished_points(G, ch), verdicts[ch]):
             checks += 1
-            qs = bw.is_quasistable_point(G, pt, profile)
-            sync = is_synchronized(G, pt)
+            sync = _sync_entry(reports, pt)
             if qs.ok and not sync.synchronized:
                 # the reproducer carries the level-1 verdict, as `sync` prints it
                 diag_ok = not one_tail_diagnostic(G, pt)
                 bad.append({"check": "prop-6.2", "point": pt.describe(G),
-                            "sync": {**sync.describe(G),
+                            "sync": {**is_synchronized(G, pt).describe(G),
                                      "one_tail_diagnostic_ok": diag_ok}})
             if sync.synchronized:
-                viol = eq34_level2(G, pt)
                 checks += 1
-                if viol:
+                if sync.eq34:
                     bad.append({"check": "eq-34", "point": pt.describe(G),
-                                "violations": [list(v) for v in viol]})
+                                "violations": [list(v) for v in sync.eq34]})
     return checks, bad
 
 
@@ -310,11 +312,15 @@ def suite_thm63(G: CurveGraph, rng, profile):
     """
     checks = 0
     bad = []
+    verdicts = bw._point_verdicts(G, profile)
+    reports = _sync_reports(G)
     for ch in bw.choices(G):
-        pts = bw.distinguished_points(G, ch)
+        pt1, pt2 = bw.distinguished_points(G, ch)
+        qs1, qs2 = verdicts[ch]
         checks += 1
-        qs_both = all(bw.is_quasistable_point(G, pt, profile).ok for pt in pts)
-        sync_both = all(is_synchronized(G, pt).synchronized for pt in pts)
+        qs_both = qs1.ok and qs2.ok
+        sync_both = (_sync_entry(reports, pt1).synchronized
+                     and _sync_entry(reports, pt2).synchronized)
         if qs_both != sync_both:
             bad.append({
                 "check": "thm-6.3",
@@ -393,8 +399,10 @@ ALL_SUITES = tuple(SUITES)
 
 
 class SuiteConfig:
-    """The settings of one run, validated on construction; configs with
-    equal settings are equal.  `__slots__` names the settings."""
+    """The settings of one run, validated on construction: the counts are
+    ints (not bools), allow_loops is a bool, and nothing is coerced.
+    Configs with equal settings are equal.  `__slots__` names the
+    settings."""
 
     __slots__ = ("seed", "instances", "max_components", "max_extra_edges",
                  "allow_loops", "profile", "suites", "jobs")
@@ -412,6 +420,13 @@ class SuiteConfig:
             raise PreconditionError(f"suites named more than once: {repeated}")
         if profile not in bw.PROFILES:
             raise PreconditionError(f"unknown profile {profile!r}")
+        counts = {"seed": seed, "instances": instances, "max_components": max_components,
+                  "max_extra_edges": max_extra_edges, "jobs": jobs}
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(allow_loops, bool):
+            raise PreconditionError(f"allow_loops must be a boolean, got {allow_loops!r}")
         if instances < 0 or max_components < 1 or max_extra_edges < 0 or jobs < 1:
             raise PreconditionError(
                 "instances, max_components, max_extra_edges, jobs out of range"

@@ -7,7 +7,9 @@ over the s-tails from `CurveGraph.k_tails`: the full enumeration on a base
 graph, a closed form derived from the base graph's s-tails on the
 subdivision (see `tailcomb.lift`).  A family's candidates are a bitset over
 those s-tails, an AND of per-vertex bitsets kept once per graph
-(`_pool_index`).  The closure lemmas that guarantee a
+(`_pool_index`), each paired with the terminal mask the pool took from
+`CurveGraph.term_mask`; growth reads a member's terminal mask from its pair,
+so the pool is the one source of both.  The closure lemmas that guarantee a
 unique minimum at each step are enforced as runtime assertions rather than
 trusted.
 """
@@ -51,30 +53,36 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
         raise PreconditionError("anchors outside the component range")
     if (anchors >> G.marked) & 1:
         return NestedFamily(())
-    return NestedFamily(_grow(G, s, _candidates(G, s, anchors), anchors))
+    return NestedFamily(_grow(G, s, _candidates(G, s, anchors), anchors)[0])
 
 
 def _grow(G: CurveGraph, s: int, cands: list[tuple[int, int]],
-          anchors: int) -> tuple[int, ...]:
+          anchors: int) -> tuple[list[int], list[int]]:
     """The members of the level-s family drawn from the candidates (each
-    paired with its terminal mask), in growth order; the anchors only name
-    the family in a violation."""
+    paired with its terminal mask), in growth order, and their terminal
+    masks, read from the candidate pairs; the anchors only name the family
+    in a violation."""
     chain: list[int] = []
+    terms: list[int] = []
     prev = tprev = 0
     while True:
         # the candidates prev precedes (`graph.precedes`, inlined)
         step = [
-            z for z, tz in cands
-            if z != prev and z & prev == prev and not tz & tprev
+            c for c in cands
+            if c[0] != prev and c[0] & prev == prev and not c[1] & tprev
         ]
         if not step:
             break
-        meet = step[0]
-        for z in step[1:]:
+        meet = step[0][0]
+        for z, _ in step:
             meet &= z
-        if meet not in step:
+        for z, tz in step:
+            if z == meet:
+                break
+        else:
+            masks = [z for z, _ in step]
             minimal = [
-                z for z in step if not any(y != z and y & z == y for y in step)
+                z for z in masks if not any(y != z and y & z == y for y in masks)
             ]
             raise InvariantViolation(
                 "no unique minimal candidate during nested-family growth",
@@ -83,7 +91,8 @@ def _grow(G: CurveGraph, s: int, cands: list[tuple[int, int]],
                 witnesses=[G.names_of(z) for z in minimal[:2]],
             )
         chain.append(meet)
-        prev, tprev = meet, G.term_mask(meet)
+        terms.append(tz)
+        prev, tprev = meet, tz
     if s == 1 and len(chain) != len(cands):
         raise InvariantViolation(
             "1-tail candidates are not totally ordered",
@@ -91,7 +100,7 @@ def _grow(G: CurveGraph, s: int, cands: list[tuple[int, int]],
             chain=[G.names_of(z) for z in chain],
             candidates=[G.names_of(z) for z, _ in cands],
         )
-    return tuple(chain)
+    return chain, terms
 
 
 def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
@@ -137,10 +146,14 @@ def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
     term = [0] * len(G.nodes)
     for i, (z, tz) in enumerate(pool):
         bit = 1 << i
-        for v in members(z):
-            hold[v] |= bit
-        for t in members(tz):
-            term[t] |= bit
+        while z:
+            low = z & -z
+            hold[low.bit_length() - 1] |= bit
+            z ^= low
+        while tz:
+            low = tz & -tz
+            term[low.bit_length() - 1] |= bit
+            tz ^= low
     return pool, tuple(hold), tuple(term)
 
 

@@ -19,7 +19,6 @@ from tailcomb.lift import (
     SyncReport,
     _distinct,
     _sync_reports,
-    base_level_multiset,
     build_c2,
     canonical_liftings,
     eq34_level2,
@@ -379,6 +378,16 @@ def hat_oracle(G, point):
     a1 = 1 << LG.exceptional(point.choice.r1, point.g1)
     a2 = 1 << LG.exceptional(point.choice.r2, point.g2)
     return nested(LG, 2, a1 | a2), nested(LG, 3, a1 | a2)
+
+
+def base_level_multiset(G, point, s):
+    """The base multiset at one level: the three families of the point's
+    triple pairs, concatenated and sorted; the synchronization table merges
+    the same families, each fetched once per graph."""
+    out = []
+    for (a, b) in ((point.g1, point.g2), (point.g1, point.g2p), (point.g1p, point.g2)):
+        out.extend(nested(G, s, (1 << a) | (1 << b)))
+    return tuple(sorted(out, key=canon_key))
 
 
 def eq34_oracle(G, point):

@@ -11,7 +11,7 @@ from tailcomb import cli, degrees, suites
 from tailcomb.blowup import (PROFILES, RECONSTRUCTED, choices, distinguished_points,
                              is_quasistable_point, minimality_probe, plan_from_tails)
 from tailcomb.cli import main
-from tailcomb.errors import RepresentativeNotFound
+from tailcomb.errors import PreconditionError, RepresentativeNotFound
 from tailcomb.fixtures import fixture
 from tailcomb.graph import CurveGraph, Node, members, validate, write_json
 from tailcomb.lift import is_synchronized, one_tail_diagnostic
@@ -94,6 +94,25 @@ def test_run_suite_deterministic_json():
 def test_unknown_suite_rejected():
     with pytest.raises(Exception):
         SuiteConfig(suites=("no-such-suite",))
+
+
+@pytest.mark.parametrize("field, values", [
+    ("seed", [1.5, "1", True]),
+    ("instances", [2.5, "3", False]),
+    ("max_components", [2.5, "3", True]),
+    ("max_extra_edges", [1.0, "2", True]),
+    ("jobs", [1.0, "2", True]),
+    ("allow_loops", [1, 0, "yes", None]),
+])
+def test_suite_config_rejects_wrong_types(field, values):
+    # the counts are ints and not bools, allow_loops is a bool, and nothing
+    # is coerced: a float, a string or a bool never reaches `range`,
+    # `randrange` or the pool, and no value runs as something else
+    for value in values:
+        with pytest.raises(PreconditionError, match=f"^{field} must be an? "):
+            SuiteConfig(**{field: value})
+    default = SuiteConfig()
+    assert SuiteConfig(**{field: getattr(default, field)}) == default
 
 
 def test_parallel_matches_serial():

@@ -1,0 +1,179 @@
+"""The synchronization suites against their per-point reference bodies.
+
+lemma-61, prop-62 and thm-63-pairwise walk `choices(G)` once and read the
+per-graph tables (`blowup._point_verdicts`, the entries of
+`lift._sync_reports` through `lift._sync_entry`, and `lift._one_tail_side`)
+directly.  The reference suites below are their earlier bodies, which ask
+the public per-point entries (`is_quasistable_point`, `is_synchronized`,
+`eq34_level2`, `one_tail_diagnostic`) about every point; both must give
+the same checks and violations, or raise the same error.
+"""
+
+from tailcomb import blowup as bw
+from tailcomb.blowup import PROFILES
+from tailcomb.graph import CurveGraph, Node
+from tailcomb.lift import (build_c2, canonical_liftings, eq34_level2, is_synchronized,
+                           one_tail_diagnostic)
+from tailcomb.suites import suite_lemma61, suite_prop62, suite_thm63
+
+from conftest import oracle_corpus, outcome
+
+
+def reference_lemma61(G, rng, profile):
+    checks = 0
+    bad = []
+    for ch in bw.choices(G):
+        for pt in bw.distinguished_points(G, ch):
+            checks += 1
+            detail = one_tail_diagnostic(G, pt)
+            if detail:
+                bad.append({"check": "lemma-6.1", "point": pt.describe(G),
+                            "detail": [list(d) for d in detail]})
+    return checks, bad
+
+
+def reference_prop62(G, rng, profile):
+    checks = 0
+    bad = []
+    for ch in bw.choices(G):
+        for pt in bw.distinguished_points(G, ch):
+            checks += 1
+            qs = bw.is_quasistable_point(G, pt, profile)
+            sync = is_synchronized(G, pt)
+            if qs.ok and not sync.synchronized:
+                diag_ok = not one_tail_diagnostic(G, pt)
+                bad.append({"check": "prop-6.2", "point": pt.describe(G),
+                            "sync": {**sync.describe(G),
+                                     "one_tail_diagnostic_ok": diag_ok}})
+            if sync.synchronized:
+                viol = eq34_level2(G, pt)
+                checks += 1
+                if viol:
+                    bad.append({"check": "eq-34", "point": pt.describe(G),
+                                "violations": [list(v) for v in viol]})
+    return checks, bad
+
+
+def reference_thm63(G, rng, profile):
+    checks = 0
+    bad = []
+    for ch in bw.choices(G):
+        pts = bw.distinguished_points(G, ch)
+        checks += 1
+        qs_both = all(bw.is_quasistable_point(G, pt, profile).ok for pt in pts)
+        sync_both = all(is_synchronized(G, pt).synchronized for pt in pts)
+        if qs_both != sync_both:
+            bad.append({
+                "check": "thm-6.3",
+                "pair": [G.nodes[ch.r1].id, G.nodes[ch.r2].id],
+                "matching": ch.match_names(G),
+                "quasistable": qs_both,
+                "synchronized": sync_both,
+            })
+    return checks, bad
+
+
+PAIRS = (
+    (suite_lemma61, reference_lemma61),
+    (suite_prop62, reference_prop62),
+    (suite_thm63, reference_thm63),
+)
+
+
+def suite_outcomes(G):
+    """Each suite's outcome and its reference's, under both profiles, the
+    suite run first on a fresh copy of G so that it fills the tables."""
+    got = []
+    for profile in PROFILES:
+        for suite, reference in PAIRS:
+            fresh = CurveGraph(G.names, G.nodes, G.marked)
+            got.append((outcome(suite, fresh, None, profile),
+                        outcome(reference, fresh, None, profile)))
+    return got
+
+
+def test_sync_suites_match_reference_fixtures(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4):
+        for fast, slow in suite_outcomes(G):
+            assert fast == slow
+
+
+def test_sync_suites_match_reference_corpus():
+    violations = 0
+    for G in oracle_corpus():
+        for fast, slow in suite_outcomes(G):
+            assert fast == slow
+            violations += len(fast[1])
+    assert violations > 0  # the as-displayed profile fails prop-62 and thm-6.3
+
+
+def test_sync_suites_match_reference_with_violations_mid_walk(monkeypatch, G3):
+    # Hide the lifted 2-tail of test_lift.py's violation tests: the four
+    # points anchored over f and g then break the nested-family invariant,
+    # and the walk reaches them after points that pass.  The suites must
+    # raise the first such point's violation, a fresh copy with that
+    # point's anchors, where the reference raises it.
+    G = CurveGraph(G3.names, G3.nodes, G3.marked)
+    LG = build_c2(G)
+    hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    points = [pt for ch in bw.choices(G) for pt in bw.distinguished_points(G, ch)]
+    failing = [i for i, pt in enumerate(points)
+               if not hasattr(outcome(is_synchronized, G, pt), "levels")]
+    assert len(failing) == 4 and failing[0] > 0
+    for profile in PROFILES:
+        for suite, reference in PAIRS:
+            assert outcome(suite, G, None, profile) == outcome(reference, G, None, profile)
+
+
+def test_lemma61_matches_reference_with_findings(monkeypatch):
+    # Hide the lifted 1-tail of test_lift.py's level-1 violation test: every
+    # point then has findings on both of its sides, over a and over b or c,
+    # so a suite that read one side twice or dropped one would differ.
+    G = CurveGraph(["C1", "C2", "C3"],
+                   [Node("a", 0, 1), Node("b", 1, 2), Node("c", 1, 2)], 0)
+    LG = build_c2(G)
+    hidden = canonical_liftings(LG, G.subcurve(["C2", "C3"]))[2]
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        return tuple(z for z in got if z != hidden) if self is LG and kk == 1 else got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    for profile in PROFILES:
+        checks, bad = suite_lemma61(G, None, profile)
+        assert checks == len(bad) == 12
+        assert (checks, bad) == reference_lemma61(G, None, profile)
+
+
+def test_thm63_decides_a_choice_by_its_unsynchronized_first_point(monkeypatch, G2):
+    # Hide G2's lifted 2-tail C2 + E(a,C2) + E(b,C2): the crossed choice's
+    # first point is then unsynchronized and its second breaks the
+    # nested-family invariant.  Like the reference's `all`, thm-6.3 must
+    # decide that choice by the first point and never raise the second's
+    # violation.
+    G = CurveGraph(G2.names, G2.nodes, G2.marked)
+    LG = build_c2(G)
+    hidden = LG.subcurve(["C2", "E(a,C2)", "E(b,C2)"])
+    k_tails = CurveGraph.k_tails
+
+    def corrupted(self, kk):
+        got = k_tails(self, kk)
+        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
+
+    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    crossed = next(ch for ch in bw.choices(G) if ch.matching == ((0, 1), (1, 0)))
+    first, second = bw.distinguished_points(G, crossed)
+    assert not is_synchronized(G, first).synchronized
+    assert not hasattr(outcome(is_synchronized, G, second), "levels")
+    for profile in PROFILES:
+        got = outcome(suite_thm63, G, None, profile)
+        assert got == outcome(reference_thm63, G, None, profile)
+        assert isinstance(got[0], int)  # the walk ends without raising
