@@ -156,7 +156,8 @@ def distinguished_points(
 def choices(G: CurveGraph) -> tuple[BlowupChoice, ...]:
     """Each blowup choice, once per graph for all suites: the pairs of
     reducible nodes in order, each with both of its matchings in
-    `pair_matchings` order.  Their points come from `distinguished_points`."""
+    `pair_matchings` order.  Their points come from `distinguished_points`,
+    or, in the synchronization table, from `_point_labels` directly."""
     return tuple(
         ch
         for r1, r2 in combinations(G.reducible_nodes(), 2)

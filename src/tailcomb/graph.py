@@ -15,8 +15,10 @@ its graph strongly (the node subdivision refers to its base weakly), so a
 graph and its derived data are freed by reference counting once its last
 user drops it, with no wait for the cyclic collector.  Tails come from a
 binary-partition (bond) search; a graph with a closed form for its s-tails,
-s <= 3, supplies it through `_derived_k_tails` (the node subdivision does),
-while `tails()` and `k_tails(k > 3)` always enumerate.
+s <= 3, supplies its unmarked half with their terminal masks through
+`_unmarked_k_tails` and their closure under complement through
+`_derived_k_tails` (the node subdivision does), while `tails()` and
+`k_tails(k > 3)` always enumerate.
 """
 
 from __future__ import annotations
@@ -297,9 +299,19 @@ class CurveGraph:
         """The kk-tails (kk <= 3) in closed form, for graphs that have one.
 
         None, the answer here, means filtering the full enumeration; the
-        node subdivision overrides this with a derivation from its base.
+        node subdivision overrides this, closing its closed-form pool
+        (`_unmarked_k_tails`) under complement.
         """
         return None
+
+    def _unmarked_k_tails(self, kk: int) -> tuple[tuple[int, int], ...]:
+        """The kk-tails (kk <= 3) avoiding the marked component, one side of
+        each tail pair, each with its terminal mask, canonically ordered: the
+        pool that `tails._pool_index` indexes.  Here the filtered `k_tails`;
+        the node subdivision derives them in closed form instead."""
+        marked_bit = 1 << self.marked
+        return tuple((z, self.term_mask(z)) for z in self.k_tails(kk)
+                     if not z & marked_bit)
 
     def reducible_nodes(self) -> tuple[int, ...]:
         """Indices of the reducible nodes, i.e. all non-loop edges."""

@@ -6,35 +6,39 @@ CurveGraph, so the whole tail machinery applies unchanged, that refers to
 its base graph weakly as `base` (G's memo holds the subdivision, and a
 strong reference back would make a cycle that only the cyclic collector
 frees).  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is a
-series extension, so they follow in closed form from the unmarked s-tails
-and bridges in the base graph's pool (`_lifted_k_tails`); `tails()` and
-`k_tails(k > 3)` still use the bond search of `CurveGraph`.  Canonical
-liftings, the hat families anchored at exceptional vertices over a
-distinguished point, and the multiset comparison that defines
-synchronization all live here.  Synchronization compares levels 2 and 3.
-It is built for every point of a graph in one pass (`_sync_reports`): hat
-candidates are picked by bitset AND over the subdivision's pool indices,
-points that select the same candidates share one grown chain, and points
-with the same side labels share their base multisets, merged from base
-families fetched and keyed once per graph.  The same pass counts the
+series extension, so its pool, the unmarked s-tails with their terminal
+masks, follows in closed form from the base graph's pool (`_lifted_pool`),
+each terminal mask read off the lifting steps; its `k_tails(s <= 3)` closes
+that pool under complement, while `tails()` and `k_tails(k > 3)` still use
+the bond search of `CurveGraph`.  Canonical liftings, the hat families
+anchored at exceptional vertices over a distinguished point, and the
+multiset comparison that defines synchronization all live here.
+Synchronization compares levels 2 and 3.  It is built for every point of a
+graph in one pass (`_sync_reports`), in the (choice, point) order of the
+verdict table, so the suites walk both side by side: hat candidates are
+selections, bitset ANDs over the subdivision's pool indices, and points
+that select the same candidates share one chain grown from the selection;
+points with the same side labels share their base multisets, merged from
+base families fetched and keyed once per graph.  The same pass counts the
 eq. (34) terminal nodes once per base multiset, from the base pool's
-terminal masks, and once per level-2 hat family, from its members'
-candidate pairs.  A point's entry (`_SyncEntry`) holds its verdict, its
-eq. (34) violations and its shared hat and base entries; `_sync_entry` is
-its one accessor, for the suites, `is_synchronized` and `eq34_level2`.  A
-point's report, with each level's hat members and base multiset (which
-`hat_families` reads), is built from its entry on request.  The level-1
-structure is a separate diagnostic (`one_tail_diagnostic`), which returns
-its findings, none when the level-1 families pass; its expectations come
-from the base graph's 1-tail pool.
+terminal masks, and once per level-2 hat family, from its members' pool
+entries.  A point's entry (`_SyncEntry`) holds its verdict, its eq. (34)
+violations and its shared hat and base entries; the suites read the entries
+in order through `_checked`, and `_sync_entry` looks one up for
+`is_synchronized` and `eq34_level2`.  A point's report, with each level's
+hat members and base multiset (which `hat_families` reads), is built from
+its entry on request.  The level-1 structure is a separate diagnostic
+(`one_tail_diagnostic`), which returns its findings, none when the level-1
+families pass; its expectations come from the base graph's 1-tail pool.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
 p + 2t and p + 2t + 1 are the exceptional vertices over base node t (sides
 a, b or loop slots 1, 2), and lifted edges 3t..3t+2 form the chain over
 node t.  This arithmetic is the only record of the layout: the contraction
-image of a lifted subcurve is its low p bits (`mu_image`), and a lifted
-terminal edge e lies over base node e // 3 (`_node_counts`).
+image of a lifted subcurve is its low p bits (`mu_image`), a lifted
+terminal edge e lies over base node e // 3 (`_node_counts`), and a lifting
+step at node t leaves one of edges 3t..3t+2 terminal (`_lift_parts`).
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ from __future__ import annotations
 from typing import NamedTuple
 from weakref import ref
 
-from .blowup import DistinguishedPoint, choices, distinguished_points
+from .blowup import DistinguishedPoint, _point_labels, choices
 from .errors import InvariantViolation, PreconditionError
-from .graph import CurveGraph, Node, canon_key, members, per_graph, precedes
-from .tails import _grow, _pool_index, nested
+from .graph import CurveGraph, Node, canon_key, per_graph, precedes
+from .tails import _grow, _pool_index, _terminal_at, nested
 
 
 class LiftedGraph(CurveGraph):
@@ -91,7 +95,14 @@ class LiftedGraph(CurveGraph):
         return self
 
     def _derived_k_tails(self, kk: int) -> tuple[int, ...]:
-        return _lifted_k_tails(self, kk)
+        """The pool closed under complement: a tail and its complement
+        share their terminal nodes."""
+        full = self.full_mask
+        half = [y for y, _ in _pool_index(self, kk)[0]]
+        return tuple(sorted(half + [full ^ y for y in half], key=canon_key))
+
+    def _unmarked_k_tails(self, kk: int) -> tuple[tuple[int, int], ...]:
+        return _lifted_pool(self, kk)
 
     def exceptional(self, node: int, key: int) -> int:
         """Lifted vertex E(node, key) = p + 2 * node, plus 1 for the second
@@ -138,13 +149,16 @@ def _distinct(names: list[str]) -> list[str]:
     return out
 
 
-def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
+def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple]]:
     """The core of a base subcurve's liftings and its terminal steps.
 
     The core holds the strict transforms of W and both exceptional vertices
-    of every node interior to W, loops on W included.  Each terminal node
-    gives one step (near, far): the bits of its exceptional vertices on the
-    W side and on the other side.
+    of every node interior to W, loops on W included.  Each terminal node t
+    gives one step (near, far, edges): the bits of its exceptional vertices
+    on the W side and on the other side, and the lifted edge left terminal
+    when the lifting adds none of them, the near one or both.  From side a
+    these are edges 3t, 3t + 1 and 3t + 2 of the chain a -- E(t, a) --
+    E(t, b) -- b; from side b, the same edges reversed.
     """
     core = W  # strict transforms keep their base indices
     base = LG.base
@@ -158,31 +172,37 @@ def _lift_parts(LG: LiftedGraph, W: int) -> tuple[int, list[tuple[int, int]]]:
         if ina and inb:
             core |= ea | eb
         elif ina:
-            steps.append((ea, eb))
+            e = 1 << 3 * t
+            steps.append((ea, eb, (e, e << 1, e << 2)))
         elif inb:
-            steps.append((eb, ea))
+            e = 1 << 3 * t
+            steps.append((eb, ea, (e << 2, e << 1, e)))
     return core, steps
 
 
-def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
-    """The s-tails of the subdivision, s <= 3, canonically ordered.
+def _lifted_pool(LG: LiftedGraph, s: int) -> tuple[tuple[int, int], ...]:
+    """The s-tails of the subdivision avoiding the marked component, s <= 3,
+    each with its terminal mask, canonically ordered: the subdivision's pool.
 
     A lifted tail that meets a strict transform and misses another contracts
     to a base s-tail W; it is the core of W plus, at each terminal node, no
-    exceptional vertex, the near one, or both, so W has 3^s liftings.  Only
-    the unmarked half of the base pool (`tails._pool_index`) is lifted: where
-    W's lifting adds none, the near vertex or both, its complement holds
-    both, the far one or none, so the liftings of W's complement are the
-    complements of W's.  The rest are {E1}, {E2} and {E1, E2} over every
-    node that is not a bridge (loops included), and their complements.
+    exceptional vertex, the near one, or both, so W has 3^s liftings, and
+    each choice leaves one lifted edge of the node's chain terminal
+    (`_lift_parts`).  The liftings of an unmarked W avoid the marked strict
+    transform, and those of its complement are the complements of W's, so
+    the unmarked half of the base pool (`tails._pool_index`) lifts to the
+    unmarked half here.  The rest are {E1}, {E2} and {E1, E2} over every
+    node that is not a bridge (loops included), terminal at their two edges
+    of the chain, and their complements, which hold the marked component.
     """
     base = LG.base
     half = []
     for w, _ in _pool_index(base, s)[0]:
         core, steps = _lift_parts(LG, w)
-        lifts = [core]
-        for near, far in steps:
-            lifts = [y | add for y in lifts for add in (0, near, near | far)]
+        lifts = [(core, 0)]
+        for near, far, (e0, e1, e2) in steps:
+            lifts = [pair for y, ty in lifts for pair in
+                     ((y, ty | e0), (y | near, ty | e1), (y | near | far, ty | e2))]
         half += lifts
     if s == 2:
         bridges = 0
@@ -190,10 +210,10 @@ def _lifted_k_tails(LG: LiftedGraph, s: int) -> tuple[int, ...]:
             bridges |= tw
         for t in range(len(base.nodes)):
             if not (bridges >> t) & 1:
-                e1 = 1 << (base.p + 2 * t)
-                half += (e1, e1 << 1, e1 | e1 << 1)
-    full = LG.full_mask
-    return tuple(sorted(half + [full ^ y for y in half], key=canon_key))
+                v, e = 1 << (base.p + 2 * t), 1 << 3 * t
+                half += ((v, e | e << 1), (v << 1, e << 1 | e << 2), (v | v << 1, e | e << 2))
+    half.sort(key=lambda pair: canon_key(pair[0]))
+    return tuple(half)
 
 
 @per_graph
@@ -216,7 +236,7 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
         raise PreconditionError("canonical liftings need a proper nonempty subcurve")
     l0, steps = _lift_parts(LG, W)
     l1 = l2 = l0
-    for near, far in steps:
+    for near, far, _ in steps:
         l1 |= near
         l2 |= near | far
     if base.connected(W):
@@ -325,16 +345,20 @@ class _SyncEntry(NamedTuple):
 
 
 def _sync_entry(reports: dict, point: DistinguishedPoint) -> _SyncEntry:
-    """The point's entry in a graph's `_sync_reports`, as the suites,
-    `is_synchronized` and `eq34_level2` read it.
-
-    A point that is not one of the graph's raises PreconditionError; a
-    point whose entry is a stored violation raises a fresh copy of it
-    (raising the stored one would grow its traceback).
-    """
+    """The point's entry in a graph's `_sync_reports`, as `is_synchronized`
+    and `eq34_level2` read it: a point that is not one of the graph's raises
+    PreconditionError, and a stored violation is raised as `_checked` raises
+    it."""
     entry = reports.get(point)
     if entry is None:
         raise PreconditionError("not a distinguished point of this graph")
+    return _checked(entry)
+
+
+def _checked(entry) -> _SyncEntry:
+    """A value of `_sync_reports`, as the suites read it while walking the
+    table: the entry itself, or, for a stored violation, a fresh copy of it
+    raised (raising the stored one would grow its traceback)."""
     if isinstance(entry, InvariantViolation):
         raise type(entry)(entry.args[0], **entry.witnesses)
     return entry
@@ -343,21 +367,25 @@ def _sync_entry(reports: dict, point: DistinguishedPoint) -> _SyncEntry:
 @per_graph
 def _sync_reports(G: CurveGraph) -> dict:
     """The synchronization of every point of `choices(G)`, in one pass: a
-    dict, in point order, from each point to its `_SyncEntry`.
+    dict from each point to its `_SyncEntry`, in (choice, point) order, the
+    order of `blowup._point_verdicts` and its pairs, so the suites walk both
+    tables side by side without looking a point up.  The points are built
+    here from `_point_labels`.
 
-    The hat candidates of a point are a bitset AND over the subdivision's
-    pool indices (`tails._pool_index`), as `tails._candidates` selects them,
-    so points whose anchors select the same candidates share one hat entry:
-    the grown chain, its images (the low p bits, `mu_image`; the members
-    are nested, so the images are in canonical order) and, at level 2, its
-    node counts and the level-3 pool members it blocks.  Points with the
-    same labels share one base entry: both base multisets and the level-2
-    node counts.  Each value is computed once per hat or base entry, each
-    base family fetched and keyed by `canon_key` once per graph; a point's
-    own work is two comparisons and its eq. (34) violations when the two
-    count vectors differ.  A point whose families break an invariant maps
-    to that violation, kept without its traceback (whose frames hold G),
-    and `_sync_entry` raises a fresh copy of it for that point alone.
+    The hat selections of a point are bitset ANDs over the subdivision's
+    pool indices (`tails._pool_index`), so points whose anchors select the
+    same candidates share one hat entry: the chain `tails._grow` grows from
+    the selection, its images (the low p bits, `mu_image`; the members are
+    nested, so the images are in canonical order) and, at level 2, its node
+    counts and the level-3 pool members it blocks (`tails._terminal_at`, as
+    `tails._selection` blocks them).  Points with the same labels share one
+    base entry: both base multisets and the level-2 node counts.  Each
+    value is computed once per hat or base entry, each base family fetched
+    and keyed by `canon_key` once per graph; a point's own work is two
+    comparisons and its eq. (34) violations when the two count vectors
+    differ.  A point whose families break an invariant maps to that
+    violation, kept without its traceback (whose frames hold G), and
+    `_checked` raises a fresh copy of it for that point alone.
     """
     reports: dict = {}
     chs = choices(G)
@@ -365,8 +393,8 @@ def _sync_reports(G: CurveGraph) -> dict:
         return reports
     LG = build_c2(G)
     p, nodes, full = G.p, G.nodes, G.full_mask
-    pool2, hold2, _ = _pool_index(LG, 2)
-    pool3, hold3, term3 = _pool_index(LG, 3)
+    hold2 = _pool_index(LG, 2)[1]
+    _, hold3, term3 = _pool_index(LG, 3)
     terms2 = dict(_pool_index(G, 2)[0])  # base 2-tail -> its terminal mask
     hats2: dict = {}  # level-2 selection -> hat entry
     hats3: dict = {}  # level-3 selection -> hat entry
@@ -377,28 +405,27 @@ def _sync_reports(G: CurveGraph) -> dict:
         # E(r, g) = p + 2r, plus 1 off the first side (`LiftedGraph.exceptional`)
         v1, side1 = p + 2 * ch.r1, nodes[ch.r1].a
         v2, side2 = p + 2 * ch.r2, nodes[ch.r2].a
-        for pt in distinguished_points(G, ch):
-            e1 = v1 + (pt.g1 != side1)
-            e2 = v2 + (pt.g2 != side2)
+        for index, labels in enumerate(_point_labels(ch), 1):
+            pt = DistinguishedPoint(ch, index, *labels)  # labels (g1, g1', g2, g2')
+            e1 = v1 + (labels[0] != side1)
+            e2 = v2 + (labels[2] != side2)
             anchors = (1 << e1) | (1 << e2)
             try:
                 sel = hold2[e1] & hold2[e2]
                 hat2 = hats2.get(sel)
                 if hat2 is None:
-                    fam, terms = _grow(LG, 2, [pool2[i] for i in members(sel)], anchors)
-                    edges = blocked = 0
+                    fam, terms = _grow(LG, 2, sel, anchors)
+                    edges = 0
                     for ty in terms:
                         edges |= ty
-                    for e in members(edges):
-                        blocked |= term3[e]
                     hat2 = hats2[sel] = (tuple(fam), tuple([y & full for y in fam]),
-                                         _node_counts(terms, len(nodes), 3), blocked)
+                                         _node_counts(terms, len(nodes), 3),
+                                         _terminal_at(term3, edges))
                 sel = hold3[e1] & hold3[e2] & ~hat2[3]
                 hat3 = hats3.get(sel)
                 if hat3 is None:
-                    fam, _ = _grow(LG, 3, [pool3[i] for i in members(sel)], anchors)
+                    fam, _ = _grow(LG, 3, sel, anchors)
                     hat3 = hats3[sel] = (tuple(fam), tuple([y & full for y in fam]))
-                labels = pt[2:]  # (g1, g1', g2, g2')
                 base = bases.get(labels)
                 if base is None:
                     base2, base3 = _base_multisets(G, labels, fams, keys)

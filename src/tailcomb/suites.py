@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, repeat
 
 from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, validate, write_json
-from .lift import (_one_tail_side, _sync_entry, _sync_reports, is_synchronized,
+from .lift import (_checked, _one_tail_side, _sync_reports, is_synchronized,
                    one_tail_diagnostic)
 from .randgen import child_rng, instance_graph
 from .tails import (_candidates, _level_families, _pool_index, family_terminals,
@@ -265,14 +265,13 @@ def suite_admissibility(G: CurveGraph, rng, profile):
 def suite_lemma61(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
-    _sync_reports(G)  # filled first, as `one_tail_diagnostic` checks a point against it
-    for ch in bw.choices(G):
-        for pt in bw.distinguished_points(G, ch):
-            checks += 1
-            detail = _one_tail_side(G, ch.r1, pt.g1) + _one_tail_side(G, ch.r2, pt.g2)
-            if detail:
-                bad.append({"check": "lemma-6.1", "point": pt.describe(G),
-                            "detail": [list(d) for d in detail]})
+    for pt in _sync_reports(G):  # every point, in (choice, point) order
+        checks += 1
+        ch = pt.choice
+        detail = _one_tail_side(G, ch.r1, pt.g1) + _one_tail_side(G, ch.r2, pt.g2)
+        if detail:
+            bad.append({"check": "lemma-6.1", "point": pt.describe(G),
+                        "detail": [list(d) for d in detail]})
     return checks, bad
 
 
@@ -281,23 +280,21 @@ def suite_prop62(G: CurveGraph, rng, profile):
     identity on every synchronized point."""
     checks = 0
     bad = []
-    verdicts = bw._point_verdicts(G, profile)
-    reports = _sync_reports(G)
-    for ch in bw.choices(G):
-        for pt, qs in zip(bw.distinguished_points(G, ch), verdicts[ch]):
+    verdicts = chain.from_iterable(bw._point_verdicts(G, profile).values())
+    for (pt, entry), qs in zip(_sync_reports(G).items(), verdicts):
+        checks += 1
+        sync = _checked(entry)
+        if qs.ok and not sync.synchronized:
+            # the reproducer carries the level-1 verdict, as `sync` prints it
+            diag_ok = not one_tail_diagnostic(G, pt)
+            bad.append({"check": "prop-6.2", "point": pt.describe(G),
+                        "sync": {**is_synchronized(G, pt).describe(G),
+                                 "one_tail_diagnostic_ok": diag_ok}})
+        if sync.synchronized:
             checks += 1
-            sync = _sync_entry(reports, pt)
-            if qs.ok and not sync.synchronized:
-                # the reproducer carries the level-1 verdict, as `sync` prints it
-                diag_ok = not one_tail_diagnostic(G, pt)
-                bad.append({"check": "prop-6.2", "point": pt.describe(G),
-                            "sync": {**is_synchronized(G, pt).describe(G),
-                                     "one_tail_diagnostic_ok": diag_ok}})
-            if sync.synchronized:
-                checks += 1
-                if sync.eq34:
-                    bad.append({"check": "eq-34", "point": pt.describe(G),
-                                "violations": [list(v) for v in sync.eq34]})
+            if sync.eq34:
+                bad.append({"check": "eq-34", "point": pt.describe(G),
+                            "violations": [list(v) for v in sync.eq34]})
     return checks, bad
 
 
@@ -313,14 +310,11 @@ def suite_thm63(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
     verdicts = bw._point_verdicts(G, profile)
-    reports = _sync_reports(G)
-    for ch in bw.choices(G):
-        pt1, pt2 = bw.distinguished_points(G, ch)
-        qs1, qs2 = verdicts[ch]
+    entries = iter(_sync_reports(G).values())  # two per choice, in point order
+    for (ch, (qs1, qs2)), en1, en2 in zip(verdicts.items(), entries, entries):
         checks += 1
         qs_both = qs1.ok and qs2.ok
-        sync_both = (_sync_entry(reports, pt1).synchronized
-                     and _sync_entry(reports, pt2).synchronized)
+        sync_both = _checked(en1).synchronized and _checked(en2).synchronized
         if qs_both != sync_both:
             bad.append({
                 "check": "thm-6.3",
@@ -398,9 +392,13 @@ ALL_SUITES = tuple(SUITES)
 # -- runner ------------------------------------------------------------------
 
 
+_LEAST = {"instances": 0, "max_components": 1, "max_extra_edges": 0, "jobs": 1}
+
+
 class SuiteConfig:
     """The settings of one run, validated on construction: the counts are
-    ints (not bools), allow_loops is a bool, and nothing is coerced.
+    ints (not bools) no smaller than their bounds in `_LEAST`, allow_loops
+    is a bool, and nothing is coerced.
     Configs with equal settings are equal.  `__slots__` names the
     settings."""
 
@@ -427,10 +425,10 @@ class SuiteConfig:
                 raise PreconditionError(f"{name} must be an integer, got {value!r}")
         if not isinstance(allow_loops, bool):
             raise PreconditionError(f"allow_loops must be a boolean, got {allow_loops!r}")
-        if instances < 0 or max_components < 1 or max_extra_edges < 0 or jobs < 1:
-            raise PreconditionError(
-                "instances, max_components, max_extra_edges, jobs out of range"
-            )
+        for name, least in _LEAST.items():
+            if counts[name] < least:
+                raise PreconditionError(
+                    f"{name} must be at least {least}, got {counts[name]}")
         self.seed = seed
         self.instances = instances
         self.max_components = max_components

@@ -3,15 +3,19 @@
 One engine serves both the dual graph and its subdivision: a family lives on
 a CurveGraph, is anchored at an arbitrary nonempty vertex set, is the tuple
 of its members (`NestedFamily`), and is grown by iterated minimum extraction
-over the s-tails from `CurveGraph.k_tails`: the full enumeration on a base
-graph, a closed form derived from the base graph's s-tails on the
-subdivision (see `tailcomb.lift`).  A family's candidates are a bitset over
-those s-tails, an AND of per-vertex bitsets kept once per graph
-(`_pool_index`), each paired with the terminal mask the pool took from
-`CurveGraph.term_mask`; growth reads a member's terminal mask from its pair,
-so the pool is the one source of both.  The closure lemmas that guarantee a
-unique minimum at each step are enforced as runtime assertions rather than
-trusted.
+over the pool of unmarked s-tails, each with its terminal mask, that
+`_pool_index` keeps once per graph with two families of bitsets over it
+("holds vertex v", "terminal at node t").  The pool comes from
+`CurveGraph._unmarked_k_tails`: the filtered enumeration on a base graph, a
+closed form derived from the base graph's pool on the subdivision (see
+`tailcomb.lift`).  A family's candidates are a selection, a bitset over the
+pool (`_selection`): the AND of the anchors' hold sets, less, at level 3, the
+members terminal at the level-2 family's nodes.  Growth (`_grow`) stays in
+bitsets too: each step takes the selection's lowest index, checks with the
+hold sets of the new vertices that every other candidate contains it, and
+narrows by AND, so a step is a few big-int operations.  The closure lemmas
+that guarantee a unique minimum at each step are enforced as runtime
+assertions rather than trusted.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
     Each member is the unique inclusion-minimal candidate strictly preceded
     by the previous member; level 3 additionally demands freeness from every
     member of the level-2 family with the same anchors.  Minimum extraction
-    intersects all remaining candidates and asserts the intersection is
-    itself a candidate, which turns the wedge-closure lemmas into checks.
+    asserts that the least candidate is contained in all the others, which
+    turns the wedge-closure lemmas into checks.
     """
     if s not in (1, 2, 3):
         raise PreconditionError(f"level must be 1, 2 or 3, got {s}")
@@ -53,34 +57,39 @@ def nested(G: CurveGraph, s: int, anchors: int) -> NestedFamily:
         raise PreconditionError("anchors outside the component range")
     if (anchors >> G.marked) & 1:
         return NestedFamily(())
-    return NestedFamily(_grow(G, s, _candidates(G, s, anchors), anchors)[0])
+    return NestedFamily(_grow(G, s, _selection(G, s, anchors), anchors)[0])
 
 
-def _grow(G: CurveGraph, s: int, cands: list[tuple[int, int]],
-          anchors: int) -> tuple[list[int], list[int]]:
-    """The members of the level-s family drawn from the candidates (each
-    paired with its terminal mask), in growth order, and their terminal
-    masks, read from the candidate pairs; the anchors only name the family
-    in a violation."""
+def _grow(G: CurveGraph, s: int, sel: int, anchors: int) -> tuple[list[int], list[int]]:
+    """The members of the level-s family drawn from the selection (a bitset
+    over `_pool_index(G, s)`), in growth order, and their terminal masks,
+    read from the pool; the anchors only name the family in a violation.
+
+    `sup` holds the candidates the last member precedes (all of the
+    selection at first).  Pool order is canonical, so its lowest index has
+    the least size, and it is the unique minimal candidate exactly when
+    every other one contains it: when `sup` lies in `above`, the AND of the
+    hold sets over the member's new vertices.  The next `sup` keeps `above`
+    less the member itself and the candidates terminal at one of its
+    terminal nodes.  A node terminal for an earlier member has both ends in
+    the next member, and so in every candidate past it; so dropping the
+    candidates terminal at any member so far drops exactly those terminal
+    at the last one, and `sup` stays what `precedes` keeps.
+    """
+    pool, hold, term = _pool_index(G, s)
     chain: list[int] = []
     terms: list[int] = []
-    prev = tprev = 0
-    while True:
-        # the candidates prev precedes (`graph.precedes`, inlined)
-        step = [
-            c for c in cands
-            if c[0] != prev and c[0] & prev == prev and not c[1] & tprev
-        ]
-        if not step:
-            break
-        meet = step[0][0]
-        for z, _ in step:
-            meet &= z
-        for z, tz in step:
-            if z == meet:
-                break
-        else:
-            masks = [z for z, _ in step]
+    sup, prev = sel, 0
+    while sup:
+        low = sup & -sup
+        z, tz = pool[low.bit_length() - 1]
+        above, new = sup, z ^ prev
+        while new:
+            v = new & -new
+            above &= hold[v.bit_length() - 1]
+            new ^= v
+        if above != sup:
+            masks = [pool[i][0] for i in members(sup)]
             minimal = [
                 z for z in masks if not any(y != z and y & z == y for y in masks)
             ]
@@ -90,36 +99,54 @@ def _grow(G: CurveGraph, s: int, cands: list[tuple[int, int]],
                 anchors=G.names_of(anchors),
                 witnesses=[G.names_of(z) for z in minimal[:2]],
             )
-        chain.append(meet)
+        sup = (above ^ low) & ~_terminal_at(term, tz)
+        chain.append(z)
         terms.append(tz)
-        prev, tprev = meet, tz
-    if s == 1 and len(chain) != len(cands):
+        prev = z
+    if s == 1 and len(chain) != sel.bit_count():
         raise InvariantViolation(
             "1-tail candidates are not totally ordered",
             anchors=G.names_of(anchors),
             chain=[G.names_of(z) for z in chain],
-            candidates=[G.names_of(z) for z, _ in cands],
+            candidates=[G.names_of(pool[i][0]) for i in members(sel)],
         )
     return chain, terms
 
 
-def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
-    """The s-tails a level-s family at the anchors is drawn from, each
-    paired with its terminal mask, in pool order.
+def _terminal_at(term: tuple, nodes: int) -> int:
+    """The pool members terminal at one of the nodes (a mask over node
+    indices), as a bitset over the pool whose per-node term sets are given."""
+    out = 0
+    while nodes:
+        low = nodes & -nodes
+        out |= term[low.bit_length() - 1]
+        nodes ^= low
+    return out
+
+
+def _selection(G: CurveGraph, s: int, anchors: int) -> int:
+    """The s-tails a level-s family at the anchors is drawn from, as a bitset
+    over the pool of `_pool_index(G, s)`.
 
     They contain the anchors and avoid the marked component; at level 3
     their terminal nodes also avoid those of the level-2 family at the same
-    anchors.  The selection is a bitset over the pool: the AND of the
-    anchors' hold sets, less the term sets of the blocked nodes.
+    anchors.  The selection is the AND of the anchors' hold sets, less the
+    members terminal at the blocked nodes (`_terminal_at`).
     """
     pool, hold, term = _pool_index(G, s)
     sel = (1 << len(pool)) - 1
     for v in members(anchors):
         sel &= hold[v]
     if s == 3:
-        for t in members(family_terminals(G, 2, anchors)):
-            sel &= ~term[t]
-    return [pool[i] for i in members(sel)]
+        sel &= ~_terminal_at(term, family_terminals(G, 2, anchors))
+    return sel
+
+
+def _candidates(G: CurveGraph, s: int, anchors: int) -> list[tuple[int, int]]:
+    """The members of `_selection(G, s, anchors)`, each paired with its
+    terminal mask, in pool order."""
+    pool = _pool_index(G, s)[0]
+    return [pool[i] for i in members(_selection(G, s, anchors))]
 
 
 def family_terminals(G: CurveGraph, s: int, anchors: int) -> int:
@@ -135,13 +162,13 @@ def family_terminals(G: CurveGraph, s: int, anchors: int) -> int:
 def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
     """The pool every level-s family on G is drawn from, read once per
     graph: the s-tails avoiding the marked component, each with its
-    terminal mask, and two families of bitsets over pool indices: per
-    vertex, the members holding it; per node, the members it is terminal
-    for.  It holds one side of every s-tail pair, which share their terminal
-    nodes; its readers are the families, the synchronization table, the
-    subdivision's closed form, the level-1 diagnostic and the tail plan."""
-    marked_bit = 1 << G.marked
-    pool = tuple((z, G.term_mask(z)) for z in G.k_tails(s) if not z & marked_bit)
+    terminal mask, in canonical order (`CurveGraph._unmarked_k_tails`), and
+    two families of bitsets over pool indices: per vertex, the members
+    holding it; per node, the members it is terminal for.  It holds one side
+    of every s-tail pair, which share their terminal nodes; its readers are
+    the families, the synchronization table, the subdivision's closed form
+    and its `k_tails`, the level-1 diagnostic and the tail plan."""
+    pool = G._unmarked_k_tails(s)
     hold = [0] * G.p
     term = [0] * len(G.nodes)
     for i, (z, tz) in enumerate(pool):

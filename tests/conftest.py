@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
+from tailcomb import lift
 from tailcomb.blowup import pair_matchings
 from tailcomb.degrees import twister
 from tailcomb.errors import InvariantViolation, PreconditionError
@@ -73,6 +74,20 @@ def outcome(fn, *args):
         return fn(*args)
     except (InvariantViolation, PreconditionError) as exc:
         return type(exc), str(exc), getattr(exc, "witnesses", None)
+
+
+def hide_lifted_tail(monkeypatch, LG, s, hidden):
+    """Drop the lifted s-tail `hidden` from the pool source of the
+    subdivision LG, `lift._lifted_pool`, which its families, the
+    synchronization table and `LG.k_tails` all read; other graphs and
+    levels are left alone.  LG's pool must not have been read yet."""
+    source = lift._lifted_pool
+
+    def corrupted(lg, kk):
+        got = source(lg, kk)
+        return tuple(e for e in got if e[0] != hidden) if lg is LG and kk == s else got
+
+    monkeypatch.setattr(lift, "_lifted_pool", corrupted)
 
 
 @cache

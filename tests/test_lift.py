@@ -28,9 +28,9 @@ from tailcomb.lift import (
 )
 from tailcomb.randgen import instance_graph
 from tailcomb.suites import replay
-from tailcomb.tails import _candidates, nested
+from tailcomb.tails import _candidates, _pool_index, nested
 
-from conftest import d_count, graphs, oracle_corpus, outcome, sc
+from conftest import d_count, graphs, hide_lifted_tail, oracle_corpus, outcome, sc
 
 
 def lnames(LG, mask):
@@ -252,10 +252,18 @@ def enumerated_subdivision(G):
 
 
 def assert_derived_tails(G):
+    """The closed form's pool equals the enumerated unmarked s-tails with
+    their terminal masks, and `k_tails` its closure under complement."""
     lg, plain = enumerated_subdivision(G)
+    marked_bit = 1 << plain.marked
     for s in (1, 2, 3):
+        assert _pool_index(lg, s)[0] == tuple(
+            (z, plain.term_mask(z)) for z in plain.tails()
+            if plain.k(z) == s and not z & marked_bit), (G, s)
         assert lg.k_tails(s) == plain.k_tails(s), (G, s)
     assert (CurveGraph.tails.__wrapped__,) not in lg._memo  # never enumerated
+    # the pool's terminal masks come from the lifting steps, not term_mask
+    assert not [key for key in lg._memo if key[0] is CurveGraph.term_mask.__wrapped__]
 
 
 def test_derived_tails_fixtures(G1, G2, G3, G4):
@@ -477,13 +485,7 @@ def test_sync_violations_stay_with_their_points(monkeypatch, G3):
     G = CurveGraph(G3.names, G3.nodes, G3.marked)  # a fresh memo
     LG = build_c2(G)
     hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
-    k_tails = CurveGraph.k_tails
-
-    def corrupted(self, kk):
-        got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
-
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    hide_lifted_tail(monkeypatch, LG, 2, hidden)
     failed = set()
     for pt in all_points(G):
         got = outcome(is_synchronized, G, pt)
@@ -502,13 +504,7 @@ def test_a_stored_sync_violation_is_raised_afresh(monkeypatch, G3):
     G = CurveGraph(G3.names, G3.nodes, G3.marked)  # a fresh memo
     LG = build_c2(G)
     hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
-    k_tails = CurveGraph.k_tails
-
-    def corrupted(self, kk):
-        got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
-
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    hide_lifted_tail(monkeypatch, LG, 2, hidden)
     failing = [pt for pt in all_points(G)
                if isinstance(_sync_reports(G)[pt], InvariantViolation)]
     assert len(failing) == 4
@@ -550,14 +546,8 @@ def test_one_tail_violations_match_oracle(monkeypatch):
                    [Node("a", 0, 1), Node("b", 1, 2), Node("c", 1, 2)], 0)
     LG = build_c2(G)
     hidden = canonical_liftings(LG, G.subcurve(["C2", "C3"]))[2]
-    assert hidden in LG.k_tails(1)
-    k_tails = CurveGraph.k_tails
-
-    def corrupted(self, kk):
-        got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is LG and kk == 1 else got
-
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    assert hidden in LiftedGraph(G).k_tails(1)  # a fresh copy: LG's pool is unread
+    hide_lifted_tail(monkeypatch, LG, 1, hidden)
     points = list(all_points(G))
     assert len(points) == 12
     for pt in points:

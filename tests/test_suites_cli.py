@@ -399,6 +399,24 @@ def test_cli_verify_rejects_negative_extra_edges(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, field, value, least", [
+    ("--instances", "instances", -1, 0),
+    ("--max-components", "max_components", 0, 1),
+    ("--max-extra-edges", "max_extra_edges", -2, 0),
+    ("--jobs", "jobs", 0, 1),
+])
+def test_cli_verify_names_the_count_out_of_range(capsys, flag, field, value, least):
+    # one bad count names its field, its bound and the value, in the library
+    # and as the CLI's one error line
+    message = f"{field} must be at least {least}, got {value}"
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        SuiteConfig(**{field: value})
+    assert SuiteConfig(**{field: least}).to_dict()[field] == least
+    assert main(["verify", "--instances", "1", flag, str(value)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_cli_verify_discrepancy(capsys, G2):
     assert main(["verify", "--discrepancy"]) == 0
     assert capsys.readouterr().out == (

@@ -1,9 +1,8 @@
 """The synchronization suites against their per-point reference bodies.
 
-lemma-61, prop-62 and thm-63-pairwise walk `choices(G)` once and read the
-per-graph tables (`blowup._point_verdicts`, the entries of
-`lift._sync_reports` through `lift._sync_entry`, and `lift._one_tail_side`)
-directly.  The reference suites below are their earlier bodies, which ask
+lemma-61, prop-62 and thm-63-pairwise walk the per-graph tables in their
+(choice, point) order (`blowup._point_verdicts`, the entries of
+`lift._sync_reports` through `lift._checked`, and `lift._one_tail_side`).  The reference suites below are their earlier bodies, which ask
 the public per-point entries (`is_quasistable_point`, `is_synchronized`,
 `eq34_level2`, `one_tail_diagnostic`) about every point; both must give
 the same checks and violations, or raise the same error.
@@ -12,11 +11,12 @@ the same checks and violations, or raise the same error.
 from tailcomb import blowup as bw
 from tailcomb.blowup import PROFILES
 from tailcomb.graph import CurveGraph, Node
-from tailcomb.lift import (build_c2, canonical_liftings, eq34_level2, is_synchronized,
-                           one_tail_diagnostic)
-from tailcomb.suites import suite_lemma61, suite_prop62, suite_thm63
+from tailcomb.lift import (LiftedGraph, build_c2, canonical_liftings, eq34_level2,
+                           is_synchronized, one_tail_diagnostic)
+from tailcomb.suites import (SuiteConfig, run_suite, suite_lemma61, suite_prop62,
+                             suite_thm63)
 
-from conftest import oracle_corpus, outcome
+from conftest import hide_lifted_tail, oracle_corpus, outcome
 
 
 def reference_lemma61(G, rng, profile):
@@ -116,13 +116,7 @@ def test_sync_suites_match_reference_with_violations_mid_walk(monkeypatch, G3):
     G = CurveGraph(G3.names, G3.nodes, G3.marked)
     LG = build_c2(G)
     hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
-    k_tails = CurveGraph.k_tails
-
-    def corrupted(self, kk):
-        got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
-
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    hide_lifted_tail(monkeypatch, LG, 2, hidden)
     points = [pt for ch in bw.choices(G) for pt in bw.distinguished_points(G, ch)]
     failing = [i for i, pt in enumerate(points)
                if not hasattr(outcome(is_synchronized, G, pt), "levels")]
@@ -140,13 +134,7 @@ def test_lemma61_matches_reference_with_findings(monkeypatch):
                    [Node("a", 0, 1), Node("b", 1, 2), Node("c", 1, 2)], 0)
     LG = build_c2(G)
     hidden = canonical_liftings(LG, G.subcurve(["C2", "C3"]))[2]
-    k_tails = CurveGraph.k_tails
-
-    def corrupted(self, kk):
-        got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is LG and kk == 1 else got
-
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    hide_lifted_tail(monkeypatch, LG, 1, hidden)
     for profile in PROFILES:
         checks, bad = suite_lemma61(G, None, profile)
         assert checks == len(bad) == 12
@@ -162,13 +150,7 @@ def test_thm63_decides_a_choice_by_its_unsynchronized_first_point(monkeypatch, G
     G = CurveGraph(G2.names, G2.nodes, G2.marked)
     LG = build_c2(G)
     hidden = LG.subcurve(["C2", "E(a,C2)", "E(b,C2)"])
-    k_tails = CurveGraph.k_tails
-
-    def corrupted(self, kk):
-        got = k_tails(self, kk)
-        return tuple(z for z in got if z != hidden) if self is LG and kk == 2 else got
-
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    hide_lifted_tail(monkeypatch, LG, 2, hidden)
     crossed = next(ch for ch in bw.choices(G) if ch.matching == ((0, 1), (1, 0)))
     first, second = bw.distinguished_points(G, crossed)
     assert not is_synchronized(G, first).synchronized
@@ -177,3 +159,20 @@ def test_thm63_decides_a_choice_by_its_unsynchronized_first_point(monkeypatch, G
         got = outcome(suite_thm63, G, None, profile)
         assert got == outcome(reference_thm63, G, None, profile)
         assert isinstance(got[0], int)  # the walk ends without raising
+
+
+def test_sync_suites_never_enumerate_the_subdivision(monkeypatch):
+    # The synchronization path reads the subdivision's small tails from its
+    # closed-form pool alone: with the subdivision's enumeration and
+    # `k_tails` made to raise, the three suites still run green on dense
+    # graphs, so a path back to the full enumeration fails here.
+    def refuse(self, *args):
+        raise AssertionError("the subdivision's tails were enumerated")
+
+    monkeypatch.setattr(LiftedGraph, "tails", refuse)
+    monkeypatch.setattr(LiftedGraph, "k_tails", refuse)
+    report = run_suite(SuiteConfig(seed=1, instances=5, max_components=8,
+                                   max_extra_edges=5,
+                                   suites=("lemma-61", "prop-62", "thm-63-pairwise")))
+    assert report.ok, report.violations
+    assert all(report.checks[s] > 0 for s in report.config.suites)

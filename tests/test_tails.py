@@ -6,10 +6,10 @@ from hypothesis import given, settings
 
 from tailcomb.blowup import distinguished_points, pair_matchings
 from tailcomb.errors import InvariantViolation, PreconditionError
-from tailcomb.graph import CurveGraph, Node, precedes
+from tailcomb.graph import CurveGraph, Node, members, precedes
 from tailcomb.lift import build_c2
-from tailcomb.tails import (_candidates, _pool_index, family_terminals, nested,
-                            symm_diff, tail_family)
+from tailcomb.tails import (_candidates, _grow, _pool_index, _selection, family_terminals,
+                            nested, symm_diff, tail_family)
 
 from conftest import d_count, graphs, oracle_corpus, outcome, sc, tset
 
@@ -327,6 +327,107 @@ def test_candidates_match_oracle_corpus():
     assert compared > 10_000
 
 
+# -- the list-filter growth is the oracle of the bitset `_grow` ---------------------
+
+
+def grow_reference(G, s, cands, anchors):
+    """`_grow` as a filter of the candidate list, each candidate paired with
+    its terminal mask: every step keeps the candidates the last member
+    precedes and asserts that their meet is one of them."""
+    chain = []
+    terms = []
+    prev = tprev = 0
+    while True:
+        step = [
+            c for c in cands
+            if c[0] != prev and c[0] & prev == prev and not c[1] & tprev
+        ]
+        if not step:
+            break
+        meet = step[0][0]
+        for z, _ in step:
+            meet &= z
+        for z, tz in step:
+            if z == meet:
+                break
+        else:
+            masks = [z for z, _ in step]
+            minimal = [
+                z for z in masks if not any(y != z and y & z == y for y in masks)
+            ]
+            raise InvariantViolation(
+                "no unique minimal candidate during nested-family growth",
+                level=s,
+                anchors=G.names_of(anchors),
+                witnesses=[G.names_of(z) for z in minimal[:2]],
+            )
+        chain.append(meet)
+        terms.append(tz)
+        prev, tprev = meet, tz
+    if s == 1 and len(chain) != len(cands):
+        raise InvariantViolation(
+            "1-tail candidates are not totally ordered",
+            anchors=G.names_of(anchors),
+            chain=[G.names_of(z) for z in chain],
+            candidates=[G.names_of(z) for z, _ in cands],
+        )
+    return chain, terms
+
+
+def grow_outcomes(G, s, sel, anchors):
+    """`_grow` and its reference on one selection."""
+    pool = _pool_index(G, s)[0]
+    return (outcome(_grow, G, s, sel, anchors),
+            outcome(grow_reference, G, s, [pool[i] for i in members(sel)], anchors))
+
+
+def assert_grow_matches_reference(G, base_anchors, rng):
+    """Equal chains and terminal masks, or equal violations with the same
+    witnesses, at every level on G and on its subdivision: for the selection
+    of every anchor set given (every set of one or two vertices on the
+    subdivision), and for 8 random selections per level, which break the
+    closure lemmas and so reach the violations.  Returns the members and
+    violations compared."""
+    n = raised = 0
+    LG = build_c2(G)
+    lifted_anchors = [(1 << a) | (1 << b)
+                      for a, b in combinations_with_replacement(range(LG.p), 2)]
+    for graph, anchor_sets in ((G, base_anchors), (LG, lifted_anchors)):
+        for s in (1, 2, 3):
+            size = len(_pool_index(graph, s)[0])
+            cases = [(_selection(graph, s, anchors), anchors) for anchors in anchor_sets]
+            cases += [(rng.getrandbits(size), 1) for _ in range(8)]
+            for sel, anchors in cases:
+                got, expected = grow_outcomes(graph, s, sel, anchors)
+                assert got == expected, (graph, s, sel)
+                if isinstance(got[0], list):
+                    n += len(got[0])
+                else:
+                    raised += 1
+    return n, raised
+
+
+def test_grow_matches_reference_fixtures(G1, G2, G3, G4):
+    rng = random.Random(0)
+    for G in (G1, G2, G3, G4):
+        assert_grow_matches_reference(G, range(1, G.full_mask + 1), rng)
+
+
+def test_grow_matches_reference_corpus():
+    rng = random.Random(0)
+    n = raised = 0
+    for G in oracle_corpus():
+        got = assert_grow_matches_reference(G, range(1, G.full_mask + 1), rng)
+        n, raised = n + got[0], raised + got[1]
+    assert n > 10_000 and raised > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_grow_matches_reference_property(G):
+    assert_grow_matches_reference(G, range(1, G.full_mask + 1), random.Random(0))
+
+
 def test_nested_violations_match_oracle(monkeypatch):
     # On the 4-cycle C1-C2-C3-C4 marked at C1, hide the 2-tail {C3}: the
     # candidates at C3 then meet in {C3}, which is no candidate.  At level 1,
@@ -356,4 +457,6 @@ def test_nested_violations_match_oracle(monkeypatch):
             nested_oracle(G, s, c3)
         assert str(exc.value) == str(expected.value)
         assert exc.value.witnesses == expected.value.witnesses
+        got, expected = grow_outcomes(G, s, _selection(G, s, c3), c3)
+        assert got == expected and got[0] is InvariantViolation
     assert exc.value.witnesses["chain"] == [("C3",)]

@@ -71,6 +71,9 @@ def test_traced_operations_run_and_fill_the_counters():
     t.install()
     try:
         suites.run_suite(suites.SuiteConfig(seed=1, instances=3))
+        # the suites read the subdivision's pool, never its `k_tails`
+        G3 = tailcomb.fixture("G3")
+        lift.build_c2(G3).k_tails(2)
         with redirect_stdout(io.StringIO()):
             assert cli.main(["qs-reduce", "G3", '{"C1": 1, "C2": 0, "C3": -1}']) == 0
             assert cli.main(["minimal", "G3"]) == 0
