@@ -12,7 +12,7 @@ demonstrate the discrepancy.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import GraphError, InvariantViolation, PreconditionError
@@ -360,25 +360,73 @@ class IneqInstance(NamedTuple):
     ok: bool
 
 
+def _gated_quads(sides: tuple) -> list[tuple[int, int, int, int]]:
+    """The 14 side quadruples (a, a', b, b') of (18), in instance order.
+
+    The triples are the matched pairs (g1, g2), (g1', g2') plus one cross
+    pair each, so two divisor pairs with no side in common intersect unless
+    they are the cross pairs (g1, g2') and (g1', g2): of the 16 quadruples,
+    the two that pair those are not gated.
+    """
+    g1, g1p, g2, g2p = sides
+    return [(a, ap, b, bp)
+            for a, ap in product((g1, g1p), repeat=2)
+            for b, bp in product((g2, g2p), repeat=2)
+            if not (a != ap and b != bp and (a == g1) != (b == g2))]
+
+
+_value = itemgetter(2)  # of an (ineq, args, value) triple
+
+
+def _rest(sides: tuple, rows: tuple, diagonal: bool) -> list[tuple]:
+    """(19)-(25) as (ineq, args, value), in instance order.
+
+    `rows` are the twister rows of (g1, g2), (g1, g2'), (g1', g2) and
+    (g1', g2').  With da and db the coefficient differences of the (a, b)
+    row across (a, a') and across (b, b'), each value compares one of them
+    with the same difference in another row; (23) and (24) are gated.
+    """
+    g1, g1p, g2, g2p = sides
+    gg, gG, Gg, GG = rows
+    out = []
+    if diagonal:  # g2, g2' = g1', g1: gG is the (g1, g1) row, Gg the (g1', g1')
+        for a, ap, aa, aap in ((g1, g1p, gG, gg), (g1p, g1, Gg, GG)):
+            out.append((25, (a, ap), aa[a] - aa[ap] - (aap[a] - aap[ap]) - 1))
+        return out
+    # the rows of (a, b), (a, b'), (a', b) and (a', b') at each quadruple
+    for q, ab, abp, apb, apbp in (((g1, g1p, g2, g2p), gg, gG, Gg, GG),
+                                  ((g1, g1p, g2p, g2), gG, gg, GG, Gg),
+                                  ((g1p, g1, g2, g2p), Gg, GG, gg, gG),
+                                  ((g1p, g1, g2p, g2), GG, Gg, gG, gg)):
+        a, ap, b, bp = q
+        da, db = ab[a] - ab[ap], ab[b] - ab[bp]
+        out += ((19, q, da - (abp[a] - abp[ap])),
+                (20, q, db - (apb[b] - apb[bp])),
+                (21, q, da - (apb[a] - apb[ap]) - 1),
+                (22, q, db - (abp[b] - abp[bp]) - 1))
+        if (a == g1) == (b == g2):  # (a, b) is a matched pair: gated
+            out += ((23, q, da - (apbp[a] - apbp[ap]) - 1),
+                    (24, q, db - (apbp[b] - apbp[bp]) - 1))
+    return out
+
+
 class AdmissibilityReport(NamedTuple):
-    """The admissibility instances at a node pair.
+    """The admissibility instances at a node pair (r1 == r2 on the diagonal).
 
     `count` (the number of instances) and `failures` (the failing ones, in
-    instance order) are computed by the check.  `instances`, every instance
-    in order, is built on each read from what the check kept: (18) node by
-    node, each node once per gated side quadruple, then (19)-(25).  Only
-    `instances` reads `across`, `quads` and `rest`.
+    instance order) come from the graph's `_admissibility` table.
+    `instances`, every instance in order, is built on each read from the
+    sides, the four twister rows and the nodes: (18) node by node, each
+    node once per gated side quadruple, then (19)-(25).
     """
 
     r1: int
     r2: int
     count: int
     failures: tuple[IneqInstance, ...]
-    # (18)'s nodes as (id, m, n), its quadruples with the difference of
-    # their two twister rows, and (19)-(25) as (ineq, args, value)
-    across: tuple
-    quads: tuple
-    rest: tuple
+    sides: tuple  # (g1, g1', g2, g2'); on the diagonal (g1, g1', g1', g1)
+    rows: tuple  # the twister rows of (g1, g2), (g1, g2'), (g1', g2), (g1', g2')
+    nodes: tuple  # the graph's nodes, for (18)
 
     @property
     def ok(self) -> bool:
@@ -386,11 +434,77 @@ class AdmissibilityReport(NamedTuple):
 
     @property
     def instances(self) -> tuple[IneqInstance, ...]:
-        out = [IneqInstance(18, (node, *quad), diff[m] - diff[n],
-                            abs(diff[m] - diff[n]) <= 1)
-               for node, m, n in self.across for quad, diff in self.quads]
-        out += [IneqInstance(i, q, v, abs(v) <= 1) for i, q, v in self.rest]
+        # (18): every other node S joining distinct components m, n, at each
+        # gated quadruple, delta(a, b) - delta(a', b') across S, which is
+        # the difference of the rows of (a, b) and (a', b') taken across S.
+        g1, g1p, g2, g2p = self.sides
+        row = dict(zip(product((g1, g1p), (g2, g2p)), self.rows))
+        quads = [((a, ap, b, bp), tuple(map(sub, row[(a, b)], row[(ap, bp)])))
+                 for a, ap, b, bp in _gated_quads(self.sides)]
+        own = (self.r1, self.r2)
+        across = [(nd.id, nd.a, nd.b) for t, nd in enumerate(self.nodes)
+                  if nd.a != nd.b and t not in own]
+        out = [IneqInstance(18, (node, *q), (v := diff[m] - diff[n]), -1 <= v <= 1)
+               for node, m, n in across for q, diff in quads]
+        out += [IneqInstance(i, q, v, -1 <= v <= 1)
+                for i, q, v in _rest(self.sides, self.rows, self.r1 == self.r2)]
         return tuple(out)
+
+
+@per_graph
+def _admissibility(G: CurveGraph) -> dict:
+    """The admissibility report of every diagonal node (keyed by its index)
+    and of every choice of `choices(G)` (keyed by the choice), in one pass.
+
+    A report's count is closed-form: 14 gated quadruples per non-loop node
+    other than the pair's, plus (19)-(25).  Its failures come from an exact
+    screen.  An (18) instance at rows R, S and node t fails when R - S moves
+    by more than 1 across t, so each unordered pair of rows keeps, once per
+    graph, the mask of the nodes it moves across; an entry fails (18)
+    exactly when the masks of its five row pairs other than the cross one
+    hold a node other than r1 and r2.  Its (19)-(25) values are computed.
+    Only a flagged entry enumerates its instances, to list its failures.
+    """
+    alpha = twister(G)
+    spans = [(t, nd.a, nd.b) for t, nd in enumerate(G.nodes) if nd.a != nd.b]
+    moves: dict = {}  # (R, S) -> the nodes across which R - S moves by > 1
+
+    def moved(R, S):
+        mask = moves.get((R, S))
+        if mask is None:
+            diff = tuple(map(sub, R, S))
+            mask = 0
+            if max(diff) - min(diff) > 1:
+                for t, m, n in spans:
+                    if abs(diff[m] - diff[n]) > 1:
+                        mask |= 1 << t
+            moves[(R, S)] = moves[(S, R)] = mask
+        return mask
+
+    def report(r1, r2, sides):
+        g1, g1p, g2, g2p = sides
+        rows = gg, gG, Gg, GG = (alpha[(g1, g2)], alpha[(g1, g2p)],
+                                 alpha[(g1p, g2)], alpha[(g1p, g2p)])
+        rest = _rest(sides, rows, r1 == r2)
+        others = len(spans) - (1 if r1 == r2 else 2)
+        rep = AdmissibilityReport(r1, r2, 14 * others + len(rest), (),
+                                  sides, rows, G.nodes)
+        wide = (moved(gg, gG) | moved(gg, Gg) | moved(gg, GG)
+                | moved(gG, GG) | moved(Gg, GG))
+        own = (1 << r1) | (1 << r2)
+        if wide & ~own or max(map(abs, map(_value, rest))) > 1:
+            rep = rep._replace(failures=tuple(i for i in rep.instances if not i.ok))
+        return rep
+
+    table = {}
+    for r in G.reducible_nodes():
+        nd = G.nodes[r]
+        # the diagonal blowup pairs each side with the other one
+        table[r] = report(r, r, (nd.a, nd.b, nd.b, nd.a))
+    for ch in choices(G):
+        (g1, g2), (g1p, g2p) = ch.matching
+        table[ch] = report(ch.r1, ch.r2, (g1, g1p, g2, g2p))
+    return table
 
 
 def admissibility_check(
@@ -405,77 +519,26 @@ def admissibility_check(
     Instances of (18), (23) and (24) whose divisor pairs do not intersect
     are not emitted.  Every value is a difference of two coefficient
     differences alpha_m - alpha_n, read directly off the twister table's
-    rows.  An (18) instance reads the difference of two rows across a node,
-    so the nodes are scanned for failures only where that difference spans
-    more than 1.
+    rows.  The report is read from the graph's `_admissibility` table.
     """
-    diagonal = r1 == r2
-    if diagonal:
-        # The diagonal blowup pairs each side with the other one.
-        g1, g1p = _node_sides(G, r1)
-        g2, g2p = g1p, g1
+    if r1 == r2:
+        _node_sides(G, r1)
         if choice is not None:
             raise PreconditionError("a node paired with itself takes no matching")
-    else:
-        if choice is None:
-            raise PreconditionError("distinct nodes need a matching")
-        if (min(r1, r2), max(r1, r2)) != (choice.r1, choice.r2):
-            raise PreconditionError("choice does not describe this node pair")
-        r1, r2 = choice.r1, choice.r2
-        if choice not in pair_matchings(G, r1, r2):
-            raise PreconditionError("the plan's choice is not one of this graph's")
-        (g1, g2), (g1p, g2p) = choice.matching
-    alpha = twister(G)
-
-    def crossed(a, ap, b, bp):
-        # The triples are the matched pairs (g1, g2), (g1', g2') plus one
-        # cross pair each, so two divisor pairs with no side in common
-        # intersect unless they are the cross pairs (g1, g2') and (g1', g2).
-        return a != ap and b != bp and (a == g1) != (b == g2)
-
-    # (18): every other node S joining distinct components m, n, at each
-    # gated side quadruple, delta(a, b) - delta(a', b') across S, which is
-    # the difference of the rows of (a, b) and (a', b') taken across S.
-    across = tuple((nd.id, nd.a, nd.b) for t, nd in enumerate(G.nodes)
-                   if nd.a != nd.b and t != r1 and t != r2)
-    quads = []
-    wide = []
-    for a, ap in product((g1, g1p), repeat=2):
-        for b, bp in product((g2, g2p), repeat=2):
-            if not crossed(a, ap, b, bp):
-                diff = tuple(map(sub, alpha[(a, b)], alpha[(ap, bp)]))
-                quads.append(((a, ap, b, bp), diff))
-                if max(diff) - min(diff) > 1:
-                    wide.append(quads[-1])
-    failures = [IneqInstance(18, (node, *quad), diff[m] - diff[n], False)
-                for node, m, n in across for quad, diff in wide
-                if abs(diff[m] - diff[n]) > 1]
-    # (19)-(25): with da and db the coefficient differences of the (a, b)
-    # row across (a, a') and across (b, b'), each value compares one of
-    # them with the same difference in another row.
-    rest = []
-    if not diagonal:
-        for a, ap in ((g1, g1p), (g1p, g1)):
-            for b, bp in ((g2, g2p), (g2p, g2)):
-                q = (a, ap, b, bp)
-                ab, abp, apb = alpha[(a, b)], alpha[(a, bp)], alpha[(ap, b)]
-                da, db = ab[a] - ab[ap], ab[b] - ab[bp]
-                rest += ((19, q, da - (abp[a] - abp[ap])),
-                         (20, q, db - (apb[b] - apb[bp])),
-                         (21, q, da - (apb[a] - apb[ap]) - 1),
-                         (22, q, db - (abp[b] - abp[bp]) - 1))
-                if not crossed(a, ap, b, bp):
-                    apbp = alpha[(ap, bp)]
-                    rest += ((23, q, da - (apbp[a] - apbp[ap]) - 1),
-                             (24, q, db - (apbp[b] - apbp[bp]) - 1))
-    else:
-        for a, ap in ((g1, g1p), (g1p, g1)):
-            aa, aap = alpha[(a, a)], alpha[(a, ap)]
-            rest.append((25, (a, ap), aa[a] - aa[ap] - (aap[a] - aap[ap]) - 1))
-    failures += [IneqInstance(i, q, v, False) for i, q, v in rest if abs(v) > 1]
-    return AdmissibilityReport(
-        min(r1, r2), max(r1, r2), len(across) * len(quads) + len(rest),
-        tuple(failures), across, tuple(quads), tuple(rest))
+        return _admissibility(G)[r1]
+    if choice is None:
+        raise PreconditionError("distinct nodes need a matching")
+    if (min(r1, r2), max(r1, r2)) != (choice.r1, choice.r2):
+        raise PreconditionError("choice does not describe this node pair")
+    table = _admissibility(G)
+    try:
+        rep = table.get(choice)
+    except TypeError:  # an unhashable matching is none of this graph's
+        rep = None
+    if rep is None:
+        pair_matchings(G, choice.r1, choice.r2)  # a bad node raises here
+        raise PreconditionError("the plan's choice is not one of this graph's")
+    return rep
 
 
 # -- resolution -------------------------------------------------------------

@@ -164,6 +164,12 @@ def cmd_qs_check(G, args):
 
 
 def cmd_qs_reduce(G, args):
+    cap = dg.SEARCH_BOUNDS[-1]
+    if args.bound is not None and args.bound > cap:
+        # an explicit bound asks for no more work than the default search
+        raise PreconditionError(
+            f"--bound must be at most {cap}, the default search's last bound, "
+            f"got {args.bound}")
     d0 = _multidegree(G, args.multidegree)
     c, d = dg.quasistable_representative(G, d0, bound=args.bound)
     _emit(

@@ -162,6 +162,9 @@ def _box(G: CurveGraph) -> _Box:
     return _Box(lap, tuple(tails), positions, tuple(reversed(levels)), tuple(reach))
 
 
+SEARCH_BOUNDS = (2, 4, 8, 16, 32, 64, 128, 256)  # the default doubling search
+
+
 def quasistable_representative(
     G: CurveGraph, d0, bound: int | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,7 +185,7 @@ def quasistable_representative(
             raise PreconditionError(f"bound must be an integer, got {bound!r}")
         if bound <= 0:
             raise PreconditionError("bound must be positive")
-    bounds = [bound] if bound is not None else [2, 4, 8, 16, 32, 64, 128, 256]
+    bounds = (bound,) if bound is not None else SEARCH_BOUNDS
     hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for b in bounds:
         hits = _scan_box(G, d0, b)

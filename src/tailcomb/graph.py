@@ -63,21 +63,36 @@ def per_graph(fn):
     without keywords.  A call that raises stores nothing, so errors are
     never cached.  A lookup is a `get`, not a caught KeyError, since misses
     are common: about one lookup in three in the synchronization suites,
-    and more than half of the terminal-mask lookups.
+    and more than half of the terminal-mask lookups.  The wrapper has fn's
+    arity, one to three arguments, so no call packs its arguments.
     """
     if fn.__defaults__ or fn.__kwdefaults__:
         raise TypeError(f"per_graph cannot memoize {fn.__qualname__}: "
                         "it has default arguments")
+    arity = fn.__code__.co_argcount
 
-    @wraps(fn)
-    def cached(G, *args):
-        key = (fn, *args)
-        value = G._memo.get(key, _MISS)
-        if value is _MISS:
-            value = G._memo[key] = fn(G, *args)
-        return value
-
-    return cached
+    if arity == 1:
+        def cached(G, /):
+            value = G._memo.get((fn,), _MISS)
+            if value is _MISS:
+                value = G._memo[(fn,)] = fn(G)
+            return value
+    elif arity == 2:
+        def cached(G, a, /):
+            value = G._memo.get((fn, a), _MISS)
+            if value is _MISS:
+                value = G._memo[(fn, a)] = fn(G, a)
+            return value
+    elif arity == 3:
+        def cached(G, a, b, /):
+            value = G._memo.get((fn, a, b), _MISS)
+            if value is _MISS:
+                value = G._memo[(fn, a, b)] = fn(G, a, b)
+            return value
+    else:
+        raise TypeError(f"per_graph cannot memoize {fn.__qualname__}: "
+                        f"it takes {arity} arguments, not one to three")
+    return wraps(fn)(cached)
 
 
 class Node(NamedTuple):

@@ -485,13 +485,31 @@ class VerificationReport:
         return write_json(self.to_dict(include_timing))
 
 
+class _SuiteRng:
+    """The `child_rng(seed, "index:name")` of one suite on one instance,
+    seeded on first use: only qs-uniqueness draws, so the other suites
+    pay for no seeding."""
+
+    def __init__(self, seed: int, index: int, name: str):
+        self._key = (seed, index, name)
+
+    def __getattr__(self, name):
+        # reached once per attribute: the bound method is kept on self
+        if "_rng" not in self.__dict__:
+            seed, index, suite = self._key
+            self._rng = child_rng(seed, f"{index}:{suite}")
+        value = getattr(self._rng, name)
+        setattr(self, name, value)
+        return value
+
+
 def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):
     """Run one suite on one graph: its check count and its violations, each
     wrapped in a self-contained reproducer.  An exception raised inside the
     suite counts as one failed check: an invariant violation with its
     witnesses, any other one (a crash) with its type, so that one broken
     suite never aborts a run."""
-    rng = child_rng(seed, f"{index}:{name}")
+    rng = _SuiteRng(seed, index, name)
     try:
         checks, bad = SUITES[name](G, rng, profile)
     except InvariantViolation as exc:

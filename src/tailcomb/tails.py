@@ -186,8 +186,10 @@ def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
 
 def check_components(G: CurveGraph, *indices: int) -> None:
     """Raise PreconditionError unless every index names a component of G."""
-    if not all(0 <= c < G.p for c in indices):
-        raise PreconditionError("component index out of range")
+    p = len(G.names)
+    for c in indices:
+        if not 0 <= c < p:
+            raise PreconditionError("component index out of range")
 
 
 def tail_family(G: CurveGraph, g1: int, g2: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 import json
+import random
 from collections import Counter
 from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,26 @@ def test_per_graph_rejects_default_arguments():
     for fn in (with_default, with_keyword_default):
         with pytest.raises(TypeError, match="default arguments"):
             per_graph(fn)
+
+
+def test_per_graph_wraps_one_to_three_arguments(G2):
+    # one wrapper per arity, so a call never packs its arguments; the keys
+    # are still (fn,), (fn, a) and (fn, a, b)
+    from tailcomb.graph import per_graph
+
+    def four(G, a, b, c):
+        return a
+
+    with pytest.raises(TypeError, match="takes 4 arguments, not one to three"):
+        per_graph(four)
+    one, two, three = (per_graph(fn) for fn in (
+        lambda G: 1, lambda G, a: a, lambda G, a, b: (a, b)))
+    H = CurveGraph(G2.names, G2.nodes, G2.marked)
+    assert (one(H), two(H, 2), three(H, 3, 4)) == (1, 2, (3, 4))
+    assert {key[1:]: value for key, value in H._memo.items()} == {
+        (): 1, (2,): 2, (3, 4): (3, 4)}
+    assert [key[0] for key in H._memo] == [
+        fn.__wrapped__ for fn in (one, two, three)]
 
 
 def test_qs_point_g3_crossed(G3):
@@ -699,7 +721,11 @@ def test_admissibility_failures_match_oracle(G3):
     for args in calls:
         rep = admissibility_check(G, *args)
         assert_report_is(rep, admissibility_oracle(G, *args))
-        spans |= {max(diff) - min(diff) for _, diff in rep.quads}
+        # the report's rows are those of (g1, g2), (g1, g2'), (g1', g2) and
+        # (g1', g2'); (18) compares every two of them but the cross pair
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)):
+            diff = list(map(sub, rep.rows[i], rep.rows[j]))
+            spans.add(max(diff) - min(diff))
         failing |= {i.ineq for i in rep.failures}
     assert {1, 2} <= spans
     assert failing == set(range(18, 26))
@@ -710,6 +736,50 @@ def test_admissibility_failures_match_oracle(G3):
         (18, ("e13", 0, 1, 0, 0), 2), (18, ("e13", 1, 0, 0, 0), -2),
         (25, (1, 0), -2),
     ]
+
+
+def planted(G, rng):
+    """A copy of G whose twister table has two rows moved by up to 1 per
+    coefficient (both orders of each pair alike), planted in its memo: small
+    moves, so that one compared row pair alone can make an entry fail."""
+    H = CurveGraph(G.names, G.nodes, G.marked)
+    alpha = dict(twister(G))
+    for g, h in rng.sample(sorted(k for k in alpha if k[0] <= k[1]), 2):
+        row = tuple(v + rng.randint(-1, 1) for v in alpha[(g, h)])
+        alpha[(g, h)] = alpha[(h, g)] = row
+    H._memo[(twister.__wrapped__,)] = alpha
+    return H
+
+
+def test_admissibility_matches_oracle_on_planted_tables():
+    # No real graph fails, so every corpus graph gets a table with two moved
+    # rows, and each report must equal the oracle's.  The draws reach an
+    # entry whose (18) failures lie across one third node while a compared
+    # row pair also moves by more than 1 across r1 or r2 (which the check
+    # must not count), a compared row pair that spans more than 1 with no
+    # failing node, and failing diagonal entries.
+    rng = random.Random(32)
+    third = wide_passing = diagonal = 0
+    for G in oracle_corpus():
+        if G.p < 2 or len(G.reducible_nodes()) < 2:
+            continue
+        H = planted(G, rng)
+        assert_admissibility_matches_oracle(H)
+        entries = [(r, r, None) for r in H.reducible_nodes()]
+        entries += [(ch.r1, ch.r2, ch) for ch in choices(H)]
+        for r1, r2, ch in entries:
+            rep = admissibility_check(H, r1, r2, ch)
+            failing = {i.args[0] for i in rep.failures if i.ineq == 18}
+            diffs = [list(map(sub, rep.rows[i], rep.rows[j]))
+                     for i, j in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))]
+            own = [H.nodes[r] for r in {r1, r2}]
+            if len(failing) == 1 and any(abs(d[nd.a] - d[nd.b]) > 1
+                                         for d in diffs for nd in own):
+                third += 1
+            if not failing and any(max(d) - min(d) > 1 for d in diffs):
+                wide_passing += 1
+            diagonal += r1 == r2 and not rep.ok
+    assert min(third, wide_passing, diagonal) > 0, (third, wide_passing, diagonal)
 
 
 # -- resolution ----------------------------------------------------------------------

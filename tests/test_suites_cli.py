@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import graphs
 from tailcomb import cli, degrees, suites
-from tailcomb.blowup import (PROFILES, RECONSTRUCTED, choices, distinguished_points,
-                             is_quasistable_point, minimality_probe, plan_from_tails)
+from tailcomb.blowup import (PROFILES, RECONSTRUCTED, AdmissibilityReport, choices,
+                             distinguished_points, is_quasistable_point,
+                             minimality_probe, plan_from_tails)
 from tailcomb.cli import main
 from tailcomb.errors import PreconditionError, RepresentativeNotFound
 from tailcomb.fixtures import fixture
@@ -173,23 +174,40 @@ def test_all_suites_green_small_batch():
     assert rep.ok, rep.to_json()
 
 
+# The check counts of `run_suite(SuiteConfig(seed=1, instances=10))`
+DEFAULT_CHECKS = {
+    "closure-22/23": 275, "prop-31": 615, "thm-24-oracle": 74,
+    "lemma-35": 172, "thm-36-admissibility": 5284, "lemma-61": 164,
+    "prop-62": 302, "thm-63-pairwise": 82, "thm-64-resolution": 10,
+    "qs-uniqueness": 44,
+}
+
+
 def test_run_suite_check_counts_pinned():
     # Counts measured before the sync suites shared one per-graph point list;
     # a point list any suite could exhaust would leave the others at 0.
     default = run_suite(SuiteConfig(seed=1, instances=10))
     assert default.ok
-    assert default.checks == {
-        "closure-22/23": 275, "prop-31": 615, "thm-24-oracle": 74,
-        "lemma-35": 172, "thm-36-admissibility": 5284, "lemma-61": 164,
-        "prop-62": 302, "thm-63-pairwise": 82, "thm-64-resolution": 10,
-        "qs-uniqueness": 44,
-    }
+    assert default.checks == DEFAULT_CHECKS
     sync = run_suite(SuiteConfig(
         seed=1, instances=10, max_components=8, max_extra_edges=5,
         suites=("lemma-61", "prop-62", "thm-63-pairwise"),
     ))
     assert sync.ok
     assert sync.checks == {"lemma-61": 636, "prop-62": 1218, "thm-63-pairwise": 318}
+
+
+def test_admissibility_counts_without_enumerating_instances(monkeypatch):
+    # The admissibility table counts in closed form and screens for
+    # failures, so on graphs where nothing fails no report enumerates its
+    # instances: a run with enumeration disabled keeps the pinned counts.
+    def refuse(self):
+        raise AssertionError("admissibility instances enumerated")
+
+    monkeypatch.setattr(AdmissibilityReport, "instances", property(refuse))
+    default = run_suite(SuiteConfig(seed=1, instances=10))
+    assert default.ok
+    assert default.checks == DEFAULT_CHECKS
 
 
 # -- relabelling -----------------------------------------------------------------

@@ -314,6 +314,16 @@ def test_cli_qs_reduce_without_representative(argv):
     _assert_usage_error(argv)
 
 
+def test_cli_qs_reduce_bound_is_capped():
+    # an explicit bound asks for no more work than the default search, whose
+    # last box has bound 256; a larger one once ran for seconds
+    argv = ["qs-reduce", "G3", "[1, 0, -1]"]
+    assert _call(argv + ["--bound", "256"]) == (0, _call(argv)[1], "")
+    assert _call(argv + ["--bound", "257"]) == (2, "", (
+        "error: --bound must be at most 256, the default search's last bound, "
+        "got 257\n"))
+
+
 @pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP.encode(), _LONG_INT],
                          ids=["not-utf8", "too-deep", "long-int"])
 @pytest.mark.parametrize("argv", [
