@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import cached_property
 from itertools import chain, combinations_with_replacement, repeat
 
 from . import blowup as bw
@@ -493,14 +494,13 @@ class _SuiteRng:
     def __init__(self, seed: int, index: int, name: str):
         self._key = (seed, index, name)
 
-    def __getattr__(self, name):
-        # reached once per attribute: the bound method is kept on self
-        if "_rng" not in self.__dict__:
-            seed, index, suite = self._key
-            self._rng = child_rng(seed, f"{index}:{suite}")
-        value = getattr(self._rng, name)
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def _rng(self):
+        seed, index, suite = self._key
+        return child_rng(seed, f"{index}:{suite}")
+
+    def __getattr__(self, name):  # the draws: attributes of the Random
+        return getattr(self._rng, name)
 
 
 def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):
