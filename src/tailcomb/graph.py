@@ -14,11 +14,11 @@ construction.  That ownership is one-way: nothing in a memo refers back to
 its graph strongly (the node subdivision refers to its base weakly), so a
 graph and its derived data are freed by reference counting once its last
 user drops it, with no wait for the cyclic collector.  Tails come from a
-binary-partition (bond) search; a graph with a closed form for its s-tails,
-s <= 3, supplies its unmarked half with their terminal masks through
-`_unmarked_k_tails` and their closure under complement through
-`_derived_k_tails` (the node subdivision does), while `tails()` and
-`k_tails(k > 3)` always enumerate.
+binary-partition (bond) search.  The s-tails, s <= 3, have one source on
+every graph, `_unmarked_k_tails`: the unmarked side of each tail pair with
+its terminal mask, which `k_tails(s <= 3)` closes under complement.  Here it
+filters `tails()`; a graph with a closed form overrides it (the node
+subdivision does), while `tails()` and `k_tails(k > 3)` always enumerate.
 """
 
 from __future__ import annotations
@@ -304,29 +304,24 @@ class CurveGraph:
 
     @per_graph
     def k_tails(self, kk: int) -> tuple[int, ...]:
-        """The tails with kk terminal nodes, canonically ordered."""
-        got = self._derived_k_tails(kk) if kk <= 3 else None
-        if got is None:
-            got = tuple(z for z in self.tails() if self.k(z) == kk)
-        return got
-
-    def _derived_k_tails(self, kk: int) -> tuple[int, ...] | None:
-        """The kk-tails (kk <= 3) in closed form, for graphs that have one.
-
-        None, the answer here, means filtering the full enumeration; the
-        node subdivision overrides this, closing its closed-form pool
-        (`_unmarked_k_tails`) under complement.
-        """
-        return None
+        """The tails with kk terminal nodes, canonically ordered.  For
+        kk <= 3 this is the unmarked pool closed under complement, since a
+        tail and its complement share their terminal nodes."""
+        if kk > 3:
+            return tuple(z for z in self.tails() if self.k(z) == kk)
+        full = self.full_mask
+        half = [z for z, _ in self._unmarked_k_tails(kk)]
+        return tuple(sorted(half + [full ^ z for z in half], key=canon_key))
 
     def _unmarked_k_tails(self, kk: int) -> tuple[tuple[int, int], ...]:
         """The kk-tails (kk <= 3) avoiding the marked component, one side of
         each tail pair, each with its terminal mask, canonically ordered: the
-        pool that `tails._pool_index` indexes.  Here the filtered `k_tails`;
-        the node subdivision derives them in closed form instead."""
+        pool that `tails._pool_index` indexes and `k_tails` closes.  Here
+        the filtered enumeration; the node subdivision derives them in
+        closed form instead."""
         marked_bit = 1 << self.marked
-        return tuple((z, self.term_mask(z)) for z in self.k_tails(kk)
-                     if not z & marked_bit)
+        return tuple((z, tz) for z in self.tails() if not z & marked_bit
+                     and (tz := self.term_mask(z)).bit_count() == kk)
 
     def reducible_nodes(self) -> tuple[int, ...]:
         """Indices of the reducible nodes, i.e. all non-loop edges."""

@@ -8,11 +8,13 @@ strong reference back would make a cycle that only the cyclic collector
 frees).  Its 1-, 2- and 3-tails are not enumerated: subdividing a node is a
 series extension, so its pool, the unmarked s-tails with their terminal
 masks, follows in closed form from the base graph's pool (`_lifted_pool`),
-each terminal mask read off the lifting steps; its `k_tails(s <= 3)` closes
-that pool under complement, while `tails()` and `k_tails(k > 3)` still use
-the bond search of `CurveGraph`.  Canonical liftings, the hat families
-anchored at exceptional vertices over a distinguished point, and the
-multiset comparison that defines synchronization all live here.
+each terminal mask read off the lifting steps.  That pool is its one
+override of the small-tail hook `_unmarked_k_tails`, which the inherited
+`k_tails(s <= 3)` closes under complement as on any graph, while `tails()`
+and `k_tails(k > 3)` still use the bond search of `CurveGraph`.  Canonical
+liftings, the hat families anchored at exceptional vertices over a
+distinguished point, and the multiset comparison that defines
+synchronization all live here.
 Synchronization compares levels 2 and 3.  It is built for every point of a
 graph in one pass (`_sync_reports`), in the (choice, point) order of the
 verdict table, so the suites walk both side by side: hat candidates are
@@ -62,8 +64,10 @@ class LiftedGraph(CurveGraph):
     The subdivision is itself a CurveGraph, marked at the strict transform
     of the base marked component, and refers to its base graph weakly as
     `base`: the base's memo holds the subdivision, so the base alone decides
-    how long both live.  Its s-tails for s <= 3 are derived from the base
-    graph's rather than enumerated (index layout: module docstring).
+    how long both live.  Its unmarked s-tails for s <= 3, the pool that
+    `_unmarked_k_tails` supplies and `k_tails` closes under complement, are
+    derived from the base graph's rather than enumerated (index layout:
+    module docstring).
     """
 
     __slots__ = ("_base",)
@@ -93,13 +97,6 @@ class LiftedGraph(CurveGraph):
     def graph(self) -> LiftedGraph:
         """Itself, for the `build_c2` hook of perfbench/tracer.py only."""
         return self
-
-    def _derived_k_tails(self, kk: int) -> tuple[int, ...]:
-        """The pool closed under complement: a tail and its complement
-        share their terminal nodes."""
-        full = self.full_mask
-        half = [y for y, _ in _pool_index(self, kk)[0]]
-        return tuple(sorted(half + [full ^ y for y in half], key=canon_key))
 
     def _unmarked_k_tails(self, kk: int) -> tuple[tuple[int, int], ...]:
         return _lifted_pool(self, kk)

@@ -5,11 +5,12 @@ a CurveGraph, is anchored at an arbitrary nonempty vertex set, is the tuple
 of its members (`NestedFamily`), and is grown by iterated minimum extraction
 over the pool of unmarked s-tails, each with its terminal mask, that
 `_pool_index` keeps once per graph with two families of bitsets over it
-("holds vertex v", "terminal at node t").  The pool comes from
-`CurveGraph._unmarked_k_tails`: the filtered enumeration on a base graph, a
-closed form derived from the base graph's pool on the subdivision (see
-`tailcomb.lift`).  A family's candidates are a selection, a bitset over the
-pool (`_selection`): the AND of the anchors' hold sets, less, at level 3, the
+("holds vertex v", "terminal at node t").  The pool comes from the one
+small-tail hook, `CurveGraph._unmarked_k_tails`, which `k_tails` also closes
+under complement: the filtered enumeration on a base graph, a closed form
+derived from the base graph's pool on the subdivision (see `tailcomb.lift`).
+A family's candidates are a selection, a bitset over the pool
+(`_selection`): the AND of the anchors' hold sets, less, at level 3, the
 members terminal at the level-2 family's nodes.  Growth (`_grow`) stays in
 bitsets too: each step takes the selection's lowest index, checks with the
 hold sets of the new vertices that every other candidate contains it, and
@@ -166,8 +167,8 @@ def _pool_index(G: CurveGraph, s: int) -> tuple[tuple, tuple, tuple]:
     two families of bitsets over pool indices: per vertex, the members
     holding it; per node, the members it is terminal for.  It holds one side
     of every s-tail pair, which share their terminal nodes; its readers are
-    the families, the synchronization table, the subdivision's closed form
-    and its `k_tails`, the level-1 diagnostic and the tail plan."""
+    the families, the synchronization table, the subdivision's closed form,
+    the level-1 diagnostic and the tail plan."""
     pool = G._unmarked_k_tails(s)
     hold = [0] * G.p
     term = [0] * len(G.nodes)

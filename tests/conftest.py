@@ -78,9 +78,10 @@ def outcome(fn, *args):
 
 def hide_lifted_tail(monkeypatch, LG, s, hidden):
     """Drop the lifted s-tail `hidden` from the pool source of the
-    subdivision LG, `lift._lifted_pool`, which its families, the
-    synchronization table and `LG.k_tails` all read; other graphs and
-    levels are left alone.  LG's pool must not have been read yet."""
+    subdivision LG, `lift._lifted_pool`, its `_unmarked_k_tails`, which its
+    families, the synchronization table and `LG.k_tails` all read; other
+    graphs and levels are left alone.  LG's pool must not have been read
+    yet."""
     source = lift._lifted_pool
 
     def corrupted(lg, kk):

@@ -21,11 +21,11 @@ from tailcomb.errors import (
     PreconditionError,
     RepresentativeNotFound,
 )
-from tailcomb.graph import CurveGraph, members
+from tailcomb.graph import CurveGraph, canon_key, members
 from tailcomb.tails import tail_family
 
 from conftest import delta, oracle_corpus, sc, tset
-from test_graph import graphs
+from test_graph import bfs_connected, graphs
 
 
 # -- laplacian -------------------------------------------------------------------
@@ -84,6 +84,41 @@ def test_is_quasistable_examples(G2):
     assert not res.ok
     assert tset(G2, res.witness_subcurve) == {"C1"}
     assert format_half(res.witness_beta2) == "3"
+
+
+def qs_witness_oracle(G, d):
+    """`is_quasistable` by brute force: every proper mask whose two sides
+    are connected, in canonical order, and the first whose doubled beta
+    leaves its window (marked: 0 < b2 <= 2k; unmarked: 0 <= b2 < 2k)."""
+    tails = sorted((y for y in range(1, G.full_mask)
+                    if bfs_connected(G, y) and bfs_connected(G, G.full_mask ^ y)),
+                   key=canon_key)
+    for y in tails:
+        k = sum(1 for nd in G.nodes if ((y >> nd.a) ^ (y >> nd.b)) & 1)
+        b2 = 2 * sum(d[m] for m in members(y)) + k
+        if not (0 < b2 <= 2 * k if (y >> G.marked) & 1 else 0 <= b2 < 2 * k):
+            return False, y, b2
+    return True, None, None
+
+
+def test_is_quasistable_witness_matches_oracle(G1, G2, G3, G4):
+    # The witness is the first failing tail in canonical order, whichever
+    # side of its pair holds the marked component: a scan that passes an
+    # unmarked tail at b2 == 2k still reaches the same verdict through the
+    # complement, so only the witness shows it.
+    rng = random.Random(0)
+    failed = 0
+    for G in (G1, G2, G3, G4, *oracle_corpus()):
+        ds = [abel_multidegree(G, g1, g2) for g1 in range(G.p) for g2 in range(g1, G.p)]
+        while len(ds) < 3 * G.p + 12:
+            d = tuple(rng.randint(-2, 2) for _ in range(G.p))
+            if sum(d) == 0:
+                ds.append(d)
+        for d in ds:
+            got = is_quasistable(G, d)
+            assert tuple(got) == qs_witness_oracle(G, d), (G, d)
+            failed += not got.ok
+    assert failed > 1000
 
 
 def test_is_quasistable_requires_degree_zero(G2):

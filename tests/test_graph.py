@@ -320,6 +320,28 @@ def test_k_tails_examples(G2, G3):
     assert G2.k_tails(1) == ()
 
 
+def assert_k_tails_match_filter(G):
+    """`k_tails` and the small-tail hook `_unmarked_k_tails` against the
+    filter of the full enumeration by terminal count, order included."""
+    marked_bit = 1 << G.marked
+    for s in range(5):
+        expected = tuple(z for z in G.tails() if G.k(z) == s)
+        assert G.k_tails(s) == expected, (G, s)
+        assert G._unmarked_k_tails(s) == tuple(
+            (z, G.term_mask(z)) for z in expected if not z & marked_bit), (G, s)
+
+
+def test_k_tails_match_filter_fixtures_and_corpus(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4, *oracle_corpus()):
+        assert_k_tails_match_filter(G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_k_tails_match_filter_property(G):
+    assert_k_tails_match_filter(G)
+
+
 def test_is_tail(G3):
     assert G3.is_tail(sc(G3, "C2", "C3"))
     assert not G3.is_tail(0)

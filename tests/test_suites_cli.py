@@ -397,6 +397,21 @@ def test_cli_qs_commands(capsys):
     assert data["result"] == {"C1": 0, "C2": 0}
 
 
+def test_cli_qs_check_witness(tmp_path, capsys):
+    # On the triangle marked at C1 with d = (0, -1, 1), the first failing
+    # tail in canonical order is the unmarked {C3}, at b2 == 2k; its
+    # complement {C1, C2} fails too, but comes later.
+    g = tmp_path / "triangle.json"
+    g.write_text(json.dumps({
+        "components": ["C1", "C2", "C3"], "marked": "C1",
+        "nodes": [{"id": "a", "ends": ["C1", "C2"]}, {"id": "b", "ends": ["C2", "C3"]},
+                  {"id": "c", "ends": ["C1", "C3"]}]}))
+    assert main(["qs-check", str(g), '{"C1": 0, "C2": -1, "C3": 1}', "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["quasistable"] is False
+    assert data["witness"] == {"subcurve": ["C3"], "beta": "2", "k": 2}
+
+
 def test_cli_twister_oracle(capsys):
     assert main(["twister", "G2", "--oracle"]) == 0
     assert "agree" in capsys.readouterr().out

@@ -439,17 +439,19 @@ def test_nested_violations_match_oracle(monkeypatch):
         0,
     )
     c3, c23 = G.subcurve(["C3"]), G.subcurve(["C2", "C3"])
-    k_tails = CurveGraph.k_tails
+    unmarked_k_tails = CurveGraph._unmarked_k_tails
 
     def corrupted(self, kk):
-        got = k_tails(self, kk)
+        # the pool source: (tail, terminal mask) pairs, which `_pool_index`
+        # and the oracle's `k_tails` both read
+        got = unmarked_k_tails(self, kk)
         if self is G and kk == 2:
-            return tuple(z for z in got if z != c3)
+            return tuple(e for e in got if e[0] != c3)
         if self is G and kk == 1:
-            return (c3, c23)
+            return ((c3, G.term_mask(c3)), (c23, G.term_mask(c23)))
         return got
 
-    monkeypatch.setattr(CurveGraph, "k_tails", corrupted)
+    monkeypatch.setattr(CurveGraph, "_unmarked_k_tails", corrupted)
     for s, message in ((2, "no unique minimal"), (1, "not totally ordered")):
         with pytest.raises(InvariantViolation, match=message) as exc:
             nested(G, s, c3)

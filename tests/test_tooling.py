@@ -157,6 +157,30 @@ def test_only_pair_matchings_builds_a_choice():
     assert reads == []
 
 
+def test_small_tails_have_one_hook():
+    # `_unmarked_k_tails` is the one source of a graph's s-tails, s <= 3:
+    # `CurveGraph.k_tails` closes it under complement on every graph, and
+    # the subdivision overrides the hook alone, never `k_tails` itself or
+    # a second hook beside it.
+    owners, derived = {}, []
+    for path in sorted((TRACER_PATH.parents[1] / "src" / "tailcomb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_derived_k_tails":
+                derived.append(path.stem)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                             [t.id for t in getattr(item, "targets", ())
+                              if isinstance(t, ast.Name)])
+                    for name in names:
+                        owners.setdefault(name, []).append((path.stem, node.name))
+    assert derived == []
+    assert owners["k_tails"] == [("graph", "CurveGraph")]
+    assert owners["_unmarked_k_tails"] == [("graph", "CurveGraph"), ("lift", "LiftedGraph")]
+    lifted = {name for name, where in owners.items() if ("lift", "LiftedGraph") in where}
+    assert {name for name in lifted if "tails" in name} == {"_unmarked_k_tails"}
+
+
 def test_reports_do_not_depend_on_the_hash_seed():
     # `--jobs` workers fork with the parent's hash secret, so only fresh
     # interpreters show whether a report reads a str-hash order; reports
