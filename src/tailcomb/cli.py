@@ -89,10 +89,12 @@ def cmd_tails(G, args):
     if args.k is not None and args.k < 0:
         raise PreconditionError(f"--k must be non-negative, got {args.k}")
     masks = G.k_tails(args.k) if args.k is not None else G.tails()
+    ks = ([args.k] * len(masks) if args.k is not None
+          else [t.bit_count() for t in G.tail_table()[1]])
     payload = {"tails": [list(G.names_of(w)) for w in masks]}
     lines = [f"{len(masks)} tail(s)"
              + (f" with k={args.k}" if args.k is not None else "")]
-    lines += ["  {" + ",".join(G.names_of(w)) + f"}}  k={G.k(w)}" for w in masks]
+    lines += ["  {" + ",".join(G.names_of(w)) + f"}}  k={k}" for w, k in zip(masks, ks)]
     _emit(args, payload, lines)
     return 0
 

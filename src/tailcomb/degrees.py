@@ -87,14 +87,6 @@ def laplacian(G: CurveGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(lap)
 
 
-def beta2(G: CurveGraph, d, Y: int) -> int:
-    """Doubled stability value of a subcurve: 2*deg(d over Y) + k(Y)."""
-    s = 0
-    for m in members(Y):
-        s += d[m]
-    return 2 * s + G.k(Y)
-
-
 def format_half(b2: int) -> str:
     return str(b2 // 2) if b2 % 2 == 0 else f"{b2}/2"
 
@@ -114,13 +106,13 @@ def is_quasistable(G: CurveGraph, d) -> QSResult:
     """
     _degree_zero(G, d)
     marked = G.marked
-    for y in G.tails():
-        b2 = beta2(G, d, y)
-        k2 = 2 * G.k(y)
+    for y, ty in zip(*G.tail_table()):
+        k = ty.bit_count()
+        b2 = 2 * sum([d[m] for m in members(y)]) + k
         if (y >> marked) & 1:
-            ok = 0 < b2 <= k2
+            ok = 0 < b2 <= 2 * k
         else:
-            ok = 0 <= b2 < k2
+            ok = 0 <= b2 < 2 * k
         if not ok:
             return QSResult(False, y, b2)
     return QSResult(True)
@@ -149,7 +141,8 @@ class _Box(NamedTuple):
 def _box(G: CurveGraph) -> _Box:
     lap = laplacian(G)
     marked = G.marked
-    tails = sorted((G.k(y), members(y)) for y in G.tails() if not (y >> marked) & 1)
+    tails = sorted((ty.bit_count(), members(y)) for y, ty in zip(*G.tail_table())
+                   if not (y >> marked) & 1)
     positions = tuple(m for m in range(G.p) if m != marked)
     weights = [[2 * sum(lap[m][x] for x in idx) for _, idx in tails]
                for m in positions]

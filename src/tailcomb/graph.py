@@ -6,19 +6,20 @@ integer bitmasks over the component indices, so every set operation is exact,
 hashable and cheap.  Node incidence is built with the graph, one mask of
 non-loop nodes per component: a terminal mask is the XOR of its members'
 masks, and the nodes joining two components are the AND of theirs.  All
-values are immutable after construction.  Derived data (tails, nested
-families, the twister table, the node subdivision) is computed once per
-graph by functions decorated with `per_graph`, which keep it, terminal masks
-included, in the graph's single memo: the only store written after
-construction.  That ownership is one-way: nothing in a memo refers back to
-its graph strongly (the node subdivision refers to its base weakly), so a
-graph and its derived data are freed by reference counting once its last
-user drops it, with no wait for the cyclic collector.  Tails come from a
-binary-partition (bond) search.  The s-tails, s <= 3, have one source on
-every graph, `_unmarked_k_tails`: the unmarked side of each tail pair with
-its terminal mask, which `k_tails(s <= 3)` closes under complement.  Here it
-filters `tails()`; a graph with a closed form overrides it (the node
-subdivision does), while `tails()` and `k_tails(k > 3)` always enumerate.
+values are immutable after construction.  Derived data (the tail table,
+nested families, the twister table, the node subdivision) is computed once
+per graph by functions decorated with `per_graph`, which keep it in the
+graph's single memo: the only store written after construction.  That
+ownership is one-way: nothing in a memo refers back to its graph strongly
+(the node subdivision refers to its base weakly), so a graph and its derived
+data are freed by reference counting once its last user drops it, with no
+wait for the cyclic collector.  Tails and their terminal masks come from one
+binary-partition (bond) search, `tail_table`, which its readers index; the
+memoized `term_mask` serves other subcurves.  The s-tails, s <= 3, have one
+source on every graph, `_unmarked_k_tails`: the unmarked side of each tail
+pair with its terminal mask, which `k_tails(s <= 3)` closes under
+complement.  Here it reads the tail table; the node subdivision overrides it
+with a closed form.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def per_graph(fn):
     defaulted and an explicit argument would be two entries) and is called
     without keywords.  A call that raises stores nothing, so errors are
     never cached.  A lookup is a `get`, not a caught KeyError, since misses
-    are common: about one lookup in three in the synchronization suites,
-    and more than half of the terminal-mask lookups.  The wrapper has fn's
-    arity, one to three arguments, so no call packs its arguments.
+    are common: about one lookup in three in the synchronization suites.
+    The wrapper has fn's arity, one to three arguments, so no call packs its
+    arguments.
     """
     if fn.__defaults__ or fn.__kwdefaults__:
         raise TypeError(f"per_graph cannot memoize {fn.__qualname__}: "
@@ -273,8 +274,8 @@ class CurveGraph:
     # -- tail enumeration ---------------------------------------------------
 
     @per_graph
-    def tails(self) -> tuple[int, ...]:
-        """Every tail, canonically ordered.
+    def tail_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Every tail in canonical order, and their terminal masks in parallel.
 
         A binary-partition search over pairs (S, X): S is connected and holds
         component 0, and X holds frontier vertices kept out of S.  A pair
@@ -282,25 +283,35 @@ class CurveGraph:
         joins X, and a branch is kept only while X lies inside one component
         of the rest, so no branch is wasted.  At a leaf the whole frontier is
         in X, so the rest is connected: S and its complement are a tail pair,
-        and each pair is reached exactly once.
+        and each pair is reached exactly once.  Each branch carries S's
+        terminal mask, XORing in v's incident nodes when v joins S, and a
+        tail's complement shares it.
         """
-        full, nbr, reach = self.full_mask, self._nbr, self._reach
+        full, nbr, inc, reach = self.full_mask, self._nbr, self._inc, self._reach
+        p = self.p
         out = []
-        stack = [(1, 0, nbr[0])]
+        stack = [(1, 0, nbr[0], inc[0])]
         while stack:
-            s, x, front = stack.pop()
+            s, x, front, ts = stack.pop()
             free = front & ~x
             if not free:
                 if s != full:
-                    out += (s, full ^ s)
+                    ts <<= p
+                    out += (ts | s, ts | (full ^ s))
                 continue
             v = free & -free
             grown = s | v
             if reach(full ^ grown, x & -x) & x == x:
-                stack.append((grown, x, (front | nbr[v.bit_length() - 1]) & ~grown))
+                i = v.bit_length() - 1
+                stack.append((grown, x, (front | nbr[i]) & ~grown, ts ^ inc[i]))
             if reach(full ^ s, v) & x == x:
-                stack.append((s, x | v, front))
-        return tuple(sorted(out, key=canon_key))
+                stack.append((s, x | v, front, ts))
+        out.sort(key=lambda c: canon_key(c & full))
+        return tuple([c & full for c in out]), tuple([c >> p for c in out])
+
+    def tails(self) -> tuple[int, ...]:
+        """Every tail, canonically ordered: the masks of `tail_table`."""
+        return self.tail_table()[0]
 
     @per_graph
     def k_tails(self, kk: int) -> tuple[int, ...]:
@@ -308,7 +319,7 @@ class CurveGraph:
         kk <= 3 this is the unmarked pool closed under complement, since a
         tail and its complement share their terminal nodes."""
         if kk > 3:
-            return tuple(z for z in self.tails() if self.k(z) == kk)
+            return tuple(z for z, tz in zip(*self.tail_table()) if tz.bit_count() == kk)
         full = self.full_mask
         half = [z for z, _ in self._unmarked_k_tails(kk)]
         return tuple(sorted(half + [full ^ z for z in half], key=canon_key))
@@ -317,11 +328,11 @@ class CurveGraph:
         """The kk-tails (kk <= 3) avoiding the marked component, one side of
         each tail pair, each with its terminal mask, canonically ordered: the
         pool that `tails._pool_index` indexes and `k_tails` closes.  Here
-        the filtered enumeration; the node subdivision derives them in
-        closed form instead."""
+        read off the tail table; the node subdivision derives them in closed
+        form instead."""
         marked_bit = 1 << self.marked
-        return tuple((z, tz) for z in self.tails() if not z & marked_bit
-                     and (tz := self.term_mask(z)).bit_count() == kk)
+        return tuple((z, tz) for z, tz in zip(*self.tail_table())
+                     if not z & marked_bit and tz.bit_count() == kk)
 
     def reducible_nodes(self) -> tuple[int, ...]:
         """Indices of the reducible nodes, i.e. all non-loop edges."""

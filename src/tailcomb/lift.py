@@ -11,7 +11,7 @@ masks, follows in closed form from the base graph's pool (`_lifted_pool`),
 each terminal mask read off the lifting steps.  That pool is its one
 override of the small-tail hook `_unmarked_k_tails`, which the inherited
 `k_tails(s <= 3)` closes under complement as on any graph, while `tails()`
-and `k_tails(k > 3)` still use the bond search of `CurveGraph`.  Canonical
+and `k_tails(k > 3)` still read the tail table of `CurveGraph`.  Canonical
 liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
 synchronization all live here.

@@ -81,12 +81,14 @@ def suite_closure(G: CurveGraph, rng, profile):
                 bad.append(
                     {"check": "lemma-2.6", "anchors": _sub(G, anchors), "z": _sub(G, z)}
                 )
-    checks27, bad27 = lemma27(G, G.tails())
+    checks27, bad27 = lemma27(G, *G.tail_table())
     return checks + checks27, bad + bad27
 
 
-def lemma27(G: CurveGraph, masks) -> tuple[int, list]:
-    """Lemma 2.7's three pair facts, one check per ordered pair of masks.
+def lemma27(G: CurveGraph, masks, terms) -> tuple[int, list]:
+    """Lemma 2.7's three pair facts, one check per ordered pair of masks;
+    terms is parallel to masks and holds their terminal masks (the tail
+    table's two tuples, in the suite).
 
     With T(z) the terminal nodes of z, on(z) the nodes with an end on z and
     k(z) = |T(z)|: (i) T(z) inside on(z') implies z or its complement lies
@@ -96,12 +98,11 @@ def lemma27(G: CurveGraph, masks) -> tuple[int, list]:
     """
     full = G.full_mask
     rows = []
-    for z in masks:
+    for z, tz in zip(masks, terms):
         on = 0
         for t, nd in enumerate(G.nodes):
             if (z >> nd.a | z >> nd.b) & 1:
                 on |= 1 << t
-        tz = G.term_mask(z)
         rows.append((z, full ^ z, tz, tz.bit_count(), on))
     bad = []
     for z, zc, tz, kz, _ in rows:

@@ -7,7 +7,7 @@ over the pool of unmarked s-tails, each with its terminal mask, that
 `_pool_index` keeps once per graph with two families of bitsets over it
 ("holds vertex v", "terminal at node t").  The pool comes from the one
 small-tail hook, `CurveGraph._unmarked_k_tails`, which `k_tails` also closes
-under complement: the filtered enumeration on a base graph, a closed form
+under complement: a read of the tail table on a base graph, a closed form
 derived from the base graph's pool on the subdivision (see `tailcomb.lift`).
 A family's candidates are a selection, a bitset over the pool
 (`_selection`): the AND of the anchors' hold sets, less, at level 3, the

@@ -511,9 +511,15 @@ def test_plan_from_tails_conflict_names_lowest_pair(G3, monkeypatch):
     # that tail pairs C3 with C2, while {C3} and {C1,C2} pair C3 with C3.
     # The error names the lowest conflicting pair and its first two
     # disagreeing tails in canonical order, as the per-pair oracle does.
+    # The claim goes into G's tail table, which the pool reads, and into
+    # term_mask, which the report and the oracle read.
     G = CurveGraph(G3.names, G3.nodes, G3.marked)
     G.k_tails(2), G.k_tails(3)
     w0, f = G.subcurve(["C2", "C3"]), 1 << G.node_index("f")
+    key = (CurveGraph.tail_table.__wrapped__,)
+    masks, terms = G._memo[key]
+    i = masks.index(w0)
+    G._memo[key] = masks, terms[:i] + (terms[i] | f,) + terms[i + 1:]
     term_mask = CurveGraph.term_mask
 
     def miscounted(self, mask):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from tailcomb.degrees import (
     _scan_box,
     abel_multidegree,
-    beta2,
     format_half,
     is_quasistable,
     laplacian,
@@ -45,6 +44,11 @@ def test_laplacian_rows_sum_zero(G):
 
 
 # -- beta ------------------------------------------------------------------------
+
+
+def beta2(G, d, Y):
+    """Doubled stability value of a subcurve: 2*deg(d over Y) + k(Y)."""
+    return 2 * sum(d[m] for m in members(Y)) + G.k(Y)
 
 
 def test_beta_examples(G2, G3):

@@ -5,14 +5,15 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 
-from tailcomb.degrees import laplacian, twister
+from tailcomb.degrees import (abel_multidegree, is_quasistable, laplacian,
+                              quasistable_representative, twister)
 from tailcomb.errors import GraphError
 from tailcomb.graph import (CurveGraph, canon_key, members, precedes, validate,
                             write_json)
 from tailcomb.lift import build_c2
 from tailcomb.randgen import instance_graph
 from tailcomb.suites import lemma27
-from tailcomb.tails import nested
+from tailcomb.tails import _pool_index, nested
 
 from conftest import graphs, json_values, oracle_corpus, sc, tset
 
@@ -281,9 +282,19 @@ def test_tails_match_brute_force(G1, G2, G3, G4):
         assert list(G.tails()) == brute_force_tails(G)
 
 
+def assert_tail_table_matches_oracles(G):
+    """The tail table's masks against the brute-force and rooted-growth
+    oracles of `tails()`, its terminal masks against the scan of every
+    node."""
+    masks, terms = G.tail_table()
+    assert list(masks) == brute_force_tails(G)
+    assert masks == rooted_growth_tails(G) == G.tails()
+    assert terms == tuple(term_mask_scan(G, z) for z in masks)
+
+
 def test_tails_match_rooted_growth_fixtures_and_corpus(G1, G2, G3, G4):
     for G in (G1, G2, G3, G4, *oracle_corpus()):
-        assert G.tails() == rooted_growth_tails(G)
+        assert_tail_table_matches_oracles(G)
 
 
 def test_tails_match_rooted_growth_on_larger_draws():
@@ -296,17 +307,39 @@ def test_tails_match_rooted_growth_on_larger_draws():
 @settings(max_examples=120, deadline=None)
 @given(graphs())
 def test_tails_match_rooted_growth_property(G):
-    assert G.tails() == rooted_growth_tails(G)
+    assert_tail_table_matches_oracles(G)
 
 
 def test_tails_of_the_p28_graph():
     # 28 components and 39 nodes: the rooted growth visits 5.3 million
-    # connected sets here, so the count is pinned instead
+    # connected sets here, so the count is pinned instead; the table's
+    # terminal masks still meet their scan
     G = instance_graph(1, 0, 30, 20, True)
     assert (G.p, len(G.nodes)) == (28, 39)
-    tails = G.tails()
+    tails, terms = G.tail_table()
+    assert tails == G.tails() and list(tails) == sorted(tails, key=canon_key)
     assert len(tails) == len(set(tails)) == 30_850
     assert {G.full_mask ^ z for z in tails} == set(tails)
+    assert terms == tuple(term_mask_scan(G, z) for z in tails)
+
+
+def test_no_tail_reader_fills_the_term_mask_memo(G1, G2, G3, G4):
+    # Only the table's search computes a tail's terminal mask: the readers
+    # of the tails take it from the table by index.
+    for G0 in (G1, G2, G3, G4, *oracle_corpus()):
+        G = CurveGraph(G0.names, G0.nodes, G0.marked)
+        G.tails()
+        for s in range(6):
+            G.k_tails(s)
+        for s in (1, 2, 3):
+            _pool_index(G, s)
+        ds = [abel_multidegree(G, g1, g2) for g1 in range(G.p) for g2 in range(g1, G.p)]
+        for d in ds:
+            is_quasistable(G, d)
+        quasistable_representative(G, ds[-1])
+        lemma27(G, *G.tail_table())
+        assert not [key for key in G._memo
+                    if key[0] is CurveGraph.term_mask.__wrapped__], G
 
 
 def test_k_tails_examples(G2, G3):
@@ -430,10 +463,15 @@ def lemma27_oracle(G, masks):
     return checks, bad
 
 
+def lemma27_of(G, masks):
+    """`lemma27` on masks, with their terminal masks from `G.term_mask`."""
+    return lemma27(G, masks, [G.term_mask(z) for z in masks])
+
+
 def assert_lemma27_matches_oracle(G):
     """On every ordered pair of proper nonempty subcurves, tails or not."""
     masks = range(1, G.full_mask)
-    assert lemma27(G, masks) == lemma27_oracle(G, masks)
+    assert lemma27_of(G, masks) == lemma27_oracle(G, masks)
 
 
 def test_lemma27_matches_oracle_fixtures(G1, G2, G3, G4):
@@ -446,9 +484,9 @@ def test_lemma27_matches_oracle_corpus():
     for G in oracle_corpus():
         if G.p <= 6:
             assert_lemma27_matches_oracle(G)
-            clauses.update(b["check"] for b in lemma27(G, range(1, G.full_mask))[1])
+            clauses.update(b["check"] for b in lemma27_of(G, range(1, G.full_mask))[1])
         else:
-            assert lemma27(G, G.tails()) == lemma27_oracle(G, G.tails())
+            assert lemma27_of(G, G.tails()) == lemma27_oracle(G, G.tails())
     # subcurves that are not tails break every clause, so the entries
     # compared are not all empty
     assert clauses == {"lemma-2.7-i", "lemma-2.7-ii", "lemma-2.7-iii"}

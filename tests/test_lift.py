@@ -261,7 +261,7 @@ def assert_derived_tails(G):
             (z, plain.term_mask(z)) for z in plain.tails()
             if plain.k(z) == s and not z & marked_bit), (G, s)
         assert lg.k_tails(s) == plain.k_tails(s), (G, s)
-    assert (CurveGraph.tails.__wrapped__,) not in lg._memo  # never enumerated
+    assert (CurveGraph.tail_table.__wrapped__,) not in lg._memo  # never enumerated
     # the pool's terminal masks come from the lifting steps, not term_mask
     assert not [key for key in lg._memo if key[0] is CurveGraph.term_mask.__wrapped__]
 
