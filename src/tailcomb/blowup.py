@@ -157,7 +157,8 @@ def choices(G: CurveGraph) -> tuple[BlowupChoice, ...]:
     """Each blowup choice, once per graph for all suites: the pairs of
     reducible nodes in order, each with both of its matchings in
     `pair_matchings` order.  Their points come from `distinguished_points`,
-    or, in the synchronization table, from `_point_labels` directly."""
+    or, in the synchronization table and lemma-61, from `_point_labels`
+    directly."""
     return tuple(
         ch
         for r1, r2 in combinations(G.reducible_nodes(), 2)
@@ -199,20 +200,32 @@ def is_quasistable_point(
     """Whether at most one of the two nodes is terminal across each condition
     pair's level-2 and level-3 families.
 
-    The verdict is read from the graph's `_point_verdicts` for the profile,
-    so an equal point built elsewhere gets the same verdict object; a point
-    that is not one of G's raises PreconditionError.
+    The verdict is read from the graph's `_point_verdicts` for the profile
+    (`_slot`), so an equal point built elsewhere gets the same verdict
+    object; a point that is not one of G's raises PreconditionError.
     """
-    verdicts = _point_verdicts(G, profile).get(point.choice)
-    if verdicts is None or point not in distinguished_points(G, point.choice):
+    return _slot(G, _point_verdicts(G, profile), point)
+
+
+def _slot(G: CurveGraph, table: dict, point: DistinguishedPoint):
+    """The point's entry in a per-graph table keyed by `choices(G)`, whose
+    values hold each choice's two points' entries in point order (the
+    verdict table or `lift._sync_reports`).  A point that is not one of
+    G's, an unhashable matching included, raises PreconditionError."""
+    try:
+        entries = table.get(point.choice)
+    except TypeError:  # an unhashable matching is none of this graph's
+        entries = None
+    if entries is None or point not in distinguished_points(G, point.choice):
         raise PreconditionError("not a distinguished point of this graph")
-    return verdicts[point.index - 1]
+    return entries[point.index - 1]
 
 
 @per_graph
 def _point_verdicts(G: CurveGraph, profile: str) -> dict:
     """The verdicts of both points of every choice of `choices(G)` under the
-    profile, in one pass.
+    profile, in one pass: a dict from each choice to its two verdicts, keyed
+    as `lift._sync_reports` is, so a suite looks up both by choice.
 
     Each anchor pair's terminal nodes are fetched once; every passing point
     shares one verdict, and the contributing tails are gathered only for a

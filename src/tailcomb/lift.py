@@ -16,22 +16,22 @@ liftings, the hat families anchored at exceptional vertices over a
 distinguished point, and the multiset comparison that defines
 synchronization all live here.
 Synchronization compares levels 2 and 3.  It is built for every point of a
-graph in one pass (`_sync_reports`), in the (choice, point) order of the
-verdict table, so the suites walk both side by side: hat candidates are
-selections, bitset ANDs over the subdivision's pool indices, and points
-that select the same candidates share one chain grown from the selection;
-points with the same side labels share their base multisets, merged from
-base families fetched and keyed once per graph.  The same pass counts the
-eq. (34) terminal nodes once per base multiset, from the base pool's
-terminal masks, and once per level-2 hat family, from its members' pool
-entries.  A point's entry (`_SyncEntry`) holds its verdict, its eq. (34)
-violations and its shared hat and base entries; the suites read the entries
-in order through `_checked`, and `_sync_entry` looks one up for
-`is_synchronized` and `eq34_level2`.  A point's report, with each level's
-hat members and base multiset (which `hat_families` reads), is built from
-its entry on request.  The level-1 structure is a separate diagnostic
-(`one_tail_diagnostic`), which returns its findings, none when the level-1
-families pass; its expectations come from the base graph's 1-tail pool.
+graph in one pass (`_sync_reports`), keyed by choice as the verdict table
+is, so the suites look both up by choice: hat candidates are selections,
+bitset ANDs over the subdivision's pool indices, and points that select the
+same candidates share one chain grown from the selection; points with the
+same side labels share their base multisets, merged from base families
+fetched and keyed once per graph.  The same pass counts the eq. (34)
+terminal nodes once per base multiset, from the base pool's terminal masks,
+and once per level-2 hat family, from its members' pool entries.  A point's
+entry is its `SyncReport`: its verdict, its eq. (34) violations and its
+shared hat and base entries, from which each level's hat members and base
+multiset (which `hat_families` reads) are built on read.  The suites read
+the entries through `_checked`, and `is_synchronized` and `eq34_level2`
+look one up through `blowup._slot`.  The level-1 structure is a separate
+diagnostic (`one_tail_diagnostic`), which returns its findings, none when
+the level-1 families pass; its expectations come from the base graph's
+1-tail pool.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import NamedTuple
 from weakref import ref
 
-from .blowup import DistinguishedPoint, _point_labels, choices
+from .blowup import DistinguishedPoint, _point_labels, _slot, choices
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, Node, canon_key, per_graph, precedes
 from .tails import _grow, _pool_index, _terminal_at, nested
@@ -273,14 +273,25 @@ class LevelSync(NamedTuple):
 
 
 class SyncReport(NamedTuple):
-    """Levels 2 and 3 of a point's synchronization; level 1 always holds."""
+    """Levels 2 and 3 of a point's synchronization (level 1 always holds):
+    the point's entry of `_sync_reports`.  It keeps the hat and base
+    entries it shares with other points and builds its two levels on
+    read."""
 
     point: DistinguishedPoint
-    levels: tuple[LevelSync, ...]
+    synchronized: bool
+    eq34: tuple  # the eq. (34) violations, as `eq34_level2` returns them
+    hat2: tuple  # level-2 members, images, node counts, blocked 3-tails
+    hat3: tuple  # level-3 members, images
+    base: tuple  # level-2 and level-3 base multisets, level-2 node counts
 
     @property
-    def synchronized(self) -> bool:
-        return all(l.ok for l in self.levels)
+    def levels(self) -> tuple[LevelSync, LevelSync]:
+        fam2, images2, _, _ = self.hat2
+        fam3, images3 = self.hat3
+        base2, base3, _ = self.base
+        return (LevelSync(2, images2 == base2, images2, base2, fam2),
+                LevelSync(3, images3 == base3, images3, base3, fam3))
 
     def describe(self, G: CurveGraph) -> dict:
         return {
@@ -305,57 +316,19 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
     the base multiset with multiplicity, which already excludes a purely
     exceptional member: its image is 0, and base members are nonempty.
     Level 1 always synchronizes, so it is not compared; its structure is
-    checked by `one_tail_diagnostic`.  The report is built from the point's
-    entry in the graph's `_sync_reports` on the first request and memoized
-    per point, so an equal point built elsewhere gets the same report; a
-    point that is not one of G's raises PreconditionError.
+    checked by `one_tail_diagnostic`.  The report is the point's entry in
+    the graph's `_sync_reports` (`blowup._slot`), so an equal point built
+    elsewhere gets the same report; a point that is not one of G's raises
+    PreconditionError.
     """
-    return _sync_report(G, point)
+    return _checked(_slot(G, _sync_reports(G), point))
 
 
-@per_graph
-def _sync_report(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
-    """The report of `is_synchronized`, built from the point's entry.  The
-    suites read only the entry's verdict, so no report is built for them:
-    building one per point in the pass took about a tenth of the time of
-    the synchronization suites."""
-    entry = _sync_entry(_sync_reports(G), point)
-    fam2, images2, _, _ = entry.hat2
-    fam3, images3 = entry.hat3
-    base2, base3, _ = entry.base
-    return SyncReport(point, (
-        LevelSync(2, images2 == base2, images2, base2, fam2),
-        LevelSync(3, images3 == base3, images3, base3, fam3),
-    ))
-
-
-class _SyncEntry(NamedTuple):
-    """A point's entry of `_sync_reports`: its verdict and eq. (34)
-    violations, and the hat and base entries, shared with other points,
-    that its report is built from."""
-
-    synchronized: bool
-    eq34: tuple  # the eq. (34) violations, as `eq34_level2` returns them
-    hat2: tuple  # level-2 members, images, node counts, blocked 3-tails
-    hat3: tuple  # level-3 members, images
-    base: tuple  # level-2 and level-3 base multisets, level-2 node counts
-
-
-def _sync_entry(reports: dict, point: DistinguishedPoint) -> _SyncEntry:
-    """The point's entry in a graph's `_sync_reports`, as `is_synchronized`
-    and `eq34_level2` read it: a point that is not one of the graph's raises
-    PreconditionError, and a stored violation is raised as `_checked` raises
-    it."""
-    entry = reports.get(point)
-    if entry is None:
-        raise PreconditionError("not a distinguished point of this graph")
-    return _checked(entry)
-
-
-def _checked(entry) -> _SyncEntry:
-    """A value of `_sync_reports`, as the suites read it while walking the
-    table: the entry itself, or, for a stored violation, a fresh copy of it
-    raised (raising the stored one would grow its traceback)."""
+def _checked(entry) -> SyncReport:
+    """A point's entry of `_sync_reports`, as the suites, `is_synchronized`
+    and `eq34_level2` read it: the report itself, or, for a stored
+    violation, a fresh copy of it raised (raising the stored one would grow
+    its traceback)."""
     if isinstance(entry, InvariantViolation):
         raise type(entry)(entry.args[0], **entry.witnesses)
     return entry
@@ -364,10 +337,9 @@ def _checked(entry) -> _SyncEntry:
 @per_graph
 def _sync_reports(G: CurveGraph) -> dict:
     """The synchronization of every point of `choices(G)`, in one pass: a
-    dict from each point to its `_SyncEntry`, in (choice, point) order, the
-    order of `blowup._point_verdicts` and its pairs, so the suites walk both
-    tables side by side without looking a point up.  The points are built
-    here from `_point_labels`.
+    dict from each choice to the `SyncReport`s of its two points, in point
+    order, keyed as `blowup._point_verdicts` is, so the suites look both
+    tables up by choice.  The points are built here from `_point_labels`.
 
     The hat selections of a point are bitset ANDs over the subdivision's
     pool indices (`tails._pool_index`), so points whose anchors select the
@@ -380,9 +352,10 @@ def _sync_reports(G: CurveGraph) -> dict:
     value is computed once per hat or base entry, each base family fetched
     and keyed by `canon_key` once per graph; a point's own work is two
     comparisons and its eq. (34) violations when the two count vectors
-    differ.  A point whose families break an invariant maps to that
-    violation, kept without its traceback (whose frames hold G), and
-    `_checked` raises a fresh copy of it for that point alone.
+    differ.  A point whose families break an invariant has that violation
+    in its slot, kept without its traceback (whose frames hold G), and
+    `_checked` raises a fresh copy of it for that point alone.  A choice's
+    slots are a list, as `_node_counts` keeps its vectors.
     """
     reports: dict = {}
     chs = choices(G)
@@ -402,8 +375,8 @@ def _sync_reports(G: CurveGraph) -> dict:
         # E(r, g) = p + 2r, plus 1 off the first side (`LiftedGraph.exceptional`)
         v1, side1 = p + 2 * ch.r1, nodes[ch.r1].a
         v2, side2 = p + 2 * ch.r2, nodes[ch.r2].a
-        for index, labels in enumerate(_point_labels(ch), 1):
-            pt = DistinguishedPoint(ch, index, *labels)  # labels (g1, g1', g2, g2')
+        slots = reports[ch] = []
+        for index, labels in enumerate(_point_labels(ch), 1):  # (g1, g1', g2, g2')
             e1 = v1 + (labels[0] != side1)
             e2 = v2 + (labels[2] != side2)
             anchors = (1 << e1) | (1 << e2)
@@ -429,17 +402,18 @@ def _sync_reports(G: CurveGraph) -> dict:
                     base = bases[labels] = (base2, base3, _node_counts(
                         [terms2[w] for w in base2], len(nodes), 1))
             except InvariantViolation as exc:
-                reports[pt] = exc.with_traceback(None)
+                slots.append(exc.with_traceback(None))
                 continue
             counts2, base_counts = hat2[2], base[2]
-            reports[pt] = _SyncEntry(
+            slots.append(SyncReport(
+                DistinguishedPoint(ch, index, *labels),
                 hat2[1] == base[0] and hat3[1] == base[1],
                 () if base_counts == counts2 else tuple(
                     (nd.id, lhs, rhs)
                     for nd, lhs, rhs in zip(nodes, base_counts, counts2) if lhs != rhs
                 ),
                 hat2, hat3, base,
-            )
+            ))
     return reports
 
 
@@ -497,8 +471,7 @@ def one_tail_diagnostic(G: CurveGraph, point: DistinguishedPoint) -> tuple:
     gated.  A point that is not one of G's raises PreconditionError, tested
     as `is_synchronized` tests it.
     """
-    if point not in _sync_reports(G):
-        raise PreconditionError("not a distinguished point of this graph")
+    _slot(G, _sync_reports(G), point)
     return (_one_tail_side(G, point.choice.r1, point.g1)
             + _one_tail_side(G, point.choice.r2, point.g2))
 
@@ -552,4 +525,4 @@ def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
     hat entry (lifted edges 3t..3t+2 lie over node t); a point is rejected
     as `is_synchronized` rejects it.
     """
-    return _sync_entry(_sync_reports(G), point).eq34
+    return _checked(_slot(G, _sync_reports(G), point)).eq34

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import time
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, repeat
 
 from . import blowup as bw
 from . import degrees as dg
 from .errors import InvariantViolation, PreconditionError
 from .graph import CurveGraph, validate, write_json
-from .lift import (_checked, _one_tail_side, _sync_reports, is_synchronized,
-                   one_tail_diagnostic)
+from .lift import _checked, _one_tail_side, _sync_reports, one_tail_diagnostic
 from .randgen import child_rng, instance_graph
 from .tails import (_candidates, _level_families, _pool_index, family_terminals,
                     nested, symm_diff, tail_family)
@@ -267,13 +266,15 @@ def suite_admissibility(G: CurveGraph, rng, profile):
 def suite_lemma61(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
-    for pt in _sync_reports(G):  # every point, in (choice, point) order
-        checks += 1
-        ch = pt.choice
-        detail = _one_tail_side(G, ch.r1, pt.g1) + _one_tail_side(G, ch.r2, pt.g2)
-        if detail:
-            bad.append({"check": "lemma-6.1", "point": pt.describe(G),
-                        "detail": [list(d) for d in detail]})
+    for ch in bw.choices(G):
+        for index, labels in enumerate(bw._point_labels(ch), 1):  # (g1, g1', g2, g2')
+            checks += 1
+            detail = (_one_tail_side(G, ch.r1, labels[0])
+                      + _one_tail_side(G, ch.r2, labels[2]))
+            if detail:
+                pt = bw.DistinguishedPoint(ch, index, *labels)
+                bad.append({"check": "lemma-6.1", "point": pt.describe(G),
+                            "detail": [list(d) for d in detail]})
     return checks, bad
 
 
@@ -282,21 +283,23 @@ def suite_prop62(G: CurveGraph, rng, profile):
     identity on every synchronized point."""
     checks = 0
     bad = []
-    verdicts = chain.from_iterable(bw._point_verdicts(G, profile).values())
-    for (pt, entry), qs in zip(_sync_reports(G).items(), verdicts):
-        checks += 1
-        sync = _checked(entry)
-        if qs.ok and not sync.synchronized:
-            # the reproducer carries the level-1 verdict, as `sync` prints it
-            diag_ok = not one_tail_diagnostic(G, pt)
-            bad.append({"check": "prop-6.2", "point": pt.describe(G),
-                        "sync": {**is_synchronized(G, pt).describe(G),
-                                 "one_tail_diagnostic_ok": diag_ok}})
-        if sync.synchronized:
+    verdicts = bw._point_verdicts(G, profile)
+    reports = _sync_reports(G)
+    for ch, pair in verdicts.items():
+        for qs, entry in zip(pair, reports[ch]):
             checks += 1
-            if sync.eq34:
-                bad.append({"check": "eq-34", "point": pt.describe(G),
-                            "violations": [list(v) for v in sync.eq34]})
+            sync = _checked(entry)
+            if qs.ok and not sync.synchronized:
+                # the reproducer carries the level-1 verdict, as `sync` prints it
+                diag_ok = not one_tail_diagnostic(G, sync.point)
+                bad.append({"check": "prop-6.2", "point": sync.point.describe(G),
+                            "sync": {**sync.describe(G),
+                                     "one_tail_diagnostic_ok": diag_ok}})
+            if sync.synchronized:
+                checks += 1
+                if sync.eq34:
+                    bad.append({"check": "eq-34", "point": sync.point.describe(G),
+                                "violations": [list(v) for v in sync.eq34]})
     return checks, bad
 
 
@@ -312,8 +315,9 @@ def suite_thm63(G: CurveGraph, rng, profile):
     checks = 0
     bad = []
     verdicts = bw._point_verdicts(G, profile)
-    entries = iter(_sync_reports(G).values())  # two per choice, in point order
-    for (ch, (qs1, qs2)), en1, en2 in zip(verdicts.items(), entries, entries):
+    reports = _sync_reports(G)
+    for ch, (qs1, qs2) in verdicts.items():
+        en1, en2 = reports[ch]
         checks += 1
         qs_both = qs1.ok and qs2.ok
         sync_both = _checked(en1).synchronized and _checked(en2).synchronized

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from tailcomb.blowup import (
+    AS_DISPLAYED,
+    PROFILES,
     RECONSTRUCTED,
+    _point_verdicts,
+    choices,
     distinguished_points,
     is_quasistable_point,
     make_choice,
@@ -174,6 +178,68 @@ def test_is_synchronized_rejects_a_foreign_point(G2, G3):
         for query in (is_synchronized, hat_families):
             with pytest.raises(PreconditionError, match="not a distinguished point"):
                 query(G3, bad)
+
+
+POINT_READERS = {
+    "is_quasistable_point-reconstructed":
+        lambda G, pt: is_quasistable_point(G, pt, RECONSTRUCTED),
+    "is_quasistable_point-as-displayed":
+        lambda G, pt: is_quasistable_point(G, pt, AS_DISPLAYED),
+    "is_synchronized": is_synchronized,
+    "eq34_level2": eq34_level2,
+    "one_tail_diagnostic": one_tail_diagnostic,
+    "hat_families": hat_families,
+}
+
+
+@pytest.mark.parametrize("read", list(POINT_READERS.values()), ids=list(POINT_READERS))
+def test_point_readers_share_one_membership_rule(read, G2, G3):
+    # Every per-point reader answers what is not one of G3's points with
+    # the same PreconditionError: a choice whose matching holds lists (an
+    # unhashable key), another graph's point, a point index other than 1
+    # or 2, and a point whose labels are swapped.
+    pt = distinguished_points(G3, make_choice(G3, 0, 1, [(1, 2), (0, 0)]))[0]
+    read(G3, pt)
+    listed = pt.choice._replace(matching=[list(pair) for pair in pt.choice.matching])
+    foreign = [
+        pt._replace(choice=listed),
+        distinguished_points(G2, make_choice(G2, 0, 1, [(1, 1), (0, 0)]))[0],
+        pt._replace(index=0),
+        pt._replace(index=3),
+        pt._replace(g1=pt.g1p, g1p=pt.g1),
+    ]
+    for point in foreign:
+        with pytest.raises(PreconditionError,
+                           match="^not a distinguished point of this graph$"):
+            read(G3, point)
+
+
+def assert_tables_keyed_by_choice(G):
+    """The synchronization table and both verdict tables are keyed by
+    `choices(G)`, in its order; each choice's two slots hold its points'
+    reports, in point order, or a stored violation."""
+    keys = list(choices(G))
+    reports = _sync_reports(G)
+    for profile in PROFILES:
+        assert list(reports) == list(_point_verdicts(G, profile)) == keys
+    for ch, slots in reports.items():
+        assert len(slots) == 2
+        for pt, entry in zip(distinguished_points(G, ch), slots):
+            if isinstance(entry, SyncReport):
+                assert entry.point == pt
+            else:
+                assert isinstance(entry, InvariantViolation)
+
+
+def test_tables_keyed_by_choice_fixtures_and_corpus(G1, G2, G3, G4):
+    for G in (G1, G2, G3, G4) + oracle_corpus():
+        assert_tables_keyed_by_choice(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_tables_keyed_by_choice_property(G):
+    assert_tables_keyed_by_choice(G)
 
 
 def test_thm63_pairwise_on_fixtures(G2, G3):
@@ -422,11 +488,19 @@ def all_points(G):
             yield from distinguished_points(G, ch)
 
 
+def sync_view(G, point):
+    """`is_synchronized` as `sync_oracle` gives it: the report's point,
+    verdict and levels."""
+    rep = is_synchronized(G, point)
+    return rep.point, rep.synchronized, rep.levels
+
+
 def sync_oracle(G, point):
     """`is_synchronized` for one point on its own: its two hat families
-    against the base multisets of its triple, level by level.  A level
-    synchronizes when the images equal the base multiset and no member is
-    purely exceptional."""
+    against the base multisets of its triple, level by level, as the point,
+    its verdict and its levels.  A level synchronizes when the images equal
+    the base multiset and no member is purely exceptional, and the point
+    when both levels do."""
     LG = build_c2(G)
     levels = []
     for s, fam in zip((2, 3), hat_oracle(G, point)):
@@ -435,7 +509,7 @@ def sync_oracle(G, point):
         pure = any(y and not LG.mu_image(y) for y in fam)
         ok = images == base and not pure
         levels.append(LevelSync(s, ok, images, base, fam))
-    return SyncReport(point, tuple(levels))
+    return point, all(l.ok for l in levels), tuple(levels)
 
 
 def assert_point_layers_match_oracles(G, rng):
@@ -452,7 +526,7 @@ def assert_point_layers_match_oracles(G, rng):
         t2, t3 = hat_oracle(G, pt)
         masks += t2 + t3
         assert outcome(hat_families, G, pt) == outcome(hat_oracle, G, pt)
-        assert outcome(is_synchronized, G, pt) == outcome(sync_oracle, G, pt)
+        assert outcome(sync_view, G, pt) == outcome(sync_oracle, G, pt)
         got = outcome(eq34_level2, G, pt)
         assert got == outcome(eq34_oracle, G, pt)
         nonempty += bool(got)
@@ -488,9 +562,9 @@ def test_sync_violations_stay_with_their_points(monkeypatch, G3):
     hide_lifted_tail(monkeypatch, LG, 2, hidden)
     failed = set()
     for pt in all_points(G):
-        got = outcome(is_synchronized, G, pt)
+        got = outcome(sync_view, G, pt)
         assert got == outcome(sync_oracle, G, pt)
-        if not isinstance(got, SyncReport):
+        if got[0] != pt:  # not a report: the error's type, message and witnesses
             assert "no unique minimal" in got[1]
             failed.add(got[2]["anchors"])
     assert failed == {("E(f,C2)", "E(g,C3)"), ("E(f,C3)", "E(g,C2)"),
@@ -506,7 +580,8 @@ def test_a_stored_sync_violation_is_raised_afresh(monkeypatch, G3):
     hidden = LG.subcurve(["C2", "C3", "E(f,C2)", "E(f,C3)", "E(g,C2)", "E(g,C3)"])
     hide_lifted_tail(monkeypatch, LG, 2, hidden)
     failing = [pt for pt in all_points(G)
-               if isinstance(_sync_reports(G)[pt], InvariantViolation)]
+               if isinstance(_sync_reports(G)[pt.choice][pt.index - 1],
+                             InvariantViolation)]
     assert len(failing) == 4
     for pt in failing:
         raised = []
@@ -515,7 +590,7 @@ def test_a_stored_sync_violation_is_raised_afresh(monkeypatch, G3):
                 is_synchronized(G, pt)
             raised.append(info.value)
         first, second = raised
-        stored = _sync_reports(G)[pt]
+        stored = _sync_reports(G)[pt.choice][pt.index - 1]
         assert first is not second and stored is not first and stored is not second
         assert type(first) is type(second) is type(stored)
         assert first.args == second.args == stored.args

@@ -1,9 +1,11 @@
 """The synchronization suites against their per-point reference bodies.
 
-lemma-61, prop-62 and thm-63-pairwise walk the per-graph tables in their
-(choice, point) order (`blowup._point_verdicts`, the entries of
-`lift._sync_reports` through `lift._checked`, and `lift._one_tail_side`).  The reference suites below are their earlier bodies, which ask
-the public per-point entries (`is_quasistable_point`, `is_synchronized`,
+lemma-61 walks `blowup.choices` and reads `lift._one_tail_side` for each
+point's two sides.  prop-62 and thm-63-pairwise look up each choice in the
+two per-graph tables keyed by choice, `blowup._point_verdicts` and
+`lift._sync_reports` (its reports read through `lift._checked`).  The
+reference suites below are their earlier bodies, which ask the public
+per-point entries (`is_quasistable_point`, `is_synchronized`,
 `eq34_level2`, `one_tail_diagnostic`) about every point; both must give
 the same checks and violations, or raise the same error.
 """
@@ -11,10 +13,10 @@ the same checks and violations, or raise the same error.
 from tailcomb import blowup as bw
 from tailcomb.blowup import PROFILES
 from tailcomb.graph import CurveGraph, Node
-from tailcomb.lift import (LiftedGraph, build_c2, canonical_liftings, eq34_level2,
-                           is_synchronized, one_tail_diagnostic)
-from tailcomb.suites import (SuiteConfig, run_suite, suite_lemma61, suite_prop62,
-                             suite_thm63)
+from tailcomb.lift import (LiftedGraph, _sync_reports, build_c2, canonical_liftings,
+                           eq34_level2, is_synchronized, one_tail_diagnostic)
+from tailcomb.suites import (SuiteConfig, _check, run_suite, suite_lemma61,
+                             suite_prop62, suite_thm63)
 
 from conftest import hide_lifted_tail, oracle_corpus, outcome
 
@@ -176,3 +178,18 @@ def test_sync_suites_never_enumerate_the_subdivision(monkeypatch):
                                    suites=("lemma-61", "prop-62", "thm-63-pairwise")))
     assert report.ok, report.violations
     assert all(report.checks[s] > 0 for s in report.config.suites)
+
+
+def test_lemma61_reads_no_synchronization_table():
+    # lemma-61 is a level-1 fact: run alone on a fresh graph, it fills no
+    # synchronization table and makes one check per point.
+    key = (_sync_reports.__wrapped__,)
+    graphs = [G for G in oracle_corpus() if len(G.reducible_nodes()) >= 2]
+    assert len(graphs) >= 20
+    for G in graphs:
+        fresh = CurveGraph(G.names, G.nodes, G.marked)
+        checks, _ = _check(fresh, "lemma-61", 1, 0, bw.RECONSTRUCTED)
+        assert key not in fresh._memo
+        assert checks == 2 * len(bw.choices(fresh))
+        _sync_reports(fresh)
+        assert key in fresh._memo

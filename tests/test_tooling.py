@@ -198,3 +198,35 @@ def test_reports_do_not_depend_on_the_hash_seed():
     ]
     assert '"checks"' in outputs[0] and '"minimal_plan"' in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_points_are_read_through_one_slot():
+    # The per-point tables are keyed by choice, so no per-graph memo takes a
+    # point, the per-point entry type and its lookups are gone, and every
+    # public per-point reader finds its entry through `blowup._slot`.
+    readers = ("is_quasistable_point", "is_synchronized", "eq34_level2",
+               "one_tail_diagnostic")
+    gone = ("_SyncEntry", "_sync_entry", "_sync_report")
+    point_memos, found, slot_calls = [], [], {}
+    for path in sorted((TRACER_PATH.parents[1] / "src" / "tailcomb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in gone:
+                found.append((path.stem, node.name))
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if any(ast.unparse(d).split(".")[-1] == "per_graph"
+                   for d in node.decorator_list):
+                for arg in node.args.posonlyargs + node.args.args:
+                    hint = ast.unparse(arg.annotation) if arg.annotation else ""
+                    if "DistinguishedPoint" in hint or arg.arg in ("point", "pt"):
+                        point_memos.append((path.stem, node.name))
+            if node.name in readers:
+                slot_calls[node.name] = any(
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func).split(".")[-1] == "_slot"
+                    for call in ast.walk(node))
+    assert point_memos == []
+    assert found == [] and not any(hasattr(lift, name) for name in gone)
+    assert slot_calls == dict.fromkeys(readers, True)
