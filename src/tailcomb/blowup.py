@@ -211,14 +211,17 @@ def _slot(G: CurveGraph, table: dict, point: DistinguishedPoint):
     """The point's entry in a per-graph table keyed by `choices(G)`, whose
     values hold each choice's two points' entries in point order (the
     verdict table or `lift._sync_reports`).  A point that is not one of
-    G's, an unhashable matching included, raises PreconditionError."""
+    G's, an unhashable matching included, raises PreconditionError; so does
+    an index that is not the int 1 or 2 (True and 1.0 compare equal to 1)."""
     try:
         entries = table.get(point.choice)
     except TypeError:  # an unhashable matching is none of this graph's
         entries = None
-    if entries is None or point not in distinguished_points(G, point.choice):
+    index = point.index
+    if (entries is None or type(index) is not int or not 1 <= index <= 2
+            or point not in distinguished_points(G, point.choice)):
         raise PreconditionError("not a distinguished point of this graph")
-    return entries[point.index - 1]
+    return entries[index - 1]
 
 
 @per_graph

@@ -126,12 +126,14 @@ class CurveGraph:
     )
 
     def __init__(self, names: Iterable[str], nodes: Iterable[Node], marked: int):
-        names = tuple(str(n) for n in names)
+        names = tuple(names)
         nodes = tuple(nodes)
         if not names:
             raise GraphError("a curve graph needs at least one component")
         index: dict[str, int] = {}
         for i, nm in enumerate(names):
+            if not isinstance(nm, str):
+                raise GraphError(f"component name {nm!r} is not a string")
             if nm in index:
                 raise GraphError(f"duplicate component name {nm!r}")
             index[nm] = i
@@ -139,6 +141,8 @@ class CurveGraph:
             raise GraphError(f"marked component index {marked} out of range")
         node_index: dict[str, int] = {}
         for i, nd in enumerate(nodes):
+            if not isinstance(nd.id, str):
+                raise GraphError(f"node id {nd.id!r} is not a string")
             if nd.id in node_index:
                 raise GraphError(f"duplicate node id {nd.id!r}")
             node_index[nd.id] = i
@@ -477,45 +481,55 @@ def read_json(arg: str, inline: bool = False):
 def write_json(value) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)`: the one writer of every
     indented JSON output (graph, plan, report, dump, command payload)."""
-    return _write_json(value, "\n")
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
 
 
-def _write_json(value, newline: str) -> str:
-    """The text of value, where newline is a line break plus the indent of
-    the line value starts on.
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the text of value to out, where newline is a line break plus
+    the indent of the line value starts on.
 
     With an indent the stdlib encodes in pure Python, so the values outputs
     are built from (exact str, int, bool and None, lists, tuples, and dicts
-    whose keys are all str) take this short recursion.  Anything else is
-    the stdlib's own text with every line break indented to where value
-    sits, which is exact because ASCII-escaped JSON holds no raw newline.
+    whose keys are all str) take this short recursion, every piece appended
+    to the one buffer.  Anything else is the stdlib's own text with every
+    line break indented to where value sits, which is exact because
+    ASCII-escaped JSON holds no raw newline.
     """
     t = type(value)
     if t is str:
-        return encode_basestring_ascii(value)
-    if t is list or t is tuple:
+        out.append(encode_basestring_ascii(value))
+    elif t is list or t is tuple:
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
-        return ("[" + inner
-                + ("," + inner).join([_write_json(v, inner) for v in value])
-                + newline + "]")
-    if t is dict and all(type(k) is str for k in value):
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif t is dict and all(type(k) is str for k in value):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        return ("{" + inner
-                + ("," + inner).join([encode_basestring_ascii(k) + ": "
-                                      + _write_json(value[k], inner)
-                                      for k in sorted(value)])
-                + newline + "}")
-    if t is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if t is bool:
-        return "true" if value else "false"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write_json(value[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if value else "false")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def load(path: str) -> CurveGraph:

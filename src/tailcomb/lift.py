@@ -26,12 +26,11 @@ terminal nodes once per base multiset, from the base pool's terminal masks,
 and once per level-2 hat family, from its members' pool entries.  A point's
 entry is its `SyncReport`: its verdict, its eq. (34) violations and its
 shared hat and base entries, from which each level's hat members and base
-multiset (which `hat_families` reads) are built on read.  The suites read
-the entries through `_checked`, and `is_synchronized` and `eq34_level2`
-look one up through `blowup._slot`.  The level-1 structure is a separate
-diagnostic (`one_tail_diagnostic`), which returns its findings, none when
-the level-1 families pass; its expectations come from the base graph's
-1-tail pool.
+multiset are built on read.  The suites read the entries through
+`_checked`, and `is_synchronized` looks one up through `blowup._slot`.
+The level-1 structure is a separate diagnostic (`one_tail_diagnostic`),
+which returns its findings, none when the level-1 families pass; its
+expectations come from the base graph's 1-tail pool.
 
 Index layout of the subdivision of a graph with p components and n nodes:
 lifted vertex m < p is the strict transform of base component m, vertices
@@ -254,12 +253,6 @@ def canonical_liftings(LG: LiftedGraph, W: int) -> tuple[int, int, int]:
     return (l0, l1, l2)
 
 
-def hat_families(G: CurveGraph, point: DistinguishedPoint) -> tuple[tuple, tuple]:
-    """The level-2 and level-3 families on the subdivision anchored at
-    E(R1, g1) and E(R2, g2), read from the point's `is_synchronized` report."""
-    return tuple(l.hat_members for l in is_synchronized(G, point).levels)
-
-
 class LevelSync(NamedTuple):
     """One level of a point's synchronization: the lifted hat members,
     their sorted images and the base multiset they must equal, which no
@@ -276,11 +269,19 @@ class SyncReport(NamedTuple):
     """Levels 2 and 3 of a point's synchronization (level 1 always holds):
     the point's entry of `_sync_reports`.  It keeps the hat and base
     entries it shares with other points and builds its two levels on
-    read."""
+    read.
+
+    `eq34` holds the violations of eq. (34), the node-by-node counting
+    identity at level 2: for every base node, the number of base level-2
+    family members having it terminal must equal the total over its three
+    lifted edges of hat family members having that edge terminal (lifted
+    edges 3t..3t+2 lie over node t).  Each violation is (node id, base
+    count, hat count), in node order; none when the identity holds.
+    """
 
     point: DistinguishedPoint
     synchronized: bool
-    eq34: tuple  # the eq. (34) violations, as `eq34_level2` returns them
+    eq34: tuple  # the eq. (34) violations
     hat2: tuple  # level-2 members, images, node counts, blocked 3-tails
     hat3: tuple  # level-3 members, images
     base: tuple  # level-2 and level-3 base multisets, level-2 node counts
@@ -325,8 +326,8 @@ def is_synchronized(G: CurveGraph, point: DistinguishedPoint) -> SyncReport:
 
 
 def _checked(entry) -> SyncReport:
-    """A point's entry of `_sync_reports`, as the suites, `is_synchronized`
-    and `eq34_level2` read it: the report itself, or, for a stored
+    """A point's entry of `_sync_reports`, as the suites and
+    `is_synchronized` read it: the report itself, or, for a stored
     violation, a fresh copy of it raised (raising the stored one would grow
     its traceback)."""
     if isinstance(entry, InvariantViolation):
@@ -512,17 +513,3 @@ def _one_tail_side(G: CurveGraph, r: int, g: int) -> tuple:
     if set(rest) != exp_rest:
         detail.append(("separating-mismatch", nd.id))
     return tuple(detail)
-
-
-def eq34_level2(G: CurveGraph, point: DistinguishedPoint) -> tuple:
-    """Node-by-node counting identity at level 2 for a synchronized point.
-
-    For every base node, the number of base level-2 family members having it
-    terminal must equal the total over its three lifted edges of hat family
-    members having that edge terminal.  The violations, in node order, are
-    read from the point's entry in the graph's `_sync_reports`, which
-    compares the count vector of its base entry with that of its level-2
-    hat entry (lifted edges 3t..3t+2 lie over node t); a point is rejected
-    as `is_synchronized` rejects it.
-    """
-    return _checked(_slot(G, _sync_reports(G), point)).eq34

@@ -1,16 +1,16 @@
 """Property suites: the in-scope theorems run as falsifiable checks.
 
-Every suite maps a graph (plus a per-instance generator for sampled checks)
-to a count of executed checks and a list of violations; the runner feeds a
-deterministic stream of random graphs and wraps each violation in a
-self-contained reproducer.
+Every suite maps a graph (plus a factory of its per-instance generator,
+which only a sampling suite calls) to a count of executed checks and a list
+of violations; the runner feeds a deterministic stream of random graphs and
+wraps each violation in a self-contained reproducer.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from functools import cached_property
+from functools import partial
 from itertools import combinations_with_replacement, repeat
 
 from . import blowup as bw
@@ -360,10 +360,11 @@ def suite_qs_uniqueness(G: CurveGraph, rng, profile):
     at which the full box scan stays exhaustive)."""
     if G.p > 5:
         return 0, []
+    randint = rng().randint
     checks = 0
     bad = []
     for _ in range(QS_SAMPLES):
-        d0 = [rng.randint(-3, 3) for _ in range(G.p - 1)]
+        d0 = [randint(-3, 3) for _ in range(G.p - 1)]
         last = -sum(d0)
         if not -3 <= last <= 3:
             continue
@@ -491,30 +492,15 @@ class VerificationReport:
         return write_json(self.to_dict(include_timing))
 
 
-class _SuiteRng:
-    """The `child_rng(seed, "index:name")` of one suite on one instance,
-    seeded on first use: only qs-uniqueness draws, so the other suites
-    pay for no seeding."""
-
-    def __init__(self, seed: int, index: int, name: str):
-        self._key = (seed, index, name)
-
-    @cached_property
-    def _rng(self):
-        seed, index, suite = self._key
-        return child_rng(seed, f"{index}:{suite}")
-
-    def __getattr__(self, name):  # the draws: attributes of the Random
-        return getattr(self._rng, name)
-
-
 def _check(G: CurveGraph, name: str, seed: int, index: int, profile: str):
     """Run one suite on one graph: its check count and its violations, each
     wrapped in a self-contained reproducer.  An exception raised inside the
     suite counts as one failed check: an invariant violation with its
     witnesses, any other one (a crash) with its type, so that one broken
-    suite never aborts a run."""
-    rng = _SuiteRng(seed, index, name)
+    suite never aborts a run.  The suite gets its generator,
+    `child_rng(seed, "index:name")`, as a factory, so a suite that draws
+    nothing pays for no seeding."""
+    rng = partial(child_rng, seed, f"{index}:{name}")
     try:
         checks, bad = SUITES[name](G, rng, profile)
     except InvariantViolation as exc:

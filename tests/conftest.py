@@ -45,8 +45,20 @@ def tset(G, mask):
 def d_count(G, family, node_mask):
     """Number of family members with a terminal node in the given node set,
     counted once per tail however many of its terminal nodes are hit (the
-    per-node oracle of `lift.eq34_level2`)."""
+    per-node oracle of `SyncReport.eq34`)."""
     return sum(1 for w in family if G.term_mask(w) & node_mask)
+
+
+def hat_families(G, point):
+    """The level-2 and level-3 hat families of a point, lifted masks in
+    family order, read from its synchronization report."""
+    return tuple(l.hat_members for l in lift.is_synchronized(G, point).levels)
+
+
+def eq34_level2(G, point):
+    """The eq. (34) violations of a point, read from its synchronization
+    report (`SyncReport.eq34`)."""
+    return lift.is_synchronized(G, point).eq34
 
 
 def delta(G, g1, g2, m, n):

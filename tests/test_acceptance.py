@@ -23,7 +23,7 @@ from tailcomb.blowup import (
     minimality_probe,
     plan_from_tails,
 )
-from tailcomb.lift import eq34_level2, is_synchronized, one_tail_diagnostic
+from tailcomb.lift import is_synchronized, one_tail_diagnostic
 from tailcomb.randgen import instance_graph
 from tailcomb.suites import (
     suite_admissibility,
@@ -173,9 +173,10 @@ def test_criterion_08_level1_diagnostic_and_counting(corpus):
                 diags += 1
                 if one_tail_diagnostic(G, p):
                     violations.append(("lemma-6.1", p.describe(G)))
-                if is_synchronized(G, p).synchronized:
+                sync = is_synchronized(G, p)
+                if sync.synchronized:
                     identities += 1
-                    if eq34_level2(G, p):
+                    if sync.eq34:
                         violations.append(("eq-34", p.describe(G)))
     dt = time.monotonic() - t0
     record(8, "level-1 diagnostic and node-counting identity",

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from tailcomb.degrees import (abel_multidegree, is_quasistable, laplacian,
                               quasistable_representative, twister)
 from tailcomb.errors import GraphError
-from tailcomb.graph import (CurveGraph, canon_key, members, precedes, validate,
+from tailcomb.graph import (CurveGraph, Node, canon_key, members, precedes, validate,
                             write_json)
 from tailcomb.lift import build_c2
 from tailcomb.randgen import instance_graph
@@ -72,6 +73,19 @@ def test_validate_duplicate_node_id():
     }
     with pytest.raises(GraphError, match="duplicate node id"):
         validate(data)
+
+
+@pytest.mark.parametrize("names, node_id, value", [
+    ([1, 2], "a", "1"), (["C1", b"C2"], "a", "b'C2'"),
+    (["C1", "C2"], 7, "7"), (["C1", "C2"], None, "None"),
+])
+def test_graph_names_must_be_strings(names, node_id, value):
+    # a component name or node id is never coerced: CurveGraph([1, 2], ...)
+    # would name its components "1" and "2", and a numeric node id would be
+    # written by `to_spec` as a number that `validate` rejects
+    with pytest.raises(GraphError, match=rf"^(component name|node id) {re.escape(value)} "
+                                         r"is not a string$"):
+        CurveGraph(names, [Node(node_id, 0, 1)], 0)
 
 
 def test_json_round_trip(G3):

@@ -25,8 +25,6 @@ from tailcomb.lift import (
     _sync_reports,
     build_c2,
     canonical_liftings,
-    eq34_level2,
-    hat_families,
     is_synchronized,
     one_tail_diagnostic,
 )
@@ -34,7 +32,8 @@ from tailcomb.randgen import instance_graph
 from tailcomb.suites import replay
 from tailcomb.tails import _candidates, _pool_index, nested
 
-from conftest import d_count, graphs, hide_lifted_tail, oracle_corpus, outcome, sc
+from conftest import (d_count, eq34_level2, graphs, hat_families, hide_lifted_tail,
+                      oracle_corpus, outcome, sc)
 
 
 def lnames(LG, mask):
@@ -197,7 +196,8 @@ def test_point_readers_share_one_membership_rule(read, G2, G3):
     # Every per-point reader answers what is not one of G3's points with
     # the same PreconditionError: a choice whose matching holds lists (an
     # unhashable key), another graph's point, a point index other than 1
-    # or 2, and a point whose labels are swapped.
+    # or 2 (True and 1.0, which compare equal to 1, included), and a point
+    # whose labels are swapped.
     pt = distinguished_points(G3, make_choice(G3, 0, 1, [(1, 2), (0, 0)]))[0]
     read(G3, pt)
     listed = pt.choice._replace(matching=[list(pair) for pair in pt.choice.matching])
@@ -206,6 +206,8 @@ def test_point_readers_share_one_membership_rule(read, G2, G3):
         distinguished_points(G2, make_choice(G2, 0, 1, [(1, 1), (0, 0)]))[0],
         pt._replace(index=0),
         pt._replace(index=3),
+        pt._replace(index=True),
+        pt._replace(index=1.0),
         pt._replace(g1=pt.g1p, g1p=pt.g1),
     ]
     for point in foreign:
@@ -465,7 +467,7 @@ def base_level_multiset(G, point, s):
 
 
 def eq34_oracle(G, point):
-    """`eq34_level2` node by node: `d_count` over the base level-2 multiset
+    """`SyncReport.eq34` node by node: `d_count` over the base level-2 multiset
     against the sum of `d_count` over the hat family at each lifted edge
     touching an exceptional vertex over the node."""
     LG = build_c2(G)
@@ -514,7 +516,7 @@ def sync_oracle(G, point):
 
 def assert_point_layers_match_oracles(G, rng):
     """Index layout, `mu_image` on the lifted tails, the hat family members
-    and random masks, and `is_synchronized`, `eq34_level2` and
+    and random masks, and `is_synchronized`, its eq. (34) violations and
     `one_tail_diagnostic` at every distinguished point; returns the number
     of nonempty eq-34 results compared."""
     assert_index_layout(G)

@@ -5,8 +5,8 @@ point's two sides.  prop-62 and thm-63-pairwise look up each choice in the
 two per-graph tables keyed by choice, `blowup._point_verdicts` and
 `lift._sync_reports` (its reports read through `lift._checked`).  The
 reference suites below are their earlier bodies, which ask the public
-per-point entries (`is_quasistable_point`, `is_synchronized`,
-`eq34_level2`, `one_tail_diagnostic`) about every point; both must give
+per-point entries (`is_quasistable_point`, `is_synchronized` and its
+eq. (34) violations, `one_tail_diagnostic`) about every point; both must give
 the same checks and violations, or raise the same error.
 """
 
@@ -14,11 +14,11 @@ from tailcomb import blowup as bw
 from tailcomb.blowup import PROFILES
 from tailcomb.graph import CurveGraph, Node
 from tailcomb.lift import (LiftedGraph, _sync_reports, build_c2, canonical_liftings,
-                           eq34_level2, is_synchronized, one_tail_diagnostic)
+                           is_synchronized, one_tail_diagnostic)
 from tailcomb.suites import (SuiteConfig, _check, run_suite, suite_lemma61,
                              suite_prop62, suite_thm63)
 
-from conftest import hide_lifted_tail, oracle_corpus, outcome
+from conftest import eq34_level2, hide_lifted_tail, oracle_corpus, outcome
 
 
 def reference_lemma61(G, rng, profile):

@@ -30,8 +30,6 @@ def test_tracer_finds_every_target():
     tracer = load_tracer()
     layers = {
         "tails.nested": (tails, "nested"),
-        "lift.eq34_level2": (lift, "eq34_level2"),
-        "lift.hat_families": (lift, "hat_families"),
         "lift.one_tail_diagnostic": (lift, "one_tail_diagnostic"),
         "degrees.twister": (degrees, "twister"),
         "blowup.admissibility_check": (blowup, "admissibility_check"),
@@ -43,8 +41,10 @@ def test_tracer_finds_every_target():
     t.install()
     try:
         # `degrees.delta` is a test helper now (admissibility reads the
-        # twister rows), so it is the one target expected to be missing
-        assert t.missing == ["degrees.delta"]
+        # twister rows), and the hat families and eq. (34) violations are
+        # read from a point's `SyncReport`, so these three targets are
+        # expected to be missing
+        assert t.missing == ["degrees.delta", "lift.hat_families", "lift.eq34_level2"]
         for stem, (mod, attr) in layers.items():
             assert getattr(mod, attr).__wrapped__ is originals[stem]
         assert tailcomb.nested.__wrapped__ is originals["tails.nested"]
@@ -202,11 +202,11 @@ def test_reports_do_not_depend_on_the_hash_seed():
 
 def test_points_are_read_through_one_slot():
     # The per-point tables are keyed by choice, so no per-graph memo takes a
-    # point, the per-point entry type and its lookups are gone, and every
-    # public per-point reader finds its entry through `blowup._slot`.
-    readers = ("is_quasistable_point", "is_synchronized", "eq34_level2",
-               "one_tail_diagnostic")
-    gone = ("_SyncEntry", "_sync_entry", "_sync_report")
+    # point, the per-point entry type, its lookups and the wrappers of a
+    # point's report are gone, and every public per-point reader finds its
+    # entry through `blowup._slot`.
+    readers = ("is_quasistable_point", "is_synchronized", "one_tail_diagnostic")
+    gone = ("_SyncEntry", "_sync_entry", "_sync_report", "hat_families", "eq34_level2")
     point_memos, found, slot_calls = [], [], {}
     for path in sorted((TRACER_PATH.parents[1] / "src" / "tailcomb").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -230,3 +230,24 @@ def test_points_are_read_through_one_slot():
     assert point_memos == []
     assert found == [] and not any(hasattr(lift, name) for name in gone)
     assert slot_calls == dict.fromkeys(readers, True)
+
+
+def test_every_definition_in_the_package_is_named_elsewhere_in_it():
+    # A module-level function or class that nothing else in `src/tailcomb`
+    # names is read only by the tests or by nothing: a test helper, which
+    # belongs in `tests/`, or dead code.  A reference is a name, an
+    # attribute or an imported name outside the definition itself.
+    defined, used = [], set()
+    for path in sorted((TRACER_PATH.parents[1] / "src" / "tailcomb").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append((path.stem, own))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    assert defined
+    assert [d for d in defined if d[1] not in used] == []
